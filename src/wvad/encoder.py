@@ -1,6 +1,8 @@
 """Snippet encoder and scoring heads.
 
-A video arrives as a T x D_in matrix of snippet features. The transformer
+A video arrives as a T x D_in matrix of snippet features, and a batch as a
+B x T x D_in stack of them; every op below runs on the whole stack at once,
+so one training step is one taped graph. The transformer
 model projects each row to D_model, prepends a learned cls token, and runs a
 stack of blocks, each of which re-embeds the snippet tokens with a
 depthwise-separable temporal convolution (the cls token skips the conv, it
@@ -32,6 +34,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .tensor import (
     Tensor,
+    broadcast_to,
     concat,
     dropout,
     dws_conv1d,
@@ -136,22 +139,20 @@ class ModelParams:
 
 @dataclass
 class EncodedVideo:
-    """Output tokens of the encoder: row 0 is the cls token, rows 1..T the snippets."""
+    """Output tokens of the encoder, (T+1, D) or a batch (B, T+1, D): row 0
+    of each video is the cls token, rows 1..T the snippets."""
 
     tokens: Tensor
 
     @property
-    def cls_output(self) -> Tensor:
-        return self.tokens[0]
-
-    @property
     def snippet_features(self) -> Tensor:
-        return self.tokens[1:]
+        return self.tokens[..., 1:, :]
 
 
 @dataclass
 class VideoForward:
-    """Per-video forward results consumed by the losses and by mining."""
+    """Forward results consumed by the losses and by mining; one video's
+    shapes are shown, a batch adds a leading B axis to each."""
 
     scores: Tensor          # (T,), each in (0,1)
     video_score: Tensor     # scalar in (0,1)
@@ -202,23 +203,29 @@ def init_params(config: EncoderConfig, seed: int, dtype=np.float32) -> ModelPara
 
 def encode(features, params: ModelParams, config: EncoderConfig,
            rng: np.random.Generator | None = None) -> EncodedVideo:
-    """Run the block stack over one video's snippet features.
+    """Run the block stack over a batch of videos' snippet features.
 
-    ``features`` is (T, D_in). Dropout fires only when a generator is passed;
-    without one the forward pass is deterministic.
+    ``features`` is (B, T, D_in); a single (T, D_in) video is run as B=1
+    and its tokens come back as (T+1, D). Dropout fires only when a
+    generator is passed; without one the forward pass is deterministic.
     """
     f = features if isinstance(features, Tensor) else Tensor(features)
+    single = f.data.ndim == 2
+    if single:
+        f = f.reshape(1, *f.data.shape)
     expected = (config.num_snippets, config.d_in)
-    if f.data.shape != expected:
-        raise ConfigError(f"feature matrix is {f.data.shape}, config expects {expected}")
+    if f.data.ndim != 3 or f.data.shape[1:] != expected:
+        raise ConfigError(f"feature array is {f.data.shape}, config expects (B, *{expected})")
+    batch, d = f.data.shape[0], config.d_model
     x = f @ params.w_in + params.b_in
-    tokens = concat([params.cls_token.reshape(1, config.d_model), x], axis=0)
+    cls = broadcast_to(params.cls_token.reshape(1, 1, d), (batch, 1, d))
+    tokens = concat([cls, x], axis=1)
     if params.pos is not None:
         tokens = tokens + params.pos
     drop = rng is not None and config.dropout_rate > 0.0
     for blk in params.blocks:
-        conv = dws_conv1d(tokens[1:], blk.conv_depth, blk.conv_point) + blk.conv_bias
-        a = concat([tokens[0:1], conv], axis=0)
+        conv = dws_conv1d(tokens[:, 1:], blk.conv_depth, blk.conv_point) + blk.conv_bias
+        a = concat([tokens[:, 0:1], conv], axis=1)
         attn = multi_head_self_attention(
             a, blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv, blk.wo, blk.bo,
             heads=config.heads)
@@ -229,21 +236,26 @@ def encode(features, params: ModelParams, config: EncoderConfig,
         if drop:
             ff = dropout(ff, config.dropout_rate, rng)
         tokens = b + ff
-    return EncodedVideo(tokens=tokens)
+    return EncodedVideo(tokens=tokens[0] if single else tokens)
 
 
 def snippet_scores(enc: EncodedVideo, params: ModelParams) -> Tensor:
-    """Per-snippet anomaly scores, shape (T,), each strictly inside (0,1)."""
+    """Per-snippet anomaly scores, (T,) or (B, T), each strictly inside (0,1)."""
     return (enc.snippet_features @ params.score_w + params.score_b).sigmoid()
 
 
 def video_score(enc: EncodedVideo, params: ModelParams) -> Tensor:
-    """Video-level anomaly score read off the cls token output."""
-    return (enc.cls_output @ params.video_w + params.video_b).sigmoid()
+    """Video-level anomaly score read off the cls token output: a scalar, or (B,).
+
+    The cls row keeps its row axis so that each video is its own (1, D)
+    product: a video's score does not depend on the batch it is in.
+    """
+    cls = enc.tokens[..., 0:1, :]
+    return (cls @ params.video_w + params.video_b)[..., 0].sigmoid()
 
 
 class TransformerModel:
-    """Config + params bundle with a single-video forward pass."""
+    """Config + params bundle with a batched forward pass."""
 
     kind = "transformer"
 
@@ -256,6 +268,7 @@ class TransformerModel:
         return cls(config, init_params(config, seed, dtype))
 
     def forward(self, features, rng: np.random.Generator | None = None) -> VideoForward:
+        """Scores of a (B, T, D_in) batch, or of one (T, D_in) video."""
         enc = encode(features, self.params, self.config, rng)
         return VideoForward(
             scores=snippet_scores(enc, self.params),
@@ -290,12 +303,14 @@ class LinearModel:
         return cls(d_in, _uniform(rng, (d_in,), d_in, dtype), _zeros((), dtype))
 
     def forward(self, features, rng=None) -> VideoForward:
+        """Same shapes as ``TransformerModel.forward``: (T, D_in) or (B, T, D_in)."""
         f = features if isinstance(features, Tensor) else Tensor(features)
-        if f.data.ndim != 2 or f.data.shape[1] != self.d_in:
-            raise ConfigError(f"feature matrix is {f.data.shape}, model expects (T, {self.d_in})")
+        if f.data.ndim not in (2, 3) or f.data.shape[-1] != self.d_in:
+            raise ConfigError(
+                f"feature array is {f.data.shape}, model expects (..., T, {self.d_in})")
         return VideoForward(
             scores=(f @ self.w + self.b).sigmoid(),
-            video_score=(f.mean(axis=0) @ self.w + self.b).sigmoid(),
+            video_score=(f.mean(axis=-2, keepdims=True) @ self.w + self.b)[..., 0].sigmoid(),
             features=f,
         )
 

@@ -1,5 +1,9 @@
 """Training objective: four weighted terms over a mixed batch.
 
+Every term takes the whole batch at once, (B, T) snippet scores, (B,) video
+scores and (B, T, D) features, and is a fixed handful of array ops however
+many videos the batch holds (the batch-MIL set-up of Sultani et al. 2018).
+
   l_vid   binary cross-entropy on the video-level scores, averaged over the
           batch so its scale does not depend on batch size
   l_snp   ranking hinge between abnormal and normal videos: the mean of each
@@ -25,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, TrainingError
 from .mining import MinedSets
-from .tensor import Tensor, concat, gather_rows, l2_normalize, topk_mean
+from .tensor import Tensor, gather_rows, l2_normalize, topk_mean
 
 _CLAMP = 1e-7
 
@@ -70,105 +74,111 @@ class LossBreakdown:
 
 
 @dataclass
-class BatchItem:
-    """One video's forward results plus its weak label."""
+class ScoredBatch:
+    """Forward results of one batch, stacked along B, plus the weak labels."""
 
-    video_id: str
-    label: int
-    scores: Tensor       # (T,)
-    video_score: Tensor  # scalar
-    features: Tensor     # (T, D)
+    video_ids: Sequence[str]  # (B,), the ids mined sets refer to
+    labels: np.ndarray        # (B,) of 0 (normal) / 1 (abnormal)
+    scores: Tensor            # (B, T)
+    video_scores: Tensor      # (B,)
+    features: Tensor          # (B, T, D)
 
 
-def loss_video(video_scores: Sequence[Tensor], labels: Sequence[int]) -> Tensor:
-    """Mean binary cross-entropy over the batch's video-level scores.
+def loss_video(video_scores: Tensor, labels) -> Tensor:
+    """Mean binary cross-entropy of (B,) video-level scores against labels.
 
-    Scores are clamped to [1e-7, 1-1e-7] before the logs.
+    Scores are clamped to [1e-7, 1-1e-7] before the log.
     """
-    if len(video_scores) != len(labels):
-        raise ValueError(f"{len(video_scores)} scores vs {len(labels)} labels")
-    if not video_scores:
+    y = np.asarray(labels)
+    if video_scores.data.shape != y.shape or y.ndim != 1:
+        raise ValueError(f"scores {video_scores.data.shape} vs labels {y.shape}")
+    if not y.size:
         raise ValueError("empty batch")
-    v = concat([s.reshape(1) for s in video_scores]).clip(_CLAMP, 1.0 - _CLAMP)
-    y = Tensor(np.asarray(labels, dtype=v.data.dtype))
-    return -(y * v.log() + (1.0 - y) * (1.0 - v).log()).mean()
+    v = video_scores.clip(_CLAMP, 1.0 - _CLAMP)
+    # the probability given to the true label: v if abnormal, 1 - v if normal
+    sign = Tensor((2 * y - 1).astype(v.data.dtype))
+    return -(v * sign + Tensor((1 - y).astype(v.data.dtype))).log().mean()
 
 
-def loss_snippet_topk(abn_scores: Tensor, nrm_scores: Tensor, k: int) -> Tensor:
-    """Ranking hinge for one abnormal/normal video pair.
+def loss_snippet_topk(abn_scores: Tensor, nrm_scores: Tensor, k: int,
+                      pair_mode: str = "matched") -> Tensor:
+    """Ranking hinge summed over abnormal/normal video pairs.
 
-    max(0, 1 - topk_mean(abnormal) + topk_mean(normal)): zero once the
+    Rows of the (A, T) and (N, T) score arrays are videos; each pair adds
+    max(0, 1 - topk_mean(abnormal) + topk_mean(normal)), zero once the
     abnormal video's top-k mean exceeds the normal one's by the margin.
+    ``matched`` pairs row i with row i for the first min(A, N) rows,
+    ``all_pairs`` pairs every abnormal row with every normal row.
     """
-    margin = 1.0 - topk_mean(abn_scores, k) + topk_mean(nrm_scores, k)
-    return margin.relu()
+    if abn_scores.data.ndim != 2 or nrm_scores.data.ndim != 2:
+        raise ValueError("loss_snippet_topk expects (videos, T) score arrays")
+    if pair_mode not in _PAIR_MODES:
+        raise ConfigError(f"pair_mode must be one of {_PAIR_MODES}, got {pair_mode!r}")
+    abn = topk_mean(abn_scores, k, axis=1)
+    nrm = topk_mean(nrm_scores, k, axis=1)
+    if pair_mode == "all_pairs":
+        margin = 1.0 - abn.reshape(-1, 1) + nrm.reshape(1, -1)
+    else:
+        m = min(abn.data.shape[0], nrm.data.shape[0])
+        margin = 1.0 - abn[:m] + nrm[:m]
+    return margin.relu().sum()
 
 
 def loss_regularisation(scores: Tensor, smooth_weight: float, sparse_weight: float) -> Tensor:
-    """Smoothness + sparsity for one video's score sequence, both scaled by 1/T."""
-    n = scores.data.shape[0]
+    """Smoothness + sparsity of (B, T) score rows, both scaled by 1/T and
+    summed over the videos."""
+    if scores.data.ndim != 2:
+        raise ValueError("loss_regularisation expects (videos, T) scores")
+    n = scores.data.shape[1]
     if n < 2:
         raise ValueError(f"need at least 2 snippets, got {n}")
-    diffs = scores[1:] - scores[:-1]
-    smooth = (diffs * diffs).sum() / float(n)
-    sparse = scores.sum() / float(n)
-    return smooth * smooth_weight + sparse * sparse_weight
+    diffs = scores[:, 1:] - scores[:, :-1]
+    return ((diffs * diffs).sum() * smooth_weight + scores.sum() * sparse_weight) / float(n)
 
 
 def _info_nce(anchors: Tensor | None, positives: Tensor | None,
               negatives: Tensor | None, temperature: float) -> Tensor | None:
     """Sum over all anchor/positive pairs of the negated log-ratio.
 
+    Rows are L2-normalised, so the result only sees cosine similarities.
     Each pair's denominator holds that pair's similarity plus the anchor's
-    similarities to every negative. Rows are L2-normalised first, so the
-    result only sees cosine similarities. Returns None when no pair exists
-    or there is no negative to contrast against.
+    similarities to every negative. Returns None when no pair exists or
+    there is no negative to contrast against.
     """
     if anchors is None or positives is None or negatives is None:
         return None
-    a = l2_normalize(anchors)
-    p = l2_normalize(positives)
-    n = l2_normalize(negatives)
-    s_ap = (a @ p.T) * (1.0 / temperature)               # (A, P)
-    s_an = (a @ n.T) * (1.0 / temperature)               # (A, N)
-    neg_sum = s_an.exp().sum(axis=1, keepdims=True)      # (A, 1)
+    s_ap = (anchors @ positives.T) * (1.0 / temperature)   # (A, P)
+    s_an = (anchors @ negatives.T) * (1.0 / temperature)   # (A, N)
+    neg_sum = s_an.exp().sum(axis=1, keepdims=True)        # (A, 1)
     log_ratio = s_ap - (s_ap.exp() + neg_sum).log()
     return -log_ratio.sum()
 
 
-def _gather_features(features_by_video: dict[str, Tensor],
-                     items: Sequence[tuple[str, int]]) -> Tensor | None:
-    if not items:
-        return None
-    by_video: dict[str, list[int]] = {}
-    for video_id, t in items:
-        by_video.setdefault(video_id, []).append(t)
-    parts = [gather_rows(features_by_video[vid], ts) for vid, ts in by_video.items()]
-    return parts[0] if len(parts) == 1 else concat(parts, axis=0)
-
-
-def loss_contrastive(mined: MinedSets, features_by_video: dict[str, Tensor],
+def loss_contrastive(mined: MinedSets, features: Tensor, video_ids: Sequence[str],
                      temperature: float) -> Tensor:
-    """Both contrastive directions; empty anchor/positive/negative sets give 0."""
+    """Both contrastive directions over (B, T, D) features whose rows belong
+    to ``video_ids``; empty anchor/positive/negative sets give 0."""
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
-    ha = _gather_features(features_by_video, mined.hard_abnormal)
-    ea = _gather_features(features_by_video, mined.easy_abnormal)
-    hn = _gather_features(features_by_video, mined.hard_normal)
-    en = _gather_features(features_by_video, mined.easy_normal)
+    sets = (mined.hard_abnormal, mined.easy_abnormal, mined.hard_normal, mined.easy_normal)
     total: Tensor | None = None
-    for term in (_info_nce(ha, ea, en, temperature),
-                 _info_nce(hn, en, ea, temperature)):
-        if term is not None:
-            total = term if total is None else total + term
+    if any(sets):
+        t_len, dim = features.data.shape[-2:]
+        first_row = {vid: i * t_len for i, vid in enumerate(video_ids)}
+        flat = features.reshape(-1, dim)
+        ha, ea, hn, en = (
+            l2_normalize(gather_rows(flat, [first_row[vid] + t for vid, t in items]))
+            if items else None for items in sets)
+        for term in (_info_nce(ha, ea, en, temperature),
+                     _info_nce(hn, en, ea, temperature)):
+            if term is not None:
+                total = term if total is None else total + term
     if total is not None:
         return total
-    dtype = (next(iter(features_by_video.values())).data.dtype
-             if features_by_video else np.float64)
-    return Tensor(np.zeros((), dtype=dtype))
+    return Tensor(np.zeros((), dtype=features.data.dtype))
 
 
-def loss_total(batch: Sequence[BatchItem], mined: MinedSets | None,
+def loss_total(batch: ScoredBatch, mined: MinedSets | None,
                config: LossConfig) -> tuple[Tensor, LossBreakdown]:
     """Weighted sum of the four terms over one batch.
 
@@ -176,14 +186,13 @@ def loss_total(batch: Sequence[BatchItem], mined: MinedSets | None,
     evaluated; the contrastive term additionally needs mined sets (pass None
     while mining is warming up and the term is reported as 0).
     """
-    abnormal = [b for b in batch if b.label == 1]
-    normal = [b for b in batch if b.label == 0]
-    if not abnormal or not normal:
+    labels = np.asarray(batch.labels)
+    abnormal = np.flatnonzero(labels == 1)
+    normal = np.flatnonzero(labels == 0)
+    if not abnormal.size or not normal.size:
         raise TrainingError(
-            f"batch needs both labels, got {len(abnormal)} abnormal / {len(normal)} normal")
+            f"batch needs both labels, got {abnormal.size} abnormal / {normal.size} normal")
 
-    dtype = batch[0].scores.data.dtype
-    zero = Tensor(np.zeros((), dtype=dtype))
     total: Tensor | None = None
     parts: dict[str, float] = {}
 
@@ -196,43 +205,21 @@ def loss_total(batch: Sequence[BatchItem], mined: MinedSets | None,
         weighted = term * weight
         total = weighted if total is None else total + weighted
 
-    if config.w_contrast > 0 and mined is not None:
-        features = {b.video_id: b.features for b in batch}
-        add("l_cnt", config.w_contrast,
-            loss_contrastive(mined, features, config.temperature))
-    else:
-        add("l_cnt", 0.0, None)
-
-    if config.w_snippet > 0:
-        if config.pair_mode == "matched":
-            pairs = list(zip(abnormal, normal))
-        else:
-            pairs = [(a, n) for a in abnormal for n in normal]
-        snp: Tensor | None = None
-        for a, n in pairs:
-            h = loss_snippet_topk(a.scores, n.scores, config.k)
-            snp = h if snp is None else snp + h
-        add("l_snp", config.w_snippet, snp)
-    else:
-        add("l_snp", 0.0, None)
-
-    if config.w_video > 0:
-        add("l_vid", config.w_video,
-            loss_video([b.video_score for b in batch], [b.label for b in batch]))
-    else:
-        add("l_vid", 0.0, None)
-
-    if config.w_reg > 0:
-        reg: Tensor | None = None
-        for b in batch:
-            r = loss_regularisation(b.scores, config.smooth_weight, config.sparse_weight)
-            reg = r if reg is None else reg + r
-        add("l_reg", config.w_reg, reg)
-    else:
-        add("l_reg", 0.0, None)
+    add("l_cnt", config.w_contrast,
+        loss_contrastive(mined, batch.features, batch.video_ids, config.temperature)
+        if config.w_contrast > 0 and mined is not None else None)
+    add("l_snp", config.w_snippet,
+        loss_snippet_topk(batch.scores[abnormal], batch.scores[normal], config.k,
+                          config.pair_mode)
+        if config.w_snippet > 0 else None)
+    add("l_vid", config.w_video,
+        loss_video(batch.video_scores, labels) if config.w_video > 0 else None)
+    add("l_reg", config.w_reg,
+        loss_regularisation(batch.scores, config.smooth_weight, config.sparse_weight)
+        if config.w_reg > 0 else None)
 
     if total is None:
-        total = zero
+        total = Tensor(np.zeros((), dtype=batch.scores.data.dtype))
     breakdown = LossBreakdown(l_total=float(total.data), l_cnt=parts["l_cnt"],
                               l_snp=parts["l_snp"], l_vid=parts["l_vid"],
                               l_reg=parts["l_reg"])

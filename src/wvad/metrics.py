@@ -62,6 +62,8 @@ def _validate(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"scores {s.shape} vs labels {y.shape}")
     if s.size == 0:
         raise MetricError("empty input")
+    if not np.all(np.isfinite(s)):
+        raise MetricError(f"{int(np.sum(~np.isfinite(s)))} non-finite scores")
     if not np.all((y == 0) | (y == 1)):
         raise MetricError("labels must be 0/1")
     return s, y

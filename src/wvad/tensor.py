@@ -21,9 +21,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-# Set True in tests to assert every op output is finite.
-CHECK_FINITE = False
-
 _GRAD_ENABLED = True
 
 
@@ -94,21 +91,7 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.data.shape}")
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
+        order = topological_order(self)
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
@@ -184,32 +167,38 @@ class Tensor:
         return out
 
     def __matmul__(self, other):
+        """Matrix product with numpy semantics for these operand forms:
+
+        1-D/2-D @ 1-D/2-D, N-D @ 2-D and N-D @ 1-D (a stack of rows times one
+        matrix or vector), and N-D @ N-D of equal rank >= 3 with equal
+        leading (batch) dimensions.
+        """
         if not isinstance(other, Tensor):
             raise TypeError("matmul expects a Tensor operand")
         a, b = self.data, other.data
-        if a.ndim > 2 or b.ndim > 2 or a.ndim == 0 or b.ndim == 0:
-            raise ValueError(f"matmul supports 1-D/2-D operands, got {a.shape} @ {b.shape}")
+        if a.ndim == 0 or b.ndim == 0 or (
+                b.ndim > 2 and (a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2])):
+            raise ValueError(f"unsupported matmul operands {a.shape} @ {b.shape}")
         out = _result(a @ b, (self, other))
         if out.requires_grad:
             def backward(g):
                 if self.requires_grad:
-                    if a.ndim == 2 and b.ndim == 2:
-                        _accum(self, g @ b.T)
-                    elif a.ndim == 2:          # (n,k) @ (k,) -> (n,)
-                        _accum(self, np.outer(g, b))
-                    elif b.ndim == 2:          # (k,) @ (k,m) -> (m,)
+                    if b.ndim == 1:        # (..., k) @ (k,) -> (...)
+                        _accum(self, np.multiply.outer(g, b))
+                    elif a.ndim == 1:      # (k,) @ (k, m) -> (m,)
                         _accum(self, b @ g)
-                    else:                      # (k,) @ (k,) -> scalar
-                        _accum(self, g * b)
-                if other.requires_grad:
-                    if a.ndim == 2 and b.ndim == 2:
-                        _accum(other, a.T @ g)
-                    elif a.ndim == 2:
-                        _accum(other, a.T @ g)
-                    elif b.ndim == 2:
-                        _accum(other, np.outer(a, g))
                     else:
-                        _accum(other, g * a)
+                        _accum(self, g @ np.swapaxes(b, -1, -2))
+                if other.requires_grad:
+                    if b.ndim > 2:         # batched: one product per leading index
+                        _accum(other, np.swapaxes(a, -1, -2) @ g)
+                    elif a.ndim == 1:
+                        _accum(other, np.multiply.outer(a, g))
+                    elif b.ndim == 1:      # sum over every row of the stack
+                        _accum(other, a.reshape(-1, a.shape[-1]).T @ g.reshape(-1))
+                    else:
+                        _accum(other, a.reshape(-1, a.shape[-1]).T
+                               @ g.reshape(-1, g.shape[-1]))
             out._backward = backward
         return out
 
@@ -238,13 +227,16 @@ class Tensor:
             out._backward = backward
         return out
 
-    def transpose(self) -> "Tensor":
-        if self.data.ndim != 2:
-            raise ValueError("transpose expects a 2-D tensor")
-        out = _result(self.data.T, (self,))
+    def transpose(self, *axes) -> "Tensor":
+        """Permute axes (numpy semantics); no axes reverses them."""
+        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
+            axes = tuple(axes[0])
+        axes = axes or None
+        out = _result(self.data.transpose(axes), (self,))
         if out.requires_grad:
+            inverse = None if axes is None else tuple(np.argsort(axes))
             def backward(g):
-                _accum(self, g.T)
+                _accum(self, g.transpose(inverse))
             out._backward = backward
         return out
 
@@ -342,9 +334,31 @@ class Tensor:
 # graph plumbing
 
 
+def topological_order(root: Tensor) -> list[Tensor]:
+    """Every node reachable from ``root`` through the tape, parents first.
+
+    This is the walk ``backward`` replays in reverse; its length is the
+    graph size of one objective.
+    """
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    return order
+
+
 def _result(data: np.ndarray, inputs: tuple[Tensor, ...]) -> Tensor:
-    if CHECK_FINITE and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite value produced by a forward op")
     out = Tensor(data)
     if _GRAD_ENABLED:
         parents = tuple(t for t in inputs if t.requires_grad)
@@ -412,20 +426,26 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along ``axis`` (0 or 1)."""
-    if axis not in (0, 1):
-        raise ValueError("concat supports axis 0 or 1")
+    """Concatenate along ``axis``."""
     ts = list(tensors)
     out = _result(np.concatenate([t.data for t in ts], axis=axis), tuple(ts))
     if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in ts]
+        ax = axis % out.data.ndim
+        bounds = np.cumsum([t.data.shape[ax] for t in ts])[:-1]
         def backward(g):
-            offset = 0
-            for t, n in zip(ts, sizes):
+            for t, piece in zip(ts, np.split(g, bounds, axis=ax)):
                 if t.requires_grad:
-                    piece = g[offset:offset + n] if axis == 0 else g[:, offset:offset + n]
                     _accum(t, piece)
-                offset += n
+        out._backward = backward
+    return out
+
+
+def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """Repeat ``x`` along broadcast axes; the gradient sums them back."""
+    out = _result(np.broadcast_to(x.data, shape), (x,))
+    if out.requires_grad:
+        def backward(g):
+            _accum(x, _unbroadcast(g, x.data.shape))
         out._backward = backward
     return out
 
@@ -457,23 +477,28 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def topk_mean(scores: Tensor, k: int) -> Tensor:
-    """Mean of the k largest entries of a 1-D tensor.
+def topk_mean(scores: Tensor, k: int, axis: int | None = None) -> Tensor:
+    """Mean of the k largest entries of a 1-D tensor, or along ``axis``.
 
-    Ties break toward the lowest index (stable selection), so the result and
-    its gradient (1/k on the selected entries, 0 elsewhere) are deterministic.
+    Without ``axis`` the input must be 1-D and the result is a scalar; with
+    it the axis is reduced away, one top-k mean per lane. Ties break toward
+    the lowest index (stable selection), so the result and its gradient (1/k
+    on the selected entries, 0 elsewhere) are deterministic.
     """
-    if scores.data.ndim != 1:
-        raise ValueError("topk_mean expects a 1-D tensor")
-    n = scores.data.shape[0]
+    x = scores.data
+    if axis is None:
+        if x.ndim != 1:
+            raise ValueError("topk_mean expects a 1-D tensor unless an axis is given")
+        axis = 0
+    n = x.shape[axis]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    idx = np.argsort(-scores.data, kind="stable")[:k]
-    out = _result(scores.data[idx].mean(), (scores,))
+    idx = np.take(np.argsort(-x, axis=axis, kind="stable"), np.arange(k), axis=axis)
+    out = _result(np.take_along_axis(x, idx, axis=axis).mean(axis=axis), (scores,))
     if out.requires_grad:
         def backward(g):
-            z = np.zeros_like(scores.data)
-            z[idx] = g / k
+            z = np.zeros_like(x)
+            np.put_along_axis(z, idx, np.expand_dims(g / k, axis), axis=axis)
             _accum(scores, z)
         out._backward = backward
     return out
@@ -495,22 +520,42 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale each row of a 2-D tensor to unit Euclidean norm."""
-    sq = (x * x).sum(axis=1, keepdims=True)
+    """Scale each row (last axis) to unit Euclidean norm."""
+    sq = (x * x).sum(axis=-1, keepdims=True)
     return x / (sq + eps).sqrt()
+
+
+def pad_edge(x: Tensor, half: int) -> Tensor:
+    """Replicate padding along the time axis (-2): ``half`` copies of the
+    first and of the last row on either side, as one index op.
+
+    The gradient of the copies folds back onto the two edge rows.
+    """
+    n = x.data.shape[-2]
+    idx = np.clip(np.arange(-half, n + half), 0, n - 1)
+    out = _result(x.data[..., idx, :], (x,))
+    if out.requires_grad:
+        def backward(g):
+            z = g[..., half:half + n, :].copy()
+            z[..., 0, :] += g[..., :half, :].sum(axis=-2)
+            z[..., -1, :] += g[..., half + n:, :].sum(axis=-2)
+            _accum(x, z)
+        out._backward = backward
+    return out
 
 
 def dws_conv1d(x: Tensor, depth_kernel: Tensor, point_kernel: Tensor) -> Tensor:
     """Depthwise-separable 1-D convolution over the time axis.
 
-    ``x`` is (T, C); ``depth_kernel`` is (C, W) with W odd, applied per
-    channel along time with replicate padding ("same" output length);
-    ``point_kernel`` is (C, C') and mixes channels. Output row t depends only
-    on input rows t-W//2 .. t+W//2.
+    ``x`` is (T, C) or a batch (B, T, C); ``depth_kernel`` is (C, W) with W
+    odd, applied per channel along time with replicate padding ("same"
+    output length); ``point_kernel`` is (C, C') and mixes channels. Output
+    row t depends only on input rows t-W//2 .. t+W//2 of the same video.
     """
-    if x.data.ndim != 2 or depth_kernel.data.ndim != 2 or point_kernel.data.ndim != 2:
-        raise ValueError("dws_conv1d expects 2-D tensors")
-    t_len, channels = x.data.shape
+    if x.data.ndim not in (2, 3) or depth_kernel.data.ndim != 2 \
+            or point_kernel.data.ndim != 2:
+        raise ValueError("dws_conv1d expects a 2-D or 3-D input and 2-D kernels")
+    t_len, channels = x.data.shape[-2:]
     if depth_kernel.data.shape[0] != channels:
         raise ValueError(
             f"depth kernel has {depth_kernel.data.shape[0]} channels, input has {channels}")
@@ -520,16 +565,10 @@ def dws_conv1d(x: Tensor, depth_kernel: Tensor, point_kernel: Tensor) -> Tensor:
     width = depth_kernel.data.shape[1]
     if width % 2 == 0:
         raise ValueError(f"kernel width must be odd, got {width}")
-    half = width // 2
-    if half > 0:
-        front = [x[0:1] for _ in range(half)]
-        back = [x[t_len - 1:t_len] for _ in range(half)]
-        padded = concat(front + [x] + back, axis=0)
-    else:
-        padded = x
+    padded = pad_edge(x, width // 2) if width > 1 else x
     acc: Tensor | None = None
     for j in range(width):
-        term = padded[j:j + t_len] * depth_kernel[:, j]
+        term = padded[..., j:j + t_len, :] * depth_kernel[:, j]
         acc = term if acc is None else acc + term
     return acc @ point_kernel
 
@@ -541,35 +580,29 @@ def multi_head_self_attention(
     wv: Tensor, bv: Tensor,
     wo: Tensor, bo: Tensor,
     heads: int,
-    return_weights: bool = False,
-):
+) -> Tensor:
     """Standard scaled dot-product self-attention over the rows of ``x``.
 
-    ``x`` is (n, d) with d divisible by ``heads``. Each output row is, per
+    ``x`` is (n, d) or a batch (B, n, d) with d divisible by ``heads``;
+    tokens attend within their own video only. Heads are a reshape of the
+    projections to (..., heads, n, d/heads), so each output row is, per
     head, a convex combination of value rows (attention rows sum to one).
-    With ``return_weights`` the per-head attention matrices are also returned.
     """
-    n, d = x.data.shape
+    *lead, n, d = x.data.shape
     if d % heads != 0:
         raise ConfigError(f"model dim {d} not divisible by {heads} heads")
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
-    q = x @ wq + bq
-    k = x @ wk + bk
-    v = x @ wv + bv
-    outs = []
-    weights = []
-    for h in range(heads):
-        cols = (slice(None), slice(h * dh, (h + 1) * dh))
-        qh, kh, vh = q[cols], k[cols], v[cols]
-        attn = softmax((qh @ kh.T) * scale, axis=-1)
-        outs.append(attn @ vh)
-        weights.append(attn)
-    merged = outs[0] if heads == 1 else concat(outs, axis=1)
-    out = merged @ wo + bo
-    if return_weights:
-        return out, weights
-    return out
+    r = len(lead)
+    # (..., n, h, dh) <-> (..., h, n, dh); a swap, so it also merges heads back
+    to_heads = (*range(r), r + 1, r, r + 2)
+    q = (x @ wq + bq).reshape(*lead, n, heads, dh).transpose(to_heads)
+    # keys go straight to (..., h, dh, n), ready for q @ k
+    k = (x @ wk + bk).reshape(*lead, n, heads, dh).transpose(*range(r), r + 1, r + 2, r)
+    v = (x @ wv + bv).reshape(*lead, n, heads, dh).transpose(to_heads)
+    attn = softmax((q @ k) * scale, axis=-1)
+    merged = (attn @ v).transpose(to_heads).reshape(*lead, n, d)
+    return merged @ wo + bo
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

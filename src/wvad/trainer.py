@@ -25,7 +25,7 @@ import numpy as np
 
 from .encoder import EncoderConfig, LinearModel, TransformerModel, load_checkpoint, save_checkpoint
 from .errors import ConfigError, FormatError, TrainingError
-from .losses import BatchItem, LossConfig, loss_total
+from .losses import LossConfig, ScoredBatch, loss_total
 from .mining import MiningConfig, mine_batch
 from .tensor import Tensor
 
@@ -127,20 +127,6 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Adam
 
 # ---------------------------------------------------------------------
 # sampling
-
-
-def sample_batch(videos: Sequence[VideoTriple], rng: np.random.Generator,
-                 batch_normal: int, batch_abnormal: int) -> list[int]:
-    """One balanced batch of video indices, without replacement per class."""
-    normal = [i for i, (_, label, _) in enumerate(videos) if label == 0]
-    abnormal = [i for i, (_, label, _) in enumerate(videos) if label == 1]
-    if len(normal) < batch_normal or len(abnormal) < batch_abnormal:
-        raise ConfigError(
-            f"need {batch_normal} normal / {batch_abnormal} abnormal videos, "
-            f"dataset has {len(normal)} / {len(abnormal)}")
-    picked_n = rng.permutation(len(normal))[:batch_normal]
-    picked_a = rng.permutation(len(abnormal))[:batch_abnormal]
-    return [normal[i] for i in picked_n] + [abnormal[i] for i in picked_a]
 
 
 class BalancedSampler:
@@ -291,17 +277,20 @@ def train(videos: Sequence[VideoTriple], config: TrainConfig,
 
 def train_step(model, batch_videos: Sequence[VideoTriple], config: TrainConfig,
                opt: AdamState, rng: np.random.Generator, step: int, epoch: int) -> LogRow:
-    """Forward, mine, loss, backward, Adam update for one batch."""
-    items = []
-    for video_id, label, feats in batch_videos:
-        out = model.forward(feats, rng=rng)
-        items.append(BatchItem(video_id=video_id, label=label, scores=out.scores,
-                               video_score=out.video_score, features=out.features))
+    """Forward, mine, loss, backward, Adam update for one batch.
+
+    The batch is stacked once into a (B, T, D_in) array, so the whole step
+    is one taped graph."""
+    video_ids = [video_id for video_id, _, _ in batch_videos]
+    labels = np.array([label for _, label, _ in batch_videos])
+    out = model.forward(np.stack([feats for _, _, feats in batch_videos]), rng=rng)
+    batch = ScoredBatch(video_ids=video_ids, labels=labels, scores=out.scores,
+                        video_scores=out.video_score, features=out.features)
     mined = None
     if config.loss.w_contrast > 0 and epoch >= config.mining_warmup_epochs:
-        mined = mine_batch([(b.video_id, b.label, b.scores.data) for b in items],
+        mined = mine_batch(list(zip(video_ids, labels.tolist(), out.scores.data)),
                            config.mining)
-    total, breakdown = loss_total(items, mined, config.loss)
+    total, breakdown = loss_total(batch, mined, config.loss)
     if not np.isfinite(breakdown.l_total):
         raise TrainingError(
             f"non-finite loss at step {step} (epoch {epoch}): {breakdown}")

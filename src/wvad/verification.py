@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import EncoderConfig, TransformerModel
-from .losses import BatchItem, LossConfig, loss_total
+from .losses import LossConfig, ScoredBatch, loss_total
 from .mining import MinedSets
-from .tensor import (Tensor, concat, dropout, dws_conv1d, gather_rows, gelu,
-                     grad_check, l2_normalize, layer_norm,
+from .tensor import (Tensor, broadcast_to, concat, dropout, dws_conv1d, gather_rows,
+                     gelu, grad_check, l2_normalize, layer_norm,
                      multi_head_self_attention, softmax, topk_mean)
 
 
@@ -78,8 +78,10 @@ def _case_broadcast(rng):
     row = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
     col = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
     w = rng.normal(size=(3, 4))
+    w3 = rng.normal(size=(2, 3, 4))
     return [("a", a), ("row", row), ("col", col)], \
-        lambda: ((a + row) * col * Tensor(w)).sum()
+        lambda: ((a + row) * col * Tensor(w)).sum() \
+        + (broadcast_to(row, (2, 3, 4)) * Tensor(w3)).sum()
 
 
 def _case_matmul(rng):
@@ -87,9 +89,16 @@ def _case_matmul(rng):
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     v = Tensor(rng.normal(size=4), requires_grad=True)
     u = Tensor(rng.normal(size=3), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)     # a batch of rows
+    p = Tensor(rng.normal(size=(2, 2, 3, 2)), requires_grad=True)  # batched heads
+    q = Tensor(rng.normal(size=(2, 2, 2, 3)), requires_grad=True)
     w = rng.normal(size=(3, 2))
-    return [("a", a), ("b", b), ("v", v), ("u", u)], \
-        lambda: ((a @ b) * Tensor(w)).sum() + (a @ v).sum() + (u @ a).sum()
+    w3 = rng.normal(size=(2, 3, 2))
+    w4 = rng.normal(size=(2, 2, 3, 3))
+    return [("a", a), ("b", b), ("v", v), ("u", u), ("x", x), ("p", p), ("q", q)], \
+        lambda: ((a @ b) * Tensor(w)).sum() + (a @ v).sum() + (u @ a).sum() \
+        + ((x @ b) * Tensor(w3)).sum() + ((x @ v) * Tensor(w3[..., 0])).sum() \
+        + ((p @ q) * Tensor(w4)).sum()
 
 
 def _case_getitem(rng):
@@ -101,9 +110,13 @@ def _case_getitem(rng):
 
 def _case_reshape_transpose(rng):
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    y = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     w = rng.normal(size=(4, 3))
-    return [("x", x)], \
-        lambda: (x.reshape(2, 6).reshape(3, 4).T * Tensor(w)).sum()
+    w3 = rng.normal(size=(2, 4, 3))
+    return [("x", x), ("y", y)], \
+        lambda: (x.reshape(2, 6).reshape(3, 4).T * Tensor(w)).sum() \
+        + (y.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3).reshape(4, 3, 2)
+           .transpose(2, 0, 1) * Tensor(w3)).sum()
 
 
 def _case_reductions(rng):
@@ -143,11 +156,14 @@ def _case_clip(rng):
 def _case_concat(rng):
     a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    c = Tensor(rng.normal(size=(2, 1, 3)), requires_grad=True)
     w0 = rng.normal(size=(4, 3))
     w1 = rng.normal(size=(2, 6))
-    return [("a", a), ("b", b)], \
+    w2 = rng.normal(size=(2, 3, 3))
+    return [("a", a), ("b", b), ("c", c)], \
         lambda: (concat([a, b], axis=0) * Tensor(w0)).sum() \
-        + (concat([a, b], axis=1) * Tensor(w1)).sum()
+        + (concat([a, b], axis=1) * Tensor(w1)).sum() \
+        + (concat([c, a.reshape(2, 1, 3), b.reshape(2, 1, 3)], axis=1) * Tensor(w2)).sum()
 
 
 def _case_gather_rows(rng):
@@ -166,7 +182,11 @@ def _case_topk_mean(rng):
     # distinct values with gaps far above h so the top-k set is stable
     base = rng.permutation(7).astype(np.float64) * 0.3
     x = Tensor(base + rng.normal(size=7) * 0.01, requires_grad=True)
-    return [("x", x)], lambda: topk_mean(x, 3)
+    grid = np.stack([rng.permutation(6) for _ in range(3)]).astype(np.float64) * 0.3
+    m = Tensor(grid + rng.normal(size=(3, 6)) * 0.01, requires_grad=True)
+    w = rng.normal(size=3)
+    return [("x", x), ("m", m)], \
+        lambda: topk_mean(x, 3) + (topk_mean(m, 2, axis=1) * Tensor(w)).sum()
 
 
 def _case_layer_norm(rng):
@@ -186,30 +206,35 @@ def _case_l2_normalize(rng):
 
 def _case_dws_conv1d(rng):
     x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    xb = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)   # a batch, width-5 pad
     depth = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    depth5 = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     point = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
     w = rng.normal(size=(5, 4))
-    return [("x", x), ("depth", depth), ("point", point)], \
-        lambda: (dws_conv1d(x, depth, point) * Tensor(w)).sum()
+    wb = rng.normal(size=(2, 3, 4))
+    return [("x", x), ("xb", xb), ("depth", depth), ("depth5", depth5), ("point", point)], \
+        lambda: (dws_conv1d(x, depth, point) * Tensor(w)).sum() \
+        + (dws_conv1d(xb, depth5, point) * Tensor(wb)).sum()
 
 
 def _case_attention(rng):
     d = 4
     x = Tensor(rng.normal(size=(4, d)), requires_grad=True)
+    xb = Tensor(rng.normal(size=(2, 3, d)), requires_grad=True)   # a batch of videos
     mats = {m: Tensor(rng.normal(size=(d, d)) / np.sqrt(d), requires_grad=True)
             for m in ("wq", "wk", "wv", "wo")}
     biases = {m: Tensor(rng.normal(size=d) * 0.1, requires_grad=True)
               for m in ("bq", "bk", "bv", "bo")}
     w = rng.normal(size=(4, d))
-    params = [("x", x)] + list(mats.items()) + list(biases.items())
+    wb = rng.normal(size=(2, 3, d))
+    params = [("x", x), ("xb", xb)] + list(mats.items()) + list(biases.items())
 
-    def f():
-        out = multi_head_self_attention(
-            x, mats["wq"], biases["bq"], mats["wk"], biases["bk"],
+    def attend(inp):
+        return multi_head_self_attention(
+            inp, mats["wq"], biases["bq"], mats["wk"], biases["bk"],
             mats["wv"], biases["bv"], mats["wo"], biases["bo"], heads=2)
-        return (out * Tensor(w)).sum()
 
-    return params, f
+    return params, lambda: (attend(x) * Tensor(w)).sum() + (attend(xb) * Tensor(wb)).sum()
 
 
 def _case_dropout(rng):
@@ -271,14 +296,14 @@ def _objective_case(seed: int):
         hard_abnormal=(("abn", 1),), easy_abnormal=(("abn", 3),),
         hard_normal=(("nrm", 0),), easy_normal=(("nrm", 2),))
     loss_cfg = LossConfig(k=2)
+    videos = np.stack([feats["nrm"], feats["abn"]])
 
     def f():
-        items = []
-        for vid, label in (("nrm", 0), ("abn", 1)):
-            out = model.forward(feats[vid])
-            items.append(BatchItem(video_id=vid, label=label, scores=out.scores,
-                                   video_score=out.video_score, features=out.features))
-        total, _ = loss_total(items, mined, loss_cfg)
+        out = model.forward(videos)
+        batch = ScoredBatch(video_ids=("nrm", "abn"), labels=np.array([0, 1]),
+                            scores=out.scores, video_scores=out.video_score,
+                            features=out.features)
+        total, _ = loss_total(batch, mined, loss_cfg)
         return total
 
     return model.named_params(), f

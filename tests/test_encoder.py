@@ -172,33 +172,41 @@ def _oracle_softmax_rows(z):
 
 
 def _oracle_forward(f, m):
-    """Single block, single head, straight-line numpy reimplementation."""
+    """Single block, single head, straight-line numpy reimplementation.
+
+    ``f`` is one video (T, D_in) or a batch (B, T, D_in); every step works on
+    the trailing two axes, so a batch runs each video independently.
+    """
     p, cfg = m.params, m.config
     x = f @ p.w_in.data + p.b_in.data
-    tokens = np.vstack([p.cls_token.data[None, :], x])
+    lead = x.shape[:-2]
+    cls = np.broadcast_to(p.cls_token.data, lead + (1, cfg.d_model))
+    tokens = np.concatenate([cls, x], axis=-2)
     blk = p.blocks[0]
     t_len = cfg.num_snippets
     half = cfg.conv_width // 2
-    sn = tokens[1:]
-    padded = np.vstack([np.repeat(sn[:1], half, axis=0), sn,
-                        np.repeat(sn[-1:], half, axis=0)])
+    sn = tokens[..., 1:, :]
+    padded = np.concatenate([np.repeat(sn[..., :1, :], half, axis=-2), sn,
+                             np.repeat(sn[..., -1:, :], half, axis=-2)], axis=-2)
     conv = np.zeros_like(sn)
     for j in range(cfg.conv_width):
-        conv += padded[j:j + t_len] * blk.conv_depth.data[:, j]
+        conv += padded[..., j:j + t_len, :] * blk.conv_depth.data[:, j]
     conv = conv @ blk.conv_point.data + blk.conv_bias.data
-    a = np.vstack([tokens[:1], conv])
+    a = np.concatenate([tokens[..., :1, :], conv], axis=-2)
     q = a @ blk.wq.data + blk.bq.data
     k = a @ blk.wk.data + blk.bk.data
     v = a @ blk.wv.data + blk.bv.data
-    attn = _oracle_softmax_rows(q @ k.T / np.sqrt(cfg.d_model)) @ v
+    z = q @ np.swapaxes(k, -1, -2) / np.sqrt(cfg.d_model)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    attn = (e / e.sum(axis=-1, keepdims=True)) @ v
     attn = attn @ blk.wo.data + blk.bo.data
     s = a + attn
-    mu = s.mean(axis=1, keepdims=True)
-    var = ((s - mu) ** 2).mean(axis=1, keepdims=True)
+    mu = s.mean(axis=-1, keepdims=True)
+    var = ((s - mu) ** 2).mean(axis=-1, keepdims=True)
     b = (s - mu) / np.sqrt(var + 1e-5) * blk.ln_gamma.data + blk.ln_beta.data
     out = b + _oracle_gelu(b @ blk.ff_w1.data + blk.ff_b1.data) @ blk.ff_w2.data + blk.ff_b2.data
-    scores = _oracle_sigmoid(out[1:] @ p.score_w.data + float(p.score_b.data))
-    video = _oracle_sigmoid(out[0] @ p.video_w.data + float(p.video_b.data))
+    scores = _oracle_sigmoid(out[..., 1:, :] @ p.score_w.data + float(p.score_b.data))
+    video = _oracle_sigmoid(out[..., 0, :] @ p.video_w.data + float(p.video_b.data))
     return scores, video
 
 
@@ -210,6 +218,43 @@ def test_micro_model_matches_straightline_oracle():
     want_scores, want_video = _oracle_forward(f, m)
     np.testing.assert_allclose(got.scores.data, want_scores, atol=1e-10)
     np.testing.assert_allclose(float(got.video_score.data), want_video, atol=1e-10)
+
+
+def test_micro_model_batch_matches_straightline_oracle():
+    config = EncoderConfig(num_snippets=5, d_in=3, d_model=4, heads=1, depth=1,
+                           conv_width=5)
+    m = TransformerModel.init(config, seed=22, dtype=np.float64)
+    f = np.random.default_rng(22).normal(size=(4, 5, 3))
+    got = m.forward(f)
+    want_scores, want_video = _oracle_forward(f, m)
+    assert got.scores.shape == (4, 5) and got.video_score.shape == (4,)
+    assert got.features.shape == (4, 5, 4)
+    np.testing.assert_allclose(got.scores.data, want_scores, atol=1e-10)
+    np.testing.assert_allclose(got.video_score.data, want_video, atol=1e-10)
+
+
+@pytest.mark.parametrize("kw", [{}, {"use_positional": True}])
+def test_batched_forward_equals_each_video(kw):
+    """A video's scores, video score and features do not depend on the batch
+    it is run in: the stacked forward equals each video's B=1 forward bit
+    for bit."""
+    m = make_model(seed=23, **kw)
+    f = np.random.default_rng(23).normal(size=(5, 8, 4)).astype(np.float32)
+    batched = m.forward(f)
+    for b in range(5):
+        single = m.forward(f[b])
+        assert single.scores.data.tobytes() == batched.scores.data[b].tobytes()
+        assert single.video_score.data.tobytes() == batched.video_score.data[b].tobytes()
+        assert single.features.data.tobytes() == batched.features.data[b].tobytes()
+
+
+def test_encode_single_video_returns_its_tokens():
+    m = make_model(seed=24)
+    f = np.random.default_rng(24).normal(size=(8, 4)).astype(np.float32)
+    single = encode(f, m.params, m.config).tokens
+    batched = encode(f[None], m.params, m.config).tokens
+    assert single.shape == (9, 8) and batched.shape == (1, 9, 8)
+    assert single.data.tobytes() == batched.data[0].tobytes()
 
 
 # ---------------------------------------------------------------------
@@ -287,6 +332,17 @@ def test_linear_model_matches_numpy_affine():
     np.testing.assert_allclose(out.scores.data, want, atol=1e-6)
     assert out.features.data is not None
     assert 0 < float(out.video_score.data) < 1
+
+
+def test_linear_model_batch_equals_each_video():
+    m = LinearModel.init(d_in=6, seed=4)
+    f = np.random.default_rng(4).normal(size=(3, 10, 6)).astype(np.float32)
+    batched = m.forward(f)
+    assert batched.scores.shape == (3, 10) and batched.video_score.shape == (3,)
+    for b in range(3):
+        single = m.forward(f[b])
+        assert batched.scores.data[b].tobytes() == single.scores.data.tobytes()
+        assert batched.video_score.data[b].tobytes() == single.video_score.data.tobytes()
 
 
 def test_linear_model_rejects_wrong_width():

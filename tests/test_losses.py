@@ -12,8 +12,8 @@ import pytest
 
 from wvad.errors import ConfigError, TrainingError
 from wvad.losses import (
-    BatchItem,
     LossConfig,
+    ScoredBatch,
     loss_contrastive,
     loss_regularisation,
     loss_snippet_topk,
@@ -28,8 +28,9 @@ def t64(data):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
 
 
-def scalar(x):
-    return Tensor(np.float64(x), requires_grad=True)
+def rows(*seqs):
+    """(videos, T) float64 leaf, one row per sequence."""
+    return t64(np.vstack(seqs))
 
 
 # ---------------------------------------------------------------------
@@ -54,36 +55,36 @@ def test_config_validation():
 
 
 def test_video_loss_perfect_prediction_near_zero():
-    out = loss_video([scalar(1.0 - 1e-9)], [1])
+    out = loss_video(t64([1.0 - 1e-9]), [1])
     assert float(out.data) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_video_loss_half_is_ln2():
-    out = loss_video([scalar(0.5)], [0])
+    out = loss_video(t64([0.5]), [0])
     assert float(out.data) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_video_loss_quarter_is_ln4():
-    out = loss_video([scalar(0.25)], [1])
+    out = loss_video(t64([0.25]), [1])
     assert float(out.data) == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_video_loss_averages_over_batch():
-    out = loss_video([scalar(0.5), scalar(0.25)], [0, 1])
+    out = loss_video(t64([0.5, 0.25]), [0, 1])
     want = (math.log(2.0) + math.log(4.0)) / 2.0
     assert float(out.data) == pytest.approx(want, abs=1e-12)
 
 
 def test_video_loss_length_mismatch():
     with pytest.raises(ValueError):
-        loss_video([scalar(0.5)], [0, 1])
+        loss_video(t64([0.5]), [0, 1])
     with pytest.raises(ValueError):
-        loss_video([], [])
+        loss_video(t64(np.zeros(0)), [])
 
 
 def test_video_loss_clamp_keeps_gradient_finite():
-    s = scalar(1.0)   # would be log(0) without the clamp
-    out = loss_video([s], [0])
+    s = t64([1.0])   # would be log(0) without the clamp
+    out = loss_video(s, [0])
     out.backward()
     assert math.isfinite(float(out.data))
     assert np.all(np.isfinite(s.grad))
@@ -92,10 +93,9 @@ def test_video_loss_clamp_keeps_gradient_finite():
 def test_video_loss_fd():
     for seed in range(5):
         rng = np.random.default_rng(700 + seed)
-        scores = [scalar(v) for v in rng.uniform(0.05, 0.95, size=4)]
+        scores = t64(rng.uniform(0.05, 0.95, size=4))
         labels = [0, 1, 1, 0]
-        check = grad_check(lambda: loss_video(scores, labels),
-                           [(f"s{i}", s) for i, s in enumerate(scores)])
+        check = grad_check(lambda: loss_video(scores, labels), [("scores", scores)])
         assert check.passed, check.summary()
 
 
@@ -104,49 +104,62 @@ def test_video_loss_fd():
 
 
 def test_hinge_saturated_margin_is_zero():
-    out = loss_snippet_topk(t64(np.ones(6)), t64(np.zeros(6)), 3)
+    out = loss_snippet_topk(rows(np.ones(6)), rows(np.zeros(6)), 3)
     assert float(out.data) == 0.0
 
 
 def test_hinge_no_separation_is_one():
-    out = loss_snippet_topk(t64(np.full(6, 0.5)), t64(np.full(6, 0.5)), 3)
+    out = loss_snippet_topk(rows(np.full(6, 0.5)), rows(np.full(6, 0.5)), 3)
     assert float(out.data) == pytest.approx(1.0)
 
 
 def test_hinge_hand_value():
     # top-k means 0.7 and 0.4 -> 1 - 0.7 + 0.4 = 0.7
-    out = loss_snippet_topk(t64(np.full(5, 0.7)), t64(np.full(5, 0.4)), 3)
+    out = loss_snippet_topk(rows(np.full(5, 0.7)), rows(np.full(5, 0.4)), 3)
     assert float(out.data) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_hinge_zero_beyond_margin_positive_inside():
-    abn = t64(np.array([1.0, 1.0, 1.0, 0.0]))
-    nrm = t64(np.array([0.0, 0.0, 0.0, 0.0]))
+    abn = rows([1.0, 1.0, 1.0, 0.0])
+    nrm = rows([0.0, 0.0, 0.0, 0.0])
     assert float(loss_snippet_topk(abn, nrm, 3).data) == 0.0
-    abn2 = t64(np.array([0.9, 0.8, 0.7, 0.0]))
+    abn2 = rows([0.9, 0.8, 0.7, 0.0])
     assert float(loss_snippet_topk(abn2, nrm, 3).data) > 0.0
 
 
 def test_hinge_bounded_by_two():
     # worst case: abnormal all 0, normal all 1
-    out = loss_snippet_topk(t64(np.zeros(4)), t64(np.ones(4)), 2)
+    out = loss_snippet_topk(rows(np.zeros(4)), rows(np.ones(4)), 2)
     assert float(out.data) == pytest.approx(2.0)
 
 
 def test_hinge_k_too_large():
     with pytest.raises(ValueError):
-        loss_snippet_topk(t64(np.ones(3)), t64(np.ones(3)), 4)
+        loss_snippet_topk(rows(np.ones(3)), rows(np.ones(3)), 4)
 
 
 def test_hinge_fd():
     for seed in range(5):
         rng = np.random.default_rng(710 + seed)
         # distinct scores away from the hinge kink
-        abn = t64(rng.permutation(np.linspace(0.55, 0.9, 8)))
-        nrm = t64(rng.permutation(np.linspace(0.1, 0.45, 8)))
+        abn = rows(rng.permutation(np.linspace(0.55, 0.9, 8)),
+                   rng.permutation(np.linspace(0.55, 0.9, 8)))
+        nrm = rows(rng.permutation(np.linspace(0.1, 0.45, 8)),
+                   rng.permutation(np.linspace(0.1, 0.45, 8)))
         check = grad_check(lambda: loss_snippet_topk(abn, nrm, 3),
                            [("abn", abn), ("nrm", nrm)])
         assert check.passed, check.summary()
+
+
+def test_hinge_batch_sums_pairs():
+    # top-2 means: abnormal 0.9, 0.6; normal 0.3, 0.2
+    abn = rows([0.9, 0.9, 0.1], [0.6, 0.6, 0.0])
+    nrm = rows([0.3, 0.3, 0.0], [0.2, 0.1, 0.3])
+    matched = loss_snippet_topk(abn, nrm, 2)
+    assert float(matched.data) == pytest.approx((1 - 0.9 + 0.3) + (1 - 0.6 + 0.25), abs=1e-12)
+    allp = loss_snippet_topk(abn, nrm, 2, "all_pairs")
+    want = sum(1 - a + n for a in (0.9, 0.6) for n in (0.3, 0.25))
+    assert float(allp.data) == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------
@@ -154,17 +167,17 @@ def test_hinge_fd():
 
 
 def test_reg_zero_scores():
-    assert float(loss_regularisation(t64(np.zeros(8)), 1.0, 1.0).data) == 0.0
+    assert float(loss_regularisation(rows(np.zeros(8)), 1.0, 1.0).data) == 0.0
 
 
 def test_reg_alternating_hand_value():
     # diffs [1,-1,1]: squares sum 3, /4 = 0.75; mean score 0.5 -> total 1.25
-    out = loss_regularisation(t64(np.array([0.0, 1.0, 0.0, 1.0])), 1.0, 1.0)
+    out = loss_regularisation(rows([0.0, 1.0, 0.0, 1.0]), 1.0, 1.0)
     assert float(out.data) == pytest.approx(1.25, abs=1e-12)
 
 
 def test_reg_constant_sequence_keeps_only_sparsity():
-    out = loss_regularisation(t64(np.full(6, 0.3)), 1.0, 1.0)
+    out = loss_regularisation(rows(np.full(6, 0.3)), 1.0, 1.0)
     assert float(out.data) == pytest.approx(0.3, abs=1e-12)
 
 
@@ -172,21 +185,27 @@ def test_reg_invariant_to_temporal_reversal():
     rng = np.random.default_rng(8)
     for _ in range(20):
         y = rng.random(16)
-        a = loss_regularisation(t64(y), 0.7, 0.3)
-        b = loss_regularisation(t64(y[::-1].copy()), 0.7, 0.3)
+        a = loss_regularisation(rows(y), 0.7, 0.3)
+        b = loss_regularisation(rows(y[::-1].copy()), 0.7, 0.3)
         assert float(a.data) == pytest.approx(float(b.data), abs=1e-12)
 
 
 def test_reg_needs_two_snippets():
     with pytest.raises(ValueError):
-        loss_regularisation(t64(np.array([0.5])), 1.0, 1.0)
+        loss_regularisation(rows([0.5]), 1.0, 1.0)
 
 
 def test_reg_fd():
     rng = np.random.default_rng(720)
-    y = t64(rng.random(12))
+    y = t64(rng.random((3, 12)))
     check = grad_check(lambda: loss_regularisation(y, 0.6, 0.4), [("y", y)])
     assert check.passed, check.summary()
+
+
+def test_reg_batch_is_sum_of_videos():
+    # per video: [0,1,0,1] -> 1.25 (above); constant 0.3 -> 0.3
+    out = loss_regularisation(rows([0.0, 1.0, 0.0, 1.0], np.full(4, 0.3)), 1.0, 1.0)
+    assert float(out.data) == pytest.approx(1.55, abs=1e-12)
 
 
 # ---------------------------------------------------------------------
@@ -194,33 +213,34 @@ def test_reg_fd():
 
 
 def _features_one_each(anchor, positive, negative):
-    """Single abnormal video (rows 0..1: anchor, positive), single normal
-    video (row 0: negative); mined sets point at those rows."""
-    feats = {
-        "abn": t64(np.vstack([anchor, positive])),
-        "nrm": t64(np.asarray(negative)[None, :]),
-    }
+    """Abnormal video (rows 0..1: anchor, positive), normal video (row 0:
+    negative, row 1 unused); mined sets point at those rows."""
+    feats = t64(np.stack([np.vstack([anchor, positive]),
+                          np.vstack([negative, np.full(len(negative), 9.0)])]))
     mined = MinedSets(hard_abnormal=(("abn", 0),), easy_abnormal=(("abn", 1),),
                       hard_normal=(), easy_normal=(("nrm", 0),))
     return feats, mined
 
 
+IDS = ("abn", "nrm")
+
+
 def test_contrastive_empty_sets_zero():
-    out = loss_contrastive(EMPTY_MINED, {}, 0.07)
+    out = loss_contrastive(EMPTY_MINED, t64(np.ones((2, 3, 4))), IDS, 0.07)
     assert float(out.data) == 0.0
 
 
 def test_contrastive_equidistant_is_ln2():
     # positive and negative at the same similarity to the anchor
     feats, mined = _features_one_each([1.0, 0.0], [0.0, 1.0], [0.0, 1.0])
-    out = loss_contrastive(mined, feats, 1.0)
+    out = loss_contrastive(mined, feats, IDS, 1.0)
     assert float(out.data) == pytest.approx(math.log(2.0), abs=1e-9)
 
 
 def test_contrastive_aligned_positive_hand_value():
     # sim(a,p)=1, sim(a,n)=0, tau=1: -log(e / (e + 1))
     feats, mined = _features_one_each([1.0, 0.0], [1.0, 0.0], [0.0, 1.0])
-    out = loss_contrastive(mined, feats, 1.0)
+    out = loss_contrastive(mined, feats, IDS, 1.0)
     want = -math.log(math.e / (math.e + 1.0))
     assert float(out.data) == pytest.approx(want, abs=1e-9)
 
@@ -228,59 +248,57 @@ def test_contrastive_aligned_positive_hand_value():
 def test_contrastive_decreases_as_positive_aligns():
     far, _ = _features_one_each([1.0, 0.0], [0.0, 1.0], [0.0, 1.0])
     near, mined = _features_one_each([1.0, 0.0], [0.9, 0.1], [0.0, 1.0])
-    loss_far = float(loss_contrastive(mined, far, 0.5).data)
-    loss_near = float(loss_contrastive(mined, near, 0.5).data)
+    loss_far = float(loss_contrastive(mined, far, IDS, 0.5).data)
+    loss_near = float(loss_contrastive(mined, near, IDS, 0.5).data)
     assert loss_near < loss_far
 
 
 def test_contrastive_invariant_to_feature_scale():
     rng = np.random.default_rng(30)
     raw = rng.normal(size=(4, 6))
-    neg = rng.normal(size=(2, 6))
+    neg = np.vstack([rng.normal(size=(2, 6)), np.ones((2, 6))])
     mined = MinedSets(hard_abnormal=(("abn", 0), ("abn", 1)),
                       easy_abnormal=(("abn", 2), ("abn", 3)),
                       hard_normal=(), easy_normal=(("nrm", 0), ("nrm", 1)))
-    a = loss_contrastive(mined, {"abn": t64(raw), "nrm": t64(neg)}, 0.07)
-    b = loss_contrastive(mined, {"abn": t64(raw * 5.0), "nrm": t64(neg * 5.0)}, 0.07)
+    a = loss_contrastive(mined, t64(np.stack([raw, neg])), IDS, 0.07)
+    b = loss_contrastive(mined, t64(np.stack([raw * 5.0, neg * 5.0])), IDS, 0.07)
     assert float(a.data) == pytest.approx(float(b.data), abs=1e-9)
 
 
 def test_contrastive_symmetric_direction_only():
     """With only hard-normal anchors the second direction alone fires."""
-    feats = {"nrm": t64(np.array([[1.0, 0.0], [0.0, 1.0]])),
-             "abn": t64(np.array([[1.0, 0.0]]))}
+    feats = t64(np.array([[[1.0, 0.0], [0.0, 1.0]],     # nrm
+                          [[1.0, 0.0], [5.0, 5.0]]]))   # abn, row 1 unused
     mined = MinedSets(hard_abnormal=(), easy_abnormal=(("abn", 0),),
                       hard_normal=(("nrm", 0),), easy_normal=(("nrm", 1),))
-    out = loss_contrastive(mined, feats, 1.0)
+    out = loss_contrastive(mined, feats, ("nrm", "abn"), 1.0)
     # anchor nrm0=e1, positive nrm1=e2 (sim 0), negative abn0=e1 (sim 1)
     want = -math.log(1.0 / (1.0 + math.e))
     assert float(out.data) == pytest.approx(want, abs=1e-9)
 
 
 def test_contrastive_missing_positive_contributes_zero():
-    feats = {"abn": t64(np.eye(2)), "nrm": t64(np.eye(2))}
+    feats = t64(np.stack([np.eye(2), np.eye(2)]))
     mined = MinedSets(hard_abnormal=(("abn", 0),), easy_abnormal=(),
                       hard_normal=(), easy_normal=(("nrm", 0),))
-    assert float(loss_contrastive(mined, feats, 0.07).data) == 0.0
+    assert float(loss_contrastive(mined, feats, IDS, 0.07).data) == 0.0
 
 
 def test_contrastive_rejects_bad_temperature():
     with pytest.raises(ConfigError):
-        loss_contrastive(EMPTY_MINED, {}, 0.0)
+        loss_contrastive(EMPTY_MINED, t64(np.ones((2, 3, 4))), IDS, 0.0)
 
 
 def test_contrastive_fd():
     for seed in range(5):
         rng = np.random.default_rng(730 + seed)
-        abn = t64(rng.normal(size=(6, 4)))
-        nrm = t64(rng.normal(size=(6, 4)))
+        feats = t64(rng.normal(size=(2, 6, 4)))
         mined = MinedSets(hard_abnormal=(("abn", 0), ("abn", 1)),
                           easy_abnormal=(("abn", 3), ("abn", 4)),
                           hard_normal=(("nrm", 2),),
                           easy_normal=(("nrm", 0), ("nrm", 5)))
-        feats = {"abn": abn, "nrm": nrm}
-        check = grad_check(lambda: loss_contrastive(mined, feats, 0.5),
-                           [("abn", abn), ("nrm", nrm)])
+        check = grad_check(lambda: loss_contrastive(mined, feats, IDS, 0.5),
+                           [("features", feats)])
         assert check.passed, check.summary()
 
 
@@ -289,26 +307,19 @@ def test_contrastive_fd():
 
 
 def _make_batch(rng, n_abn=2, n_nrm=2, t_len=8, d=4):
-    batch = []
-    for i in range(n_abn):
-        batch.append(BatchItem(
-            video_id=f"abn-{i}", label=1,
-            scores=t64(rng.uniform(0.05, 0.95, size=t_len)),
-            video_score=scalar(rng.uniform(0.1, 0.9)),
-            features=t64(rng.normal(size=(t_len, d)))))
-    for i in range(n_nrm):
-        batch.append(BatchItem(
-            video_id=f"nrm-{i}", label=0,
-            scores=t64(rng.uniform(0.05, 0.95, size=t_len)),
-            video_score=scalar(rng.uniform(0.1, 0.9)),
-            features=t64(rng.normal(size=(t_len, d)))))
-    return batch
+    """Abnormal videos first, then normal ones, all leaves float64."""
+    return ScoredBatch(
+        video_ids=[f"abn-{i}" for i in range(n_abn)] + [f"nrm-{i}" for i in range(n_nrm)],
+        labels=np.array([1] * n_abn + [0] * n_nrm),
+        scores=t64(rng.uniform(0.05, 0.95, size=(n_abn + n_nrm, t_len))),
+        video_scores=t64(rng.uniform(0.1, 0.9, size=n_abn + n_nrm)),
+        features=t64(rng.normal(size=(n_abn + n_nrm, t_len, d))))
 
 
 def _mined_for(batch):
     from wvad.mining import MiningConfig, mine_batch
     cfg = MiningConfig(region_window=5, region_min_count=4, k_hard_normal=2, k_easy=2)
-    return mine_batch([(b.video_id, b.label, b.scores.data) for b in batch], cfg)
+    return mine_batch(list(zip(batch.video_ids, batch.labels, batch.scores.data)), cfg)
 
 
 def test_total_zero_weights_is_zero():
@@ -330,7 +341,7 @@ def test_total_unit_weights_additivity_exact():
 
 def test_total_single_class_batch_rejected():
     rng = np.random.default_rng(42)
-    batch = [b for b in _make_batch(rng) if b.label == 1]
+    batch = _make_batch(rng, n_nrm=0)
     with pytest.raises(TrainingError):
         loss_total(batch, None, LossConfig())
 
@@ -341,8 +352,8 @@ def test_total_zero_weight_term_gets_no_gradient():
     cfg = LossConfig(w_contrast=0, w_snippet=1, w_video=0, w_reg=0)
     total, _ = loss_total(batch, _mined_for(batch), cfg)
     total.backward()
-    assert all(b.video_score.grad is None for b in batch)
-    assert all(b.features.grad is None for b in batch)
+    assert batch.video_scores.grad is None
+    assert batch.features.grad is None
 
 
 def test_total_without_mined_sets_reports_zero_contrast():
@@ -359,8 +370,8 @@ def test_total_matched_vs_all_pairs_counts():
     # matched pairs: min(2,1)=1 hinge; all pairs: 2 hinges
     _, matched = loss_total(batch, None, LossConfig(w_contrast=0))
     _, allp = loss_total(batch, None, LossConfig(w_contrast=0, pair_mode="all_pairs"))
-    h01 = float(loss_snippet_topk(batch[0].scores, batch[2].scores, 3).data)
-    h11 = float(loss_snippet_topk(batch[1].scores, batch[2].scores, 3).data)
+    h01 = float(loss_snippet_topk(batch.scores[0:1], batch.scores[2:3], 3).data)
+    h11 = float(loss_snippet_topk(batch.scores[1:2], batch.scores[2:3], 3).data)
     assert matched.l_snp == pytest.approx(h01, abs=1e-12)
     assert allp.l_snp == pytest.approx(h01 + h11, abs=1e-12)
 
@@ -372,11 +383,8 @@ def test_total_fd_through_all_terms():
     mined = _mined_for(batch)
     cfg = LossConfig(smooth_weight=0.3, sparse_weight=0.2, temperature=0.5)
 
-    params = []
-    for b in batch:
-        params += [(f"{b.video_id}.scores", b.scores),
-                   (f"{b.video_id}.vscore", b.video_score),
-                   (f"{b.video_id}.features", b.features)]
+    params = [("scores", batch.scores), ("video_scores", batch.video_scores),
+              ("features", batch.features)]
     check = grad_check(lambda: loss_total(batch, mined, cfg)[0], params)
     assert check.passed, check.summary()
 
@@ -385,11 +393,11 @@ def test_total_gradient_reaches_each_head_through_its_term():
     rng = np.random.default_rng(47)
     batch = _make_batch(rng)
     # plateau pattern leaves snippet 2 easy (top-2 minus edges {1,3})
-    batch[0].scores = t64(np.array([0.1, 0.8, 0.9, 0.8, 0.1, 0.1, 0.1, 0.2]))
+    batch.scores.data[0] = [0.1, 0.8, 0.9, 0.8, 0.1, 0.1, 0.1, 0.2]
     mined = _mined_for(batch)
     assert mined.easy_abnormal
     total, _ = loss_total(batch, mined, LossConfig())
     total.backward()
-    assert any(b.scores.grad is not None and np.any(b.scores.grad != 0) for b in batch)
-    assert all(b.video_score.grad is not None for b in batch)
-    assert any(b.features.grad is not None and np.any(b.features.grad != 0) for b in batch)
+    assert batch.scores.grad is not None and np.any(batch.scores.grad != 0)
+    assert batch.video_scores.grad is not None and np.all(batch.video_scores.grad != 0)
+    assert batch.features.grad is not None and np.any(batch.features.grad != 0)

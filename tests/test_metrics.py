@@ -190,6 +190,16 @@ def test_ap_zero_positives_rejected():
         average_precision([0.1, 0.2], [0, 0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_scores_rejected(bad):
+    # unchecked, a NaN ranks as the top score for AUC (1.0) and last for AP (0.75)
+    scores, labels = [0.1, bad, 0.3, 0.9], [0, 1, 0, 1]
+    with pytest.raises(MetricError, match="non-finite"):
+        roc_auc(scores, labels)
+    with pytest.raises(MetricError, match="non-finite"):
+        average_precision(scores, labels)
+
+
 # ---------------------------------------------------------------------
 # oracle equivalence
 

@@ -8,6 +8,7 @@ import pytest
 from wvad.errors import ConfigError
 from wvad.tensor import (
     Tensor,
+    broadcast_to,
     concat,
     dropout,
     dws_conv1d,
@@ -18,8 +19,10 @@ from wvad.tensor import (
     layer_norm,
     multi_head_self_attention,
     no_grad,
+    pad_edge,
     softmax,
     topk_mean,
+    topological_order,
 )
 
 
@@ -114,9 +117,37 @@ def test_matmul_shapes_and_grads():
     check(lambda: (v4 @ v4) * (v4 @ v4), [("v", v4)])
 
 
+def test_matmul_batched_forms_fd():
+    rng = np.random.default_rng(12)
+    x3 = t64(rng.normal(size=(2, 3, 4)))
+    w = t64(rng.normal(size=(4, 2)))
+    v = t64(rng.normal(size=4))
+    q = t64(rng.normal(size=(2, 2, 3, 4)))
+    k = t64(rng.normal(size=(2, 2, 4, 3)))
+    check(lambda: ((x3 @ w) * (x3 @ w)).sum(), [("x3", x3), ("w", w)])
+    check(lambda: ((x3 @ v) * (x3 @ v)).sum(), [("x3", x3), ("v", v)])
+    check(lambda: ((q @ k) * (q @ k)).sum(), [("q", q), ("k", k)])
+
+
+def test_matmul_batched_equals_per_item():
+    rng = np.random.default_rng(13)
+    x3 = rng.normal(size=(3, 5, 4))
+    w = rng.normal(size=(4, 2))
+    v = rng.normal(size=4)
+    for b in range(3):
+        np.testing.assert_array_equal((Tensor(x3) @ Tensor(w)).data[b], x3[b] @ w)
+        np.testing.assert_array_equal((Tensor(x3) @ Tensor(v)).data[b], x3[b] @ v)
+
+
 def test_matmul_rejects_bad_ranks():
     with pytest.raises(ValueError):
-        t64(np.ones((2, 2, 2))) @ t64(np.ones(2))
+        t64(np.ones(2)) @ t64(np.ones((2, 2, 2)))
+    with pytest.raises(ValueError):
+        t64(np.ones((2, 2, 2))) @ t64(np.ones((2, 2, 2, 2)))
+    with pytest.raises(ValueError):
+        t64(np.ones((2, 3, 4))) @ t64(np.ones((3, 4, 5)))
+    with pytest.raises(ValueError):
+        t64(np.ones((2, 2))) @ t64(2.0)
     with pytest.raises(TypeError):
         t64(np.ones((2, 2))) @ np.ones(2)
 
@@ -168,6 +199,40 @@ def test_reshape_transpose_roundtrip():
     assert y.shape == (2, 3)
     (y * y).sum().backward()
     np.testing.assert_allclose(x.grad, 2.0 * x.data)
+
+
+def test_transpose_axes_values_and_fd():
+    rng = np.random.default_rng(14)
+    x = t64(rng.normal(size=(2, 3, 4)))
+    np.testing.assert_array_equal(x.transpose(1, 2, 0).data, x.data.transpose(1, 2, 0))
+    np.testing.assert_array_equal(x.transpose((2, 0, 1)).data, x.data.transpose(2, 0, 1))
+    np.testing.assert_array_equal(x.T.data, x.data.T)
+    w = Tensor(rng.normal(size=(3, 4, 2)))
+    check(lambda: (x.transpose(1, 2, 0) * w).sum(), [("x", x)])
+
+
+def test_concat_any_axis_and_broadcast_to():
+    rng = np.random.default_rng(15)
+    a = t64(rng.normal(size=(2, 1, 3)))
+    b = t64(rng.normal(size=(2, 4, 3)))
+    out = concat([a, b], axis=1)
+    np.testing.assert_array_equal(out.data, np.concatenate([a.data, b.data], axis=1))
+    w = Tensor(rng.normal(size=(2, 5, 3)))
+    check(lambda: (concat([a, b], axis=1) * w).sum(), [("a", a), ("b", b)])
+    row = t64(rng.normal(size=(1, 1, 3)))
+    wide = broadcast_to(row, (4, 1, 3))
+    np.testing.assert_array_equal(wide.data, np.tile(row.data, (4, 1, 1)))
+    w = Tensor(rng.normal(size=(4, 1, 3)))
+    check(lambda: (broadcast_to(row, (4, 1, 3)) * w).sum(), [("row", row)])
+
+
+def test_topological_order_counts_each_node_once():
+    x = t64([1.0, 2.0])
+    y = x * x
+    z = (y + y).sum()
+    order = topological_order(z)
+    assert len(order) == 4            # x, y, y + y, sum
+    assert order[0] is x and order[-1] is z
 
 
 # ---------------------------------------------------------------------
@@ -271,6 +336,24 @@ def test_topk_mean_validation():
         topk_mean(t64(np.ones((2, 2))), 1)
 
 
+def test_topk_mean_along_axis_matches_rows():
+    rng = np.random.default_rng(201)
+    x = t64(rng.normal(size=(4, 6)))
+    rows = topk_mean(x, 3, axis=1)
+    for i in range(4):
+        assert rows.data[i] == topk_mean(t64(x.data[i]), 3).data
+    cols = topk_mean(x, 2, axis=0)
+    np.testing.assert_allclose(cols.data, np.sort(x.data, axis=0)[-2:].mean(axis=0))
+    w = Tensor(rng.normal(size=4))
+    check(lambda: (topk_mean(x, 3, axis=1) * w).sum(), [("x", x)])
+
+
+def test_topk_mean_axis_tie_gradient_prefers_low_index():
+    s = t64([[0.9, 0.5, 0.5], [0.5, 0.5, 0.9]])
+    topk_mean(s, 2, axis=1).sum().backward()
+    np.testing.assert_allclose(s.grad, [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]])
+
+
 def test_topk_mean_fd():
     for seed in range(10):
         rng = np.random.default_rng(200 + seed)
@@ -332,6 +415,28 @@ def test_dws_conv_rejects_even_width_and_shape_mismatch():
         dws_conv1d(x, t64(np.ones((2, 3))), t64(np.eye(3)))
 
 
+def test_pad_edge_replicates_and_folds_gradient():
+    x = t64(np.array([[1.0], [2.0], [3.0]]))
+    out = pad_edge(x, 2)
+    np.testing.assert_array_equal(out.data[:, 0], [1, 1, 1, 2, 3, 3, 3])
+    out.sum().backward()
+    np.testing.assert_array_equal(x.grad[:, 0], [3.0, 1.0, 3.0])
+    rng = np.random.default_rng(16)
+    xb = t64(rng.normal(size=(2, 4, 3)))
+    w = Tensor(rng.normal(size=(2, 6, 3)))
+    check(lambda: (pad_edge(xb, 1) * w).sum(), [("x", xb)])
+
+
+def test_dws_conv_batch_equals_each_video():
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(3, 6, 4))
+    dk = Tensor(rng.normal(size=(4, 3)))
+    pk = Tensor(rng.normal(size=(4, 2)))
+    batched = dws_conv1d(Tensor(x), dk, pk).data
+    for b in range(3):
+        np.testing.assert_array_equal(batched[b], dws_conv1d(Tensor(x[b]), dk, pk).data)
+
+
 def test_dws_conv_fd():
     for seed in range(10):
         rng = np.random.default_rng(300 + seed)
@@ -359,13 +464,44 @@ def _mhsa_params(rng, d):
 
 
 def test_mhsa_attention_rows_sum_to_one():
+    """The per-head attention matrices, built as the attention op builds
+    them, are row-stochastic."""
     rng = np.random.default_rng(7)
     x = t64(rng.normal(size=(5, 8)))
+    wq, bq, wk, bk, *_ = _mhsa_params(rng, 8)
+    q = (x @ wq + bq).reshape(5, 2, 4).transpose(1, 0, 2)
+    k = (x @ wk + bk).reshape(5, 2, 4).transpose(1, 2, 0)
+    weights = softmax((q @ k) * (1.0 / math.sqrt(4)), axis=-1)
+    assert weights.shape == (2, 5, 5)
+    np.testing.assert_allclose(weights.data.sum(axis=-1), np.ones((2, 5)), atol=1e-10)
+
+
+def test_mhsa_heads_match_per_head_loop():
+    """Heads as a reshape equal the textbook loop over column blocks."""
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(5, 8))
     params = _mhsa_params(rng, 8)
-    _, weights = multi_head_self_attention(x, *params, heads=2, return_weights=True)
-    assert len(weights) == 2
-    for w in weights:
-        np.testing.assert_allclose(w.data.sum(axis=1), np.ones(5), atol=1e-10)
+    wq, bq, wk, bk, wv, bv, wo, bo = (p.data for p in params)
+    q, k, v = x @ wq + bq, x @ wk + bk, x @ wv + bv
+    heads = []
+    for h in range(2):
+        cols = slice(4 * h, 4 * h + 4)
+        z = q[:, cols] @ k[:, cols].T / 2.0
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        heads.append((e / e.sum(axis=1, keepdims=True)) @ v[:, cols])
+    want = np.hstack(heads) @ wo + bo
+    got = multi_head_self_attention(Tensor(x), *params, heads=2).data
+    np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_mhsa_batch_equals_each_video():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(3, 5, 8))
+    params = _mhsa_params(rng, 8)
+    batched = multi_head_self_attention(Tensor(x), *params, heads=2).data
+    for b in range(3):
+        single = multi_head_self_attention(Tensor(x[b]), *params, heads=2).data
+        np.testing.assert_allclose(batched[b], single, rtol=0, atol=1e-12)
 
 
 def test_mhsa_single_token_passthrough():
@@ -393,6 +529,16 @@ def test_mhsa_rejects_indivisible_heads():
     params = _mhsa_params(rng, 6)
     with pytest.raises(ConfigError):
         multi_head_self_attention(x, *params, heads=4)
+
+
+def test_mhsa_batched_fd():
+    rng = np.random.default_rng(405)
+    x = t64(rng.normal(size=(2, 3, 4)))
+    wq, bq, wk, bk, wv, bv, wo, bo = _mhsa_params(rng, 4)
+    params = [("x", x), ("wq", wq), ("bq", bq), ("wk", wk), ("bk", bk),
+              ("wv", wv), ("bv", bv), ("wo", wo), ("bo", bo)]
+    check(lambda: (multi_head_self_attention(
+        x, wq, bq, wk, bk, wv, bv, wo, bo, heads=2).tanh()).sum(), params)
 
 
 def test_mhsa_fd():

@@ -11,9 +11,8 @@ from wvad.encoder import EncoderConfig, save_checkpoint
 from wvad.errors import ConfigError, FormatError, TrainingError
 from wvad.losses import LossBreakdown, LossConfig
 from wvad.mining import MiningConfig
-from wvad.tensor import Tensor
-from wvad.trainer import (AdamState, BalancedSampler, TrainConfig, adam_step,
-                          sample_batch, train)
+from wvad.tensor import Tensor, topological_order
+from wvad.trainer import AdamState, BalancedSampler, TrainConfig, adam_step, train, train_step
 
 
 def micro_videos(n_normal=3, n_abnormal=3, t=8, d=6, seed=11):
@@ -132,28 +131,6 @@ def test_adam_moments_stay_float32():
 
 # ---------------------------------------------------------------------
 # sampling
-
-
-def test_sample_batch_composition():
-    videos = micro_videos(n_normal=5, n_abnormal=4)
-    rng = np.random.default_rng(0)
-    idx = sample_batch(videos, rng, batch_normal=3, batch_abnormal=2)
-    labels = [videos[i][1] for i in idx]
-    assert labels == [0, 0, 0, 1, 1]
-    assert len(set(idx)) == 5
-
-
-def test_sample_batch_deterministic():
-    videos = micro_videos(n_normal=5, n_abnormal=4)
-    a = sample_batch(videos, np.random.default_rng(42), 3, 2)
-    b = sample_batch(videos, np.random.default_rng(42), 3, 2)
-    assert a == b
-
-
-def test_sample_batch_insufficient_videos():
-    videos = micro_videos(n_normal=2, n_abnormal=2)
-    with pytest.raises(ConfigError):
-        sample_batch(videos, np.random.default_rng(0), 3, 2)
 
 
 def test_sampler_epoch_structure():
@@ -322,6 +299,30 @@ def test_nonfinite_loss_aborts_with_step(monkeypatch):
     monkeypatch.setattr(trainer_mod, "loss_total", poisoned)
     with pytest.raises(TrainingError, match="step 1"):
         train(videos, micro_config(epochs=1))
+
+
+def test_mined_step_is_one_small_graph(monkeypatch):
+    """One arm-d step with mining engaged, on the reference shapes (16 + 16
+    videos, T=32, D_in=D=32), builds one taped graph of at most 400 nodes,
+    counted with the walk backward replays (a graph per video holds 6,483)."""
+    cfg = TrainConfig(mining_warmup_epochs=0)
+    assert cfg.encoder.num_snippets == cfg.encoder.d_in == cfg.encoder.d_model == 32
+    videos = micro_videos(n_normal=16, n_abnormal=16, t=32, d=32, seed=5)
+    model = trainer_mod._build_model(cfg)
+    seen = {}
+
+    def counting(batch, mined, config):
+        total, breakdown = loss_total(batch, mined, config)
+        seen["nodes"] = len(topological_order(total))
+        seen["mined"] = mined.counts()
+        return total, breakdown
+
+    loss_total = trainer_mod.loss_total
+    monkeypatch.setattr(trainer_mod, "loss_total", counting)
+    train_step(model, videos, cfg, AdamState.for_params(model.named_params()),
+               np.random.default_rng(0), step=1, epoch=0)
+    assert all(seen["mined"].values()), seen["mined"]   # every term is in the graph
+    assert seen["nodes"] <= 400, seen["nodes"]
 
 
 def test_overfit_single_batch_drives_loss_down():
