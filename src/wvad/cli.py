@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -39,6 +40,12 @@ ABLATION_PRESETS = {
 
 SCORE_COLUMNS = ("video_id", "t", "score", "video_label")
 FRAME_COLUMNS = ("video_id", "frame", "score", "label")
+
+# videos per untaped forward when a split is scored: enough to spread each
+# op's Python cost over many videos, few enough that a chunk's activations stay
+# in cache (600 videos: 135 ms at 32, 169 ms at 64) and memory does not grow
+# with the split
+SCORE_CHUNK = 32
 
 
 @dataclasses.dataclass
@@ -136,25 +143,82 @@ def _train_triples(data_dir) -> list[tuple[str, int, np.ndarray]]:
     return [(v.record.id, v.record.video_label, v.features) for v in videos]
 
 
-def evaluate_model(model, videos) -> tuple[float, float, list[tuple]]:
-    """Frame-level AUC/AP of a model over loaded test videos."""
-    scores_parts, label_parts, rows = [], [], []
+def _load_test_split(data_dir) -> list:
+    videos = load_split(data_dir, "test")
+    if not videos:
+        raise FormatError(f"{data_dir}: the test split has no videos to evaluate")
+    return videos
+
+
+def score_videos(model, videos) -> np.ndarray:
+    """(N, T) float32 snippet scores of loaded videos, without the tape.
+
+    The features are stacked once and scored SCORE_CHUNK videos per
+    forward; each row is bitwise the video's own single forward.
+    """
+    if not videos:
+        return np.empty((0, 0), dtype=np.float32)
+    try:
+        features = np.stack([v.features for v in videos])
+    except ValueError:
+        shapes = sorted({v.features.shape for v in videos})
+        raise FormatError(f"videos of one split must share a feature shape, "
+                          f"got {shapes}") from None
+    with no_grad():
+        return np.concatenate([model.forward(features[i:i + SCORE_CHUNK]).scores.data
+                               for i in range(0, len(features), SCORE_CHUNK)])
+
+
+def evaluate_model(model, videos) -> tuple[float, float, np.ndarray]:
+    """Frame-level AUC/AP of a model over loaded test videos, and the
+    videos' (N, T) snippet scores."""
     for v in videos:
         if v.frame_labels is None:
             raise FormatError(f"video {v.record.id} has no frame labels; "
                               "evaluation needs the test split")
-        with no_grad():
-            out = model.forward(v.features)
-        frame_scores = snippet_to_frame_scores(
-            out.scores.data.astype(np.float64), v.record.num_frames)
-        scores_parts.append(frame_scores)
-        label_parts.append(v.frame_labels)
-        for f in range(v.record.num_frames):
-            rows.append((v.record.id, f, float(frame_scores[f]), int(v.frame_labels[f])))
-    record = EvalRecord(frame_scores=np.concatenate(scores_parts),
-                        frame_labels=np.concatenate(label_parts))
+    scores = score_videos(model, videos)
+    record = EvalRecord(
+        frame_scores=np.concatenate([
+            snippet_to_frame_scores(s, v.record.num_frames)
+            for v, s in zip(videos, scores.astype(np.float64))]),
+        frame_labels=np.concatenate([v.frame_labels for v in videos]))
     auc, ap = evaluate(record)
-    return auc, ap, rows
+    return auc, ap, scores
+
+
+def _csv_field(value) -> str:
+    """``value`` as csv.writer writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[:-2]
+
+
+def _write_csv(path, columns, chunks):
+    """Write a header row and then the preformatted text chunks."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(chunks)
+
+
+def _frame_lines(videos, scores):
+    """frame_scores.csv text per video. The part of a line after the frame
+    index is one of 2T strings: its snippet's score repr and a 0/1 label."""
+    heads: dict[int, np.ndarray] = {}
+    for v, row in zip(videos, scores.tolist()):
+        n = v.record.num_frames
+        if n not in heads:
+            heads[n] = np.array([f"{f}," for f in range(n)], dtype=object)
+        tails = np.array([f"{s!r},{label}\n" for s in row for label in (0, 1)], dtype=object)
+        snippet = snippet_to_frame_scores(np.arange(len(row)), n)
+        lines = (_csv_field(v.record.id) + ",") + heads[n] + tails[2 * snippet + v.frame_labels]
+        yield "".join(lines.tolist())
+
+
+def _score_lines(videos, scores):
+    """scores.csv text per video."""
+    for v, row in zip(videos, scores.tolist()):
+        prefix, label = _csv_field(v.record.id), _csv_field(v.record.video_label)
+        yield "".join(f"{prefix},{t},{s!r},{label}\n" for t, s in enumerate(row))
 
 
 def ablation_train_config(base: TrainConfig, preset: str, seed: int) -> TrainConfig:
@@ -190,17 +254,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
-    videos = load_split(args.data, "test")
-    auc, ap, rows = evaluate_model(model, videos)
+    videos = _load_test_split(args.data)
+    auc, ap, scores = evaluate_model(model, videos)
     if args.out is not None:
         out = Path(args.out)
         _write_run_record(out, "eval", None,
                           checkpoint=str(args.checkpoint), data=str(args.data))
-        with open(out / "frame_scores.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(FRAME_COLUMNS)
-            for vid, frame, score, label in rows:
-                writer.writerow([vid, frame, repr(score), label])
+        _write_csv(out / "frame_scores.csv", FRAME_COLUMNS, _frame_lines(videos, scores))
     print(f"AUC={auc:.6f} AP={ap:.6f}")
     return 0
 
@@ -212,14 +272,8 @@ def cmd_export_scores(args) -> int:
     _write_run_record(out, "export-scores", None,
                       checkpoint=str(args.checkpoint), data=str(args.data),
                       split=args.split)
-    with open(out / "scores.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCORE_COLUMNS)
-        for v in videos:
-            with no_grad():
-                scores = model.forward(v.features).scores.data
-            for t, s in enumerate(scores):
-                writer.writerow([v.record.id, t, repr(float(s)), v.record.video_label])
+    _write_csv(out / "scores.csv", SCORE_COLUMNS,
+               _score_lines(videos, score_videos(model, videos)))
     print(f"wrote {out / 'scores.csv'}")
     return 0
 
@@ -232,17 +286,25 @@ def _read_scores_csv(path) -> list[tuple[str, int, np.ndarray]]:
     lines = text.splitlines()
     if not lines:
         return []
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None or set(reader.fieldnames) != set(SCORE_COLUMNS):
+    reader = csv.reader(lines)
+    header = next(reader)
+    if set(header) != set(SCORE_COLUMNS):
         raise ConfigError(f"{path}: expected columns {','.join(SCORE_COLUMNS)}, "
-                          f"got {reader.fieldnames}")
+                          f"got {header}")
+    # found by name, read as csv.DictReader would: a repeated name reads its
+    # last column, and a short row's missing fields read as None (malformed)
+    column = {name: i for i, name in enumerate(header)}
+    i_vid, i_t, i_score, i_label = (column[name] for name in SCORE_COLUMNS)
+    width = len(header)
     per_video: dict[str, dict] = {}
-    for i, row in enumerate(reader, start=2):
+    for i, row in enumerate(filter(None, reader), start=2):
+        if len(row) < width:
+            row = row + [None] * (width - len(row))
         try:
-            vid = row["video_id"]
-            t = int(row["t"])
-            score = float(row["score"])
-            label = int(row["video_label"])
+            vid = row[i_vid]
+            t = int(row[i_t])
+            score = float(row[i_score])
+            label = int(row[i_label])
         except (TypeError, ValueError) as e:
             raise ConfigError(f"{path}:{i}: malformed row: {e}") from e
         if vid is None or label not in (0, 1):
@@ -304,7 +366,7 @@ def cmd_ablate(args) -> int:
     out = Path(args.out)
     _write_run_record(out, "ablate", config, data=str(args.data))
     triples = _train_triples(args.data)
-    test_videos = load_split(args.data, "test")
+    test_videos = _load_test_split(args.data)
     results = []
     for preset in sorted(ABLATION_PRESETS):
         for seed in config.ablate_seeds:

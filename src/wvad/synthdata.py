@@ -121,7 +121,8 @@ def write_features(features: np.ndarray, path):
 
 
 def load_features(path) -> np.ndarray:
-    """Read a feature file back as float32, validating the header."""
+    """Read a feature file back as float32, validating the header and
+    refusing non-finite values, which ``write_features`` never writes."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 16:
@@ -138,6 +139,10 @@ def load_features(path) -> np.ndarray:
         raise FormatError(
             f"{path}: payload is {len(buf) - 16} bytes at offset 16, expected {t * d * 4}")
     flat = np.frombuffer(buf, dtype="<f4", count=t * d, offset=16)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise FormatError(f"{path}: non-finite value {flat[bad]} at offset {16 + 4 * bad}")
     return flat.reshape(t, d).astype(np.float32)
 
 

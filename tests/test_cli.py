@@ -311,6 +311,8 @@ def test_mine_empty_input_gives_empty_output(tmp_path, capsys):
     (lambda rows: rows + [[rows[-1][0], rows[-1][1], "0.5", rows[-1][3]]],
      "duplicate snippet"),
     (lambda rows: rows[:2] + rows[3:], "not 0..T-1"),
+    (lambda rows: [["t", "video_id", "score", "video_label"]] + rows[1:],
+     "malformed row: invalid literal for int()"),
 ])
 def test_mine_rejects_malformed_csv(tmp_path, capsys, mutate, message):
     videos = [("n0", 0, np.linspace(0, 1, 4)), ("a0", 1, np.linspace(1, 0, 4))]
@@ -325,6 +327,78 @@ def test_mine_rejects_malformed_csv(tmp_path, capsys, mutate, message):
                    "--out", str(tmp_path / "m")])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_mine_finds_columns_by_name(tmp_path, capsys):
+    """A score CSV with its columns in another order mines the same sets."""
+    videos = [("n0", 0, np.linspace(0, 1, 8)), ("n1", 0, np.linspace(1, 0, 8)),
+              ("a0", 1, np.linspace(0.2, 0.9, 8)), ("a1", 1, np.linspace(0.9, 0.1, 8))]
+    canonical = tmp_path / "scores.csv"
+    write_scores_csv(canonical, videos)
+    order = [3, 2, 0, 1]
+    reordered = tmp_path / "reordered.csv"
+    reordered.write_text("".join(
+        ",".join(line.split(",")[i] for i in order) + "\n"
+        for line in canonical.read_text(encoding="utf-8").splitlines()), encoding="utf-8")
+    for name in ("scores", "reordered"):
+        assert cli.main(["mine", "--scores", str(tmp_path / f"{name}.csv"),
+                         "--out", str(tmp_path / f"m_{name}")]) == 0
+    assert ((tmp_path / "m_reordered" / "mined.csv").read_bytes()
+            == (tmp_path / "m_scores" / "mined.csv").read_bytes())
+
+
+# ---------------------------------------------------------------------
+# empty test split, non-finite features
+
+
+@pytest.fixture(scope="module")
+def no_test_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("no_test")
+    generate_dataset(SynthConfig(**(TINY_SYNTH | dict(n_normal_test=0,
+                                                      n_abnormal_test=0))), root)
+    return root
+
+
+def test_eval_on_empty_test_split_exits_3(trained_run, no_test_dataset, tmp_path, capsys):
+    rc = cli.main(["eval", "--checkpoint", str(trained_run / "checkpoint.wvck"),
+                   "--data", str(no_test_dataset), "--out", str(tmp_path / "e")])
+    assert rc == 3
+    assert "test split" in capsys.readouterr().err
+
+
+def test_ablate_on_empty_test_split_fails_before_training(no_test_dataset, tmp_path,
+                                                          capsys):
+    out = tmp_path / "ab"
+    rc = cli.main(["ablate", "--config", tiny_config_file(tmp_path, ablate={"seeds": [0]}),
+                   "--data", str(no_test_dataset), "--out", str(out)])
+    assert rc == 3
+    assert "test split" in capsys.readouterr().err
+    assert not list(out.glob("run_*"))
+
+
+def test_export_scores_on_empty_split_writes_header_only(trained_run, no_test_dataset,
+                                                         tmp_path, capsys):
+    out = tmp_path / "exp"
+    rc = cli.main(["export-scores", "--checkpoint", str(trained_run / "checkpoint.wvck"),
+                   "--data", str(no_test_dataset), "--out", str(out)])
+    assert rc == 0
+    assert (out / "scores.csv").read_text(encoding="utf-8") == (
+        ",".join(cli.SCORE_COLUMNS) + "\n")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eval_rejects_non_finite_features(trained_run, tmp_path, capsys, bad):
+    data = tmp_path / "data"
+    generate_dataset(SynthConfig(**TINY_SYNTH), data)
+    victim = load_split(data, "test")[1].record.feature_file
+    raw = bytearray((data / victim).read_bytes())
+    raw[16 + 4 * 5:16 + 4 * 6] = np.array([bad], dtype="<f4").tobytes()
+    (data / victim).write_bytes(bytes(raw))
+    rc = cli.main(["eval", "--checkpoint", str(trained_run / "checkpoint.wvck"),
+                   "--data", str(data)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "non-finite" in err and victim in err
 
 
 # ---------------------------------------------------------------------
