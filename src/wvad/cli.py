@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -307,6 +308,8 @@ def _read_scores_csv(path) -> list[tuple[str, int, np.ndarray]]:
             label = int(row[i_label])
         except (TypeError, ValueError) as e:
             raise ConfigError(f"{path}:{i}: malformed row: {e}") from e
+        if not math.isfinite(score):
+            raise ConfigError(f"{path}:{i}: non-finite score {row[i_score]!r}")
         if vid is None or label not in (0, 1):
             raise ConfigError(f"{path}:{i}: bad video id or label")
         entry = per_video.setdefault(vid, {"label": label, "scores": {}})

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -329,7 +331,12 @@ Model = TransformerModel | LinearModel
 
 
 def save_checkpoint(path, model: Model, extra: bytes = b""):
-    """Write the model to ``path``; ``extra`` is appended verbatim."""
+    """Write the model to ``path``; ``extra`` is appended verbatim.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path`` in one step: a write that fails or is interrupted
+    leaves the previous checkpoint as it was.
+    """
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     blob = json.dumps(model.config_dict(), sort_keys=True).encode("utf-8")
     parts.append(struct.pack("<I", len(blob)))
@@ -337,8 +344,15 @@ def save_checkpoint(path, model: Model, extra: bytes = b""):
     for _, p in model.named_params():
         parts.append(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
     parts.append(extra)
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[Model, bytes]:

@@ -23,13 +23,12 @@ disabled term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, TrainingError
 from .mining import MinedSets
-from .tensor import Tensor, gather_rows, l2_normalize, topk_mean
+from .tensor import Tensor, gather_rows, info_nce, l2_normalize, topk_mean
 
 _CLAMP = 1e-7
 
@@ -77,7 +76,6 @@ class LossBreakdown:
 class ScoredBatch:
     """Forward results of one batch, stacked along B, plus the weak labels."""
 
-    video_ids: Sequence[str]  # (B,), the ids mined sets refer to
     labels: np.ndarray        # (B,) of 0 (normal) / 1 (abnormal)
     scores: Tensor            # (B, T)
     video_scores: Tensor      # (B,)
@@ -136,42 +134,28 @@ def loss_regularisation(scores: Tensor, smooth_weight: float, sparse_weight: flo
     return ((diffs * diffs).sum() * smooth_weight + scores.sum() * sparse_weight) / float(n)
 
 
-def _info_nce(anchors: Tensor | None, positives: Tensor | None,
-              negatives: Tensor | None, temperature: float) -> Tensor | None:
-    """Sum over all anchor/positive pairs of the negated log-ratio.
+def loss_contrastive(mined: MinedSets, features: Tensor, temperature: float) -> Tensor:
+    """Both contrastive directions over (B, T, D) features whose rows are
+    the mined masks' rows; empty anchor/positive/negative sets give 0.
 
-    Rows are L2-normalised, so the result only sees cosine similarities.
-    Each pair's denominator holds that pair's similarity plus the anchor's
-    similarities to every negative. Returns None when no pair exists or
-    there is no negative to contrast against.
-    """
-    if anchors is None or positives is None or negatives is None:
-        return None
-    s_ap = (anchors @ positives.T) * (1.0 / temperature)   # (A, P)
-    s_an = (anchors @ negatives.T) * (1.0 / temperature)   # (A, N)
-    neg_sum = s_an.exp().sum(axis=1, keepdims=True)        # (A, 1)
-    log_ratio = s_ap - (s_ap.exp() + neg_sum).log()
-    return -log_ratio.sum()
-
-
-def loss_contrastive(mined: MinedSets, features: Tensor, video_ids: Sequence[str],
-                     temperature: float) -> Tensor:
-    """Both contrastive directions over (B, T, D) features whose rows belong
-    to ``video_ids``; empty anchor/positive/negative sets give 0."""
+    Each set's rows are gathered in (video id, t) order, the order of the
+    sets' sorted views."""
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
-    sets = (mined.hard_abnormal, mined.easy_abnormal, mined.hard_normal, mined.easy_normal)
+    masks = mined.masks()
     total: Tensor | None = None
-    if any(sets):
-        t_len, dim = features.data.shape[-2:]
-        first_row = {vid: i * t_len for i, vid in enumerate(video_ids)}
+    if any(m.any() for m in masks):
+        batch, t_len, dim = features.data.shape
+        order = sorted(range(batch), key=mined.video_ids.__getitem__)
+        row_of = np.arange(batch * t_len).reshape(batch, t_len)[order]
         flat = features.reshape(-1, dim)
         ha, ea, hn, en = (
-            l2_normalize(gather_rows(flat, [first_row[vid] + t for vid, t in items]))
-            if items else None for items in sets)
-        for term in (_info_nce(ha, ea, en, temperature),
-                     _info_nce(hn, en, ea, temperature)):
-            if term is not None:
+            l2_normalize(gather_rows(flat, row_of[m[order]])) if m.any() else None
+            for m in masks)
+        # an anchor set needs positives and negatives to contrast against
+        for anchors, positives, negatives in ((ha, ea, en), (hn, en, ea)):
+            if anchors is not None and positives is not None and negatives is not None:
+                term = info_nce(anchors, positives, negatives, temperature)
                 total = term if total is None else total + term
     if total is not None:
         return total
@@ -206,7 +190,7 @@ def loss_total(batch: ScoredBatch, mined: MinedSets | None,
         total = weighted if total is None else total + weighted
 
     add("l_cnt", config.w_contrast,
-        loss_contrastive(mined, batch.features, batch.video_ids, config.temperature)
+        loss_contrastive(mined, batch.features, config.temperature)
         if config.w_contrast > 0 and mined is not None else None)
     add("l_snp", config.w_snippet,
         loss_snippet_topk(batch.scores[abnormal], batch.scores[normal], config.k,

@@ -1,18 +1,20 @@
 """Hard/easy snippet mining from per-video score sequences.
 
-Runs on plain numpy arrays (scores detached from the graph): threshold the
-scores, erode the binary prediction to find the boundary snippets of each
+Runs on plain numpy arrays (scores detached from the graph), one whole
+batch at a time: the score rows are stacked into a (B, T) array and every
+step below is an array op along the time axis. Threshold the scores, erode
+the binary prediction to find the boundary snippets of each
 predicted-abnormal run, flag zeros inside mostly-positive windows as missed
 abnormal, and pick top-k/bottom-k snippets for the remaining sets. The four
-outputs feed the contrastive objective:
+(B, T) masks feed the contrastive objective:
 
   hard abnormal  boundary snippets + missed zeros (abnormal videos)
   easy abnormal  top-k scored snippets of abnormal videos, minus hard ones
   hard normal    top-k scored snippets of normal videos
   easy normal    bottom-k scored snippets of normal videos
 
-All selections are deterministic: ties break toward the lowest index and
-every output set is returned sorted.
+All selections are deterministic: ties break toward the lowest index, and
+the (video_id, t) views of the sets are sorted.
 """
 
 from __future__ import annotations
@@ -47,116 +49,164 @@ class MiningConfig:
             raise ConfigError("selection counts must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinedSets:
-    """Snippet index sets as sorted (video_id, t) tuples."""
+    """The four mined sets of one batch as (B, T) boolean masks.
 
-    hard_abnormal: tuple[tuple[str, int], ...]
-    easy_abnormal: tuple[tuple[str, int], ...]
-    hard_normal: tuple[tuple[str, int], ...]
-    easy_normal: tuple[tuple[str, int], ...]
+    Row i of every mask belongs to ``video_ids[i]``; rows of a batch whose
+    videos differ in length are padded with False up to the longest.
+    """
+
+    video_ids: tuple[str, ...]
+    ha: np.ndarray
+    ea: np.ndarray
+    hn: np.ndarray
+    en: np.ndarray
+
+    def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return self.ha, self.ea, self.hn, self.en
 
     def counts(self) -> dict[str, int]:
-        return {"HA": len(self.hard_abnormal), "EA": len(self.easy_abnormal),
-                "HN": len(self.hard_normal), "EN": len(self.easy_normal)}
+        return {key: int(m.sum()) for key, m in zip(("HA", "EA", "HN", "EN"), self.masks())}
 
+    def _pairs(self, mask: np.ndarray) -> tuple[tuple[str, int], ...]:
+        rows, ts = np.nonzero(mask)
+        return tuple(sorted(zip([self.video_ids[i] for i in rows.tolist()], ts.tolist())))
 
-EMPTY_MINED = MinedSets((), (), (), ())
+    # sorted (video_id, t) views, for mined.csv and for tests
+    @property
+    def hard_abnormal(self) -> tuple[tuple[str, int], ...]:
+        return self._pairs(self.ha)
+
+    @property
+    def easy_abnormal(self) -> tuple[tuple[str, int], ...]:
+        return self._pairs(self.ea)
+
+    @property
+    def hard_normal(self) -> tuple[tuple[str, int], ...]:
+        return self._pairs(self.hn)
+
+    @property
+    def easy_normal(self) -> tuple[tuple[str, int], ...]:
+        return self._pairs(self.en)
 
 
 def threshold_predictions(scores: np.ndarray, threshold: float) -> np.ndarray:
     """Binary prediction per snippet; strictly greater than the threshold."""
-    return (np.asarray(scores) > threshold).astype(np.uint8)
+    return np.asarray(scores) > threshold
 
 
 def erode(pred: np.ndarray, width: int) -> np.ndarray:
-    """Morphological erosion with replicate padding.
+    """Morphological erosion along the last (time) axis, replicate padding.
 
-    Output t is 1 iff every prediction in the width-wide window centred at t
-    is 1; edge windows reuse the boundary value, so a run touching the video
-    boundary is not automatically opened up.
+    Output t is True iff every prediction in the width-wide window centred
+    at t is; edge windows reuse the boundary value, so a run touching the
+    video boundary is not automatically opened up.
     """
     if width < 1 or width % 2 == 0:
         raise ValueError(f"erosion width must be odd, got {width}")
-    pred = np.asarray(pred)
+    pred = np.asarray(pred, dtype=bool)
+    n = pred.shape[-1]
     half = width // 2
-    padded = np.pad(pred, half, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, width)
-    return windows.all(axis=1).astype(np.uint8)
+    padded = pred[..., np.clip(np.arange(-half, n + half), 0, n - 1)]
+    out = padded[..., :n].copy()
+    for j in range(1, width):
+        out &= padded[..., j:j + n]
+    return out
 
 
-def temporal_edges(pred: np.ndarray, eroded: np.ndarray) -> list[int]:
-    """Predicted-abnormal snippets removed by erosion: run boundaries."""
-    pred = np.asarray(pred)
-    eroded = np.asarray(eroded)
-    if pred.shape != eroded.shape:
-        raise ValueError("prediction and eroded sequence lengths differ")
-    return np.nonzero(pred.astype(bool) & ~eroded.astype(bool))[0].tolist()
-
-
-def missed_pseudo_abnormal(pred: np.ndarray, window: int, min_count: int) -> list[int]:
-    """Zeros lying inside any length-``window`` stretch with >= ``min_count`` ones."""
-    pred = np.asarray(pred)
-    n = pred.shape[0]
+def missed_pseudo_abnormal(pred: np.ndarray, window: int, min_count: int) -> np.ndarray:
+    """Zeros lying inside any length-``window`` stretch (along the last
+    axis) with >= ``min_count`` ones: the qualifying window starts, dilated
+    over their windows, minus the positives."""
+    pred = np.asarray(pred, dtype=bool)
+    n = pred.shape[-1]
     if not 1 <= min_count <= window:
         raise ValueError(f"need 1 <= min_count <= window, got {min_count}, {window}")
     if window > n:
         raise ValueError(f"window {window} longer than sequence {n}")
-    sums = np.lib.stride_tricks.sliding_window_view(pred, window).sum(axis=1)
-    flagged = np.zeros(n, dtype=bool)
-    for start in np.nonzero(sums >= min_count)[0]:
-        flagged[start:start + window] = True
-    return np.nonzero(flagged & (pred == 0))[0].tolist()
+    runs = np.zeros((*pred.shape[:-1], n + 1), dtype=np.intp)
+    np.cumsum(pred, axis=-1, out=runs[..., 1:])
+    starts = runs[..., window:] - runs[..., :-window] >= min_count
+    covered = np.zeros_like(pred)
+    for j in range(window):
+        covered[..., j:j + n - window + 1] |= starts
+    return covered & ~pred
 
 
-def mine_hard_abnormal(scores: np.ndarray, config: MiningConfig) -> list[int]:
-    """Hard-abnormal snippets of one abnormal video: edges plus missed zeros."""
+def _top_k(order: np.ndarray, k: int) -> np.ndarray:
+    """(B, T) mask of the first k columns of each row of an argsort."""
+    mask = np.zeros(order.shape, dtype=bool)
+    np.put_along_axis(mask, order[:, :k], True, axis=1)
+    return mask
+
+
+def _mine_rows(scores: np.ndarray, abnormal: np.ndarray,
+               config: MiningConfig) -> tuple[np.ndarray, ...]:
+    """The four masks of (B, T) score rows; ``abnormal`` is the (B,) label."""
     pred = threshold_predictions(scores, config.threshold)
-    edges = temporal_edges(pred, erode(pred, config.erosion_width))
-    missed = missed_pseudo_abnormal(pred, config.region_window, config.region_min_count)
-    return sorted(set(edges) | set(missed))
+    edges = pred & ~erode(pred, config.erosion_width)
+    if scores.shape[1] >= config.region_window:
+        missed = missed_pseudo_abnormal(pred, config.region_window, config.region_min_count)
+    else:   # only normal videos are this short, and they need no missed zeros
+        missed = np.zeros_like(pred)
+    top = np.argsort(-scores, axis=1, kind="stable")
+    bottom = np.argsort(scores, axis=1, kind="stable")
+    abn = abnormal[:, None]
+    ha = (edges | missed) & abn
+    ea = _top_k(top, config.k_easy) & ~ha & abn
+    hn = _top_k(top, config.k_hard_normal) & ~abn
+    en = _top_k(bottom, config.k_easy) & ~abn
+    return ha, ea, hn, en
 
 
-def mine_hard_normal(scores: np.ndarray, k: int) -> list[int]:
-    """Indices of the k highest scores in one normal video, ties to low index."""
-    scores = np.asarray(scores)
-    if not 1 <= k <= scores.shape[0]:
-        raise ValueError(f"k must be in [1, {scores.shape[0]}], got {k}")
-    return sorted(np.argsort(-scores, kind="stable")[:k].tolist())
-
-
-def mine_easy(scores: np.ndarray, label: int,
-              k: int, hard_abnormal: Sequence[int] = ()) -> list[int]:
-    """Easy set for one video: top-k minus hard for abnormal, bottom-k for normal."""
-    scores = np.asarray(scores)
-    if not 1 <= k <= scores.shape[0]:
-        raise ValueError(f"k must be in [1, {scores.shape[0]}], got {k}")
-    if label == 1:
-        top = np.argsort(-scores, kind="stable")[:k].tolist()
-        return sorted(set(top) - set(hard_abnormal))
-    if label == 0:
-        return sorted(np.argsort(scores, kind="stable")[:k].tolist())
-    raise ValueError(f"label must be 0 or 1, got {label}")
+def _first_error(videos, labels: np.ndarray, lengths: np.ndarray,
+                 config: MiningConfig) -> str | None:
+    """The error the first unminable video of the batch raises, if any."""
+    abnormal, normal = labels == 1, labels == 0
+    bad = ~(abnormal | normal)
+    bad |= abnormal & ((lengths < config.region_window) | (lengths < config.k_easy))
+    bad |= normal & ((lengths < config.k_hard_normal) | (lengths < config.k_easy))
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    n = int(lengths[i])
+    if abnormal[i]:
+        if n < config.region_window:
+            return f"window {config.region_window} longer than sequence {n}"
+        return f"k must be in [1, {n}], got {config.k_easy}"
+    if normal[i]:
+        k = config.k_hard_normal if n < config.k_hard_normal else config.k_easy
+        return f"k must be in [1, {n}], got {k}"
+    video_id, label, _ = videos[i]
+    return f"label must be 0 or 1, got {label} for {video_id}"
 
 
 def mine_batch(videos: Sequence[tuple[str, int, np.ndarray]],
                config: MiningConfig) -> MinedSets:
-    """Mine every video of a batch; items are (video_id, label, scores)."""
-    ha: list[tuple[str, int]] = []
-    ea: list[tuple[str, int]] = []
-    hn: list[tuple[str, int]] = []
-    en: list[tuple[str, int]] = []
-    for video_id, label, scores in videos:
-        if label == 1:
-            hard = mine_hard_abnormal(scores, config)
-            ha.extend((video_id, t) for t in hard)
-            ea.extend((video_id, t)
-                      for t in mine_easy(scores, 1, config.k_easy, hard))
-        elif label == 0:
-            hn.extend((video_id, t)
-                      for t in mine_hard_normal(scores, config.k_hard_normal))
-            en.extend((video_id, t) for t in mine_easy(scores, 0, config.k_easy))
-        else:
-            raise ValueError(f"label must be 0 or 1, got {label} for {video_id}")
-    return MinedSets(tuple(sorted(ha)), tuple(sorted(ea)),
-                     tuple(sorted(hn)), tuple(sorted(en)))
+    """Mine every video of a batch; items are (video_id, label, scores).
+
+    Videos of equal length (and score dtype) are mined together as one
+    (B, T) array, so a training batch is one group.
+    """
+    video_ids = tuple(video_id for video_id, _, _ in videos)
+    labels = np.array([label for _, label, _ in videos])
+    rows = [np.asarray(scores) for _, _, scores in videos]
+    lengths = np.array([row.shape[0] for row in rows], dtype=np.intp)
+    error = _first_error(videos, labels, lengths, config)
+    if error is not None:
+        raise ValueError(error)
+    t_max = int(lengths.max()) if rows else 0
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(rows):
+        groups.setdefault((row.shape[0], row.dtype), []).append(i)
+    if len(groups) == 1:
+        masks = _mine_rows(np.stack(rows), labels == 1, config)
+    else:
+        masks = tuple(np.zeros((len(rows), t_max), dtype=bool) for _ in range(4))
+        for (n, _), members in groups.items():
+            idx = np.array(members)
+            for full, part in zip(masks, _mine_rows(np.stack([rows[i] for i in members]),
+                                                    labels[idx] == 1, config)):
+                full[idx, :n] = part
+    return MinedSets(video_ids, *masks)

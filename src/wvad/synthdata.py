@@ -275,6 +275,10 @@ def load_split(root, split: str) -> list[LoadedVideo]:
         if rec.split != split:
             continue
         features = load_features(root / rec.feature_file)
+        if rec.num_frames < features.shape[0]:
+            raise FormatError(
+                f"{root / MANIFEST_NAME}: video {rec.id} has {rec.num_frames} frames, "
+                f"fewer than its {features.shape[0]} snippets")
         frame_labels = None
         if rec.frame_label_file is not None:
             frame_labels = load_frame_labels(root / rec.frame_label_file, rec.num_frames)

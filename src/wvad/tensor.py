@@ -39,7 +39,7 @@ def no_grad():
 class Tensor:
     """Dense array plus an optional gradient and backward rule."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -47,6 +47,7 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad: np.ndarray | None = None
+        self._owns_grad = False      # may ``grad`` be written in place?
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -88,11 +89,17 @@ class Tensor:
 
         ``self`` must be a scalar. Nodes are visited in exact reverse
         topological order; each parent receives one accumulated gradient.
+        Interior gradients left by an earlier pass over the same graph are
+        cleared first, so only leaves accumulate across calls.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.data.shape}")
         order = topological_order(self)
+        for node in order:
+            if node._parents:
+                node.grad = None
         self.grad = np.ones_like(self.data)
+        self._owns_grad = True
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -369,10 +376,24 @@ def _result(data: np.ndarray, inputs: tuple[Tensor, ...]) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    """Add ``g`` to ``t.grad``, copying only when it must (copy-on-write).
+
+    ``g`` may be a view of another node's gradient or a read-only
+    broadcast, so it is never written to. A leaf's gradient is what callers
+    read, so a leaf always gets an owned, writeable copy. An interior node
+    keeps its first gradient as given; its second accumulation allocates
+    the sum, which the node owns and adds into in place from then on.
+    """
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)
-    else:
+        if t._parents and g.dtype == t.data.dtype:
+            t.grad, t._owns_grad = g, False
+        else:
+            t.grad, t._owns_grad = np.array(g, dtype=t.data.dtype), True
+    elif t._owns_grad:
         t.grad += g
+    else:
+        t.grad = np.add(t.grad, g, out=np.empty(t.grad.shape, dtype=t.data.dtype))
+        t._owns_grad = True
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -505,41 +526,127 @@ def topk_mean(scores: Tensor, k: int, axis: int | None = None) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalise each row to zero mean / unit variance, then scale and shift."""
-    m = x.mean(axis=-1, keepdims=True)
-    d = x - m
-    v = (d * d).mean(axis=-1, keepdims=True)
-    return (d / (v + eps).sqrt()) * gamma + beta
+    """Normalise each row to zero mean / unit variance, then scale and shift.
+
+    One node; the backward is the closed form of Ba et al. 2016, with
+    x_hat the normalised row and s its standard deviation:
+    dx = (dx_hat - mean(dx_hat) - x_hat * mean(dx_hat * x_hat)) / s.
+    """
+    xd = x.data
+    d = xd - xd.mean(axis=-1, keepdims=True)
+    std = np.sqrt((d * d).mean(axis=-1, keepdims=True) + eps)
+    xhat = d / std
+    out = _result(xhat * gamma.data + beta.data, (x, gamma, beta))
+    if out.requires_grad:
+        def backward(g):
+            if x.requires_grad:
+                gx = g * gamma.data
+                _accum(x, (gx - gx.mean(axis=-1, keepdims=True)
+                           - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) / std)
+            if gamma.requires_grad:
+                _accum(gamma, _unbroadcast(g * xhat, gamma.data.shape))
+            if beta.requires_grad:
+                _accum(beta, _unbroadcast(g, beta.data.shape))
+        out._backward = backward
+    return out
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Smooth GELU (tanh approximation)."""
-    c = math.sqrt(2.0 / math.pi)
-    inner = (x + (x * x * x) * 0.044715) * c
-    return x * (inner.tanh() + 1.0) * 0.5
+    """Smooth GELU (tanh approximation), one node."""
+    xd = x.data
+    xx = xd * xd
+    th = np.tanh((xd + (xx * xd) * 0.044715) * _GELU_C)
+    th1 = th + 1.0
+    out = _result(xd * th1 * 0.5, (x,))
+    if out.requires_grad:
+        def backward(g):
+            # 0.5 * (1 + th + x * (1 - th^2) * c * (1 + 3 * 0.044715 * x^2)), in place
+            d = th * th
+            np.subtract(1.0, d, out=d)
+            d *= xd
+            d *= xx * (3.0 * 0.044715 * _GELU_C) + _GELU_C
+            d += th1
+            d *= g
+            d *= 0.5
+            _accum(x, d)
+        out._backward = backward
+    return out
 
 
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale each row (last axis) to unit Euclidean norm."""
-    sq = (x * x).sum(axis=-1, keepdims=True)
-    return x / (sq + eps).sqrt()
-
-
-def pad_edge(x: Tensor, half: int) -> Tensor:
-    """Replicate padding along the time axis (-2): ``half`` copies of the
-    first and of the last row on either side, as one index op.
-
-    The gradient of the copies folds back onto the two edge rows.
-    """
-    n = x.data.shape[-2]
-    idx = np.clip(np.arange(-half, n + half), 0, n - 1)
-    out = _result(x.data[..., idx, :], (x,))
+    """Scale each row (last axis) to unit Euclidean norm, one node."""
+    xd = x.data
+    norm = np.sqrt((xd * xd).sum(axis=-1, keepdims=True) + eps)
+    val = xd / norm
+    out = _result(val, (x,))
     if out.requires_grad:
         def backward(g):
-            z = g[..., half:half + n, :].copy()
-            z[..., 0, :] += g[..., :half, :].sum(axis=-2)
-            z[..., -1, :] += g[..., half + n:, :].sum(axis=-2)
-            _accum(x, z)
+            _accum(x, (g - val * (g * val).sum(axis=-1, keepdims=True)) / norm)
+        out._backward = backward
+    return out
+
+
+def info_nce(anchors: Tensor, positives: Tensor, negatives: Tensor,
+             temperature: float) -> Tensor:
+    """Sum over all anchor/positive pairs of the negated log-ratio
+    -log(exp(s_ap) / (exp(s_ap) + sum_n exp(s_an))), s = (row . row) / temperature.
+
+    Rows are (A, D), (P, D) and (N, D); each pair's denominator holds that
+    pair's similarity plus the anchor's similarities to every negative. One
+    node, with the log-sum-exp backward in closed form.
+    """
+    a, p, n = anchors.data, positives.data, negatives.data
+    inv = 1.0 / temperature
+    s_ap = (a @ p.T) * inv                              # (A, P)
+    e_an = np.exp((a @ n.T) * inv)                      # (A, N)
+    e_ap = np.exp(s_ap)
+    denom = e_ap + e_an.sum(axis=1, keepdims=True)     # (A, P)
+    out = _result(-(s_ap - np.log(denom)).sum(), (anchors, positives, negatives))
+    if out.requires_grad:
+        def backward(g):
+            inv_denom = 1.0 / denom
+            g_ap = (e_ap * inv_denom - 1.0) * (g * inv)
+            g_an = e_an * (inv_denom.sum(axis=1, keepdims=True) * (g * inv))
+            if anchors.requires_grad:
+                _accum(anchors, g_ap @ p + g_an @ n)
+            if positives.requires_grad:
+                _accum(positives, g_ap.T @ a)
+            if negatives.requires_grad:
+                _accum(negatives, g_an.T @ a)
+        out._backward = backward
+    return out
+
+
+def _depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
+    """Per-channel taps along the time axis (-2) with replicate padding,
+    one node: ``width // 2`` copies of the edge rows pad each side, and
+    their gradient folds back onto the two edge rows."""
+    xd, k = x.data, kernel.data
+    n, width = xd.shape[-2], k.shape[1]
+    half = width // 2
+    padded = xd[..., np.clip(np.arange(-half, n + half), 0, n - 1), :]
+    acc = padded[..., 0:n, :] * k[:, 0]
+    for j in range(1, width):
+        acc = acc + padded[..., j:j + n, :] * k[:, j]
+    out = _result(acc, (x, kernel))
+    if out.requires_grad:
+        def backward(g):
+            if kernel.requires_grad:
+                gk = np.empty_like(k)
+                for j in range(width):
+                    gk[:, j] = _unbroadcast(g * padded[..., j:j + n, :], k[:, j].shape)
+                _accum(kernel, gk)
+            if x.requires_grad:
+                gp = np.zeros_like(padded)
+                for j in range(width):
+                    gp[..., j:j + n, :] += g * k[:, j]
+                gx = gp[..., half:half + n, :]
+                gx[..., 0, :] += gp[..., :half, :].sum(axis=-2)
+                gx[..., -1, :] += gp[..., half + n:, :].sum(axis=-2)
+                _accum(x, gx)
         out._backward = backward
     return out
 
@@ -555,7 +662,7 @@ def dws_conv1d(x: Tensor, depth_kernel: Tensor, point_kernel: Tensor) -> Tensor:
     if x.data.ndim not in (2, 3) or depth_kernel.data.ndim != 2 \
             or point_kernel.data.ndim != 2:
         raise ValueError("dws_conv1d expects a 2-D or 3-D input and 2-D kernels")
-    t_len, channels = x.data.shape[-2:]
+    channels = x.data.shape[-1]
     if depth_kernel.data.shape[0] != channels:
         raise ValueError(
             f"depth kernel has {depth_kernel.data.shape[0]} channels, input has {channels}")
@@ -565,12 +672,7 @@ def dws_conv1d(x: Tensor, depth_kernel: Tensor, point_kernel: Tensor) -> Tensor:
     width = depth_kernel.data.shape[1]
     if width % 2 == 0:
         raise ValueError(f"kernel width must be odd, got {width}")
-    padded = pad_edge(x, width // 2) if width > 1 else x
-    acc: Tensor | None = None
-    for j in range(width):
-        term = padded[..., j:j + t_len, :] * depth_kernel[:, j]
-        acc = term if acc is None else acc + term
-    return acc @ point_kernel
+    return _depthwise_conv1d(x, depth_kernel) @ point_kernel
 
 
 def multi_head_self_attention(

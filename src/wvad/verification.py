@@ -292,15 +292,16 @@ def _objective_case(seed: int):
     model = TransformerModel.init(config, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(20_000 + seed)
     feats = {"nrm": rng.normal(size=(4, 3)), "abn": rng.normal(size=(4, 3))}
-    mined = MinedSets(
-        hard_abnormal=(("abn", 1),), easy_abnormal=(("abn", 3),),
-        hard_normal=(("nrm", 0),), easy_normal=(("nrm", 2),))
+    # one snippet per set: abn 1 hard, abn 3 easy, nrm 0 hard, nrm 2 easy
+    ha, ea, hn, en = np.zeros((4, 2, 4), dtype=bool)
+    ha[1, 1] = ea[1, 3] = hn[0, 0] = en[0, 2] = True
+    mined = MinedSets(("nrm", "abn"), ha, ea, hn, en)
     loss_cfg = LossConfig(k=2)
     videos = np.stack([feats["nrm"], feats["abn"]])
 
     def f():
         out = model.forward(videos)
-        batch = ScoredBatch(video_ids=("nrm", "abn"), labels=np.array([0, 1]),
+        batch = ScoredBatch(labels=np.array([0, 1]),
                             scores=out.scores, video_scores=out.video_score,
                             features=out.features)
         total, _ = loss_total(batch, mined, loss_cfg)

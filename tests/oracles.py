@@ -1,0 +1,139 @@
+"""Reference forms the library's fused and batched code is checked against.
+
+The tensor ops here are the composed forms: chains of the tape's own
+elementwise and index ops, each with its own local backward rule, so their
+gradients come from the chain rule rather than a closed form. The fused
+ops in ``wvad.tensor`` run the same forward expressions in the same order,
+so their float32 forwards must match these bit for bit.
+
+The mining functions are the per-video form: one video at a time, sets
+built from index lists. ``mine_batch_per_video`` returns the four sorted
+(video_id, t) tuples that ``wvad.mining.mine_batch`` must reproduce from
+its (B, T) masks.
+"""
+
+import math
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from wvad.mining import MinedSets
+from wvad.tensor import _accum, _result
+
+
+# ---------------------------------------------------------------------
+# composed tensor ops
+
+
+def layer_norm(x, gamma, beta, eps=1e-5):
+    m = x.mean(axis=-1, keepdims=True)
+    d = x - m
+    v = (d * d).mean(axis=-1, keepdims=True)
+    return (d / (v + eps).sqrt()) * gamma + beta
+
+
+def gelu(x):
+    c = math.sqrt(2.0 / math.pi)
+    inner = (x + (x * x * x) * 0.044715) * c
+    return x * (inner.tanh() + 1.0) * 0.5
+
+
+def l2_normalize(x, eps=1e-12):
+    sq = (x * x).sum(axis=-1, keepdims=True)
+    return x / (sq + eps).sqrt()
+
+
+def pad_edge(x, half):
+    """Replicate padding along axis -2 as one index op."""
+    n = x.data.shape[-2]
+    idx = np.clip(np.arange(-half, n + half), 0, n - 1)
+    out = _result(x.data[..., idx, :], (x,))
+    if out.requires_grad:
+        def backward(g):
+            z = g[..., half:half + n, :].copy()
+            z[..., 0, :] += g[..., :half, :].sum(axis=-2)
+            z[..., -1, :] += g[..., half + n:, :].sum(axis=-2)
+            _accum(x, z)
+        out._backward = backward
+    return out
+
+
+def dws_conv1d(x, depth_kernel, point_kernel):
+    t_len = x.data.shape[-2]
+    width = depth_kernel.data.shape[1]
+    padded = pad_edge(x, width // 2) if width > 1 else x
+    acc = None
+    for j in range(width):
+        term = padded[..., j:j + t_len, :] * depth_kernel[:, j]
+        acc = term if acc is None else acc + term
+    return acc @ point_kernel
+
+
+def info_nce(anchors, positives, negatives, temperature):
+    s_ap = (anchors @ positives.T) * (1.0 / temperature)
+    s_an = (anchors @ negatives.T) * (1.0 / temperature)
+    neg_sum = s_an.exp().sum(axis=1, keepdims=True)
+    log_ratio = s_ap - (s_ap.exp() + neg_sum).log()
+    return -log_ratio.sum()
+
+
+# ---------------------------------------------------------------------
+# per-video mining
+
+
+def _hard_abnormal(scores, cfg):
+    pred = (np.asarray(scores) > cfg.threshold).astype(np.uint8)
+    half = cfg.erosion_width // 2
+    eroded = sliding_window_view(np.pad(pred, half, mode="edge"),
+                                 cfg.erosion_width).all(axis=1)
+    edges = np.nonzero(pred.astype(bool) & ~eroded)[0].tolist()
+    n = pred.shape[0]
+    if cfg.region_window > n:
+        raise ValueError(f"window {cfg.region_window} longer than sequence {n}")
+    sums = sliding_window_view(pred, cfg.region_window).sum(axis=1)
+    flagged = np.zeros(n, dtype=bool)
+    for start in np.nonzero(sums >= cfg.region_min_count)[0]:
+        flagged[start:start + cfg.region_window] = True
+    missed = np.nonzero(flagged & (pred == 0))[0].tolist()
+    return sorted(set(edges) | set(missed))
+
+
+def _top(scores, k, descending=True):
+    scores = np.asarray(scores)
+    if not 1 <= k <= scores.shape[0]:
+        raise ValueError(f"k must be in [1, {scores.shape[0]}], got {k}")
+    key = -scores if descending else scores
+    return np.argsort(key, kind="stable")[:k].tolist()
+
+
+def mine_batch_per_video(videos, cfg):
+    """(HA, EA, HN, EN) as sorted (video_id, t) tuples, one video at a time."""
+    ha, ea, hn, en = [], [], [], []
+    for video_id, label, scores in videos:
+        if label == 1:
+            hard = _hard_abnormal(scores, cfg)
+            ha.extend((video_id, t) for t in hard)
+            ea.extend((video_id, t)
+                      for t in sorted(set(_top(scores, cfg.k_easy)) - set(hard)))
+        elif label == 0:
+            hn.extend((video_id, t) for t in sorted(_top(scores, cfg.k_hard_normal)))
+            en.extend((video_id, t) for t in sorted(_top(scores, cfg.k_easy, False)))
+        else:
+            raise ValueError(f"label must be 0 or 1, got {label} for {video_id}")
+    return tuple(sorted(ha)), tuple(sorted(ea)), tuple(sorted(hn)), tuple(sorted(en))
+
+
+def views(mined):
+    """The four sorted (video_id, t) views of a ``MinedSets``."""
+    return mined.hard_abnormal, mined.easy_abnormal, mined.hard_normal, mined.easy_normal
+
+
+def mined_sets(video_ids, t_len, ha=(), ea=(), hn=(), en=()):
+    """A ``MinedSets`` from (video_id, t) pairs, for hand-built loss tests."""
+    row = {vid: i for i, vid in enumerate(video_ids)}
+    masks = np.zeros((4, len(video_ids), t_len), dtype=bool)
+    for mask, pairs in zip(masks, (ha, ea, hn, en)):
+        for vid, t in pairs:
+            mask[row[vid], t] = True
+    return MinedSets(tuple(video_ids), *masks)
+

@@ -401,6 +401,37 @@ def test_eval_rejects_non_finite_features(trained_run, tmp_path, capsys, bad):
     assert "non-finite" in err and victim in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_mine_rejects_non_finite_scores(tmp_path, capsys, bad):
+    videos = [("n0", 0, np.linspace(0, 1, 6)), ("a0", 1, np.linspace(1, 0, 6))]
+    scores_path = tmp_path / "scores.csv"
+    write_scores_csv(scores_path, videos)
+    lines = scores_path.read_text(encoding="utf-8").splitlines()
+    vid, t, _, label = lines[3].split(",")
+    lines[3] = ",".join([vid, t, bad, label])
+    scores_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = cli.main(["mine", "--scores", str(scores_path), "--out", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "non-finite score" in err and f"{scores_path}:4" in err
+    assert not (tmp_path / "m" / "mined.csv").exists()
+
+
+def test_eval_rejects_fewer_frames_than_snippets(trained_run, tmp_path, capsys):
+    data = tmp_path / "data"
+    generate_dataset(SynthConfig(**TINY_SYNTH), data)
+    manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+    victim = next(v for v in manifest["videos"] if v["split"] == "test")
+    victim["num_frames"] = TINY_SYNTH["num_snippets"] // 2
+    (data / victim["frame_label_file"]).write_bytes(bytes(victim["num_frames"]))
+    (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    rc = cli.main(["eval", "--checkpoint", str(trained_run / "checkpoint.wvck"),
+                   "--data", str(data)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert victim["id"] in err and "frames" in err
+
+
 # ---------------------------------------------------------------------
 # gradcheck
 

@@ -20,7 +20,7 @@ from wvad.losses import (
     loss_total,
     loss_video,
 )
-from wvad.mining import EMPTY_MINED, MinedSets
+from oracles import mined_sets
 from wvad.tensor import Tensor, grad_check
 
 
@@ -212,35 +212,34 @@ def test_reg_batch_is_sum_of_videos():
 # contrastive
 
 
+IDS = ("abn", "nrm")
+
+
 def _features_one_each(anchor, positive, negative):
     """Abnormal video (rows 0..1: anchor, positive), normal video (row 0:
     negative, row 1 unused); mined sets point at those rows."""
     feats = t64(np.stack([np.vstack([anchor, positive]),
                           np.vstack([negative, np.full(len(negative), 9.0)])]))
-    mined = MinedSets(hard_abnormal=(("abn", 0),), easy_abnormal=(("abn", 1),),
-                      hard_normal=(), easy_normal=(("nrm", 0),))
+    mined = mined_sets(IDS, 2, ha=[("abn", 0)], ea=[("abn", 1)], en=[("nrm", 0)])
     return feats, mined
 
 
-IDS = ("abn", "nrm")
-
-
 def test_contrastive_empty_sets_zero():
-    out = loss_contrastive(EMPTY_MINED, t64(np.ones((2, 3, 4))), IDS, 0.07)
+    out = loss_contrastive(mined_sets(IDS, 3), t64(np.ones((2, 3, 4))), 0.07)
     assert float(out.data) == 0.0
 
 
 def test_contrastive_equidistant_is_ln2():
     # positive and negative at the same similarity to the anchor
     feats, mined = _features_one_each([1.0, 0.0], [0.0, 1.0], [0.0, 1.0])
-    out = loss_contrastive(mined, feats, IDS, 1.0)
+    out = loss_contrastive(mined, feats, 1.0)
     assert float(out.data) == pytest.approx(math.log(2.0), abs=1e-9)
 
 
 def test_contrastive_aligned_positive_hand_value():
     # sim(a,p)=1, sim(a,n)=0, tau=1: -log(e / (e + 1))
     feats, mined = _features_one_each([1.0, 0.0], [1.0, 0.0], [0.0, 1.0])
-    out = loss_contrastive(mined, feats, IDS, 1.0)
+    out = loss_contrastive(mined, feats, 1.0)
     want = -math.log(math.e / (math.e + 1.0))
     assert float(out.data) == pytest.approx(want, abs=1e-9)
 
@@ -248,8 +247,8 @@ def test_contrastive_aligned_positive_hand_value():
 def test_contrastive_decreases_as_positive_aligns():
     far, _ = _features_one_each([1.0, 0.0], [0.0, 1.0], [0.0, 1.0])
     near, mined = _features_one_each([1.0, 0.0], [0.9, 0.1], [0.0, 1.0])
-    loss_far = float(loss_contrastive(mined, far, IDS, 0.5).data)
-    loss_near = float(loss_contrastive(mined, near, IDS, 0.5).data)
+    loss_far = float(loss_contrastive(mined, far, 0.5).data)
+    loss_near = float(loss_contrastive(mined, near, 0.5).data)
     assert loss_near < loss_far
 
 
@@ -257,11 +256,10 @@ def test_contrastive_invariant_to_feature_scale():
     rng = np.random.default_rng(30)
     raw = rng.normal(size=(4, 6))
     neg = np.vstack([rng.normal(size=(2, 6)), np.ones((2, 6))])
-    mined = MinedSets(hard_abnormal=(("abn", 0), ("abn", 1)),
-                      easy_abnormal=(("abn", 2), ("abn", 3)),
-                      hard_normal=(), easy_normal=(("nrm", 0), ("nrm", 1)))
-    a = loss_contrastive(mined, t64(np.stack([raw, neg])), IDS, 0.07)
-    b = loss_contrastive(mined, t64(np.stack([raw * 5.0, neg * 5.0])), IDS, 0.07)
+    mined = mined_sets(IDS, 4, ha=[("abn", 0), ("abn", 1)], ea=[("abn", 2), ("abn", 3)],
+                       en=[("nrm", 0), ("nrm", 1)])
+    a = loss_contrastive(mined, t64(np.stack([raw, neg])), 0.07)
+    b = loss_contrastive(mined, t64(np.stack([raw * 5.0, neg * 5.0])), 0.07)
     assert float(a.data) == pytest.approx(float(b.data), abs=1e-9)
 
 
@@ -269,9 +267,9 @@ def test_contrastive_symmetric_direction_only():
     """With only hard-normal anchors the second direction alone fires."""
     feats = t64(np.array([[[1.0, 0.0], [0.0, 1.0]],     # nrm
                           [[1.0, 0.0], [5.0, 5.0]]]))   # abn, row 1 unused
-    mined = MinedSets(hard_abnormal=(), easy_abnormal=(("abn", 0),),
-                      hard_normal=(("nrm", 0),), easy_normal=(("nrm", 1),))
-    out = loss_contrastive(mined, feats, ("nrm", "abn"), 1.0)
+    mined = mined_sets(("nrm", "abn"), 2, ea=[("abn", 0)], hn=[("nrm", 0)],
+                       en=[("nrm", 1)])
+    out = loss_contrastive(mined, feats, 1.0)
     # anchor nrm0=e1, positive nrm1=e2 (sim 0), negative abn0=e1 (sim 1)
     want = -math.log(1.0 / (1.0 + math.e))
     assert float(out.data) == pytest.approx(want, abs=1e-9)
@@ -279,25 +277,22 @@ def test_contrastive_symmetric_direction_only():
 
 def test_contrastive_missing_positive_contributes_zero():
     feats = t64(np.stack([np.eye(2), np.eye(2)]))
-    mined = MinedSets(hard_abnormal=(("abn", 0),), easy_abnormal=(),
-                      hard_normal=(), easy_normal=(("nrm", 0),))
-    assert float(loss_contrastive(mined, feats, IDS, 0.07).data) == 0.0
+    mined = mined_sets(IDS, 2, ha=[("abn", 0)], en=[("nrm", 0)])
+    assert float(loss_contrastive(mined, feats, 0.07).data) == 0.0
 
 
 def test_contrastive_rejects_bad_temperature():
     with pytest.raises(ConfigError):
-        loss_contrastive(EMPTY_MINED, t64(np.ones((2, 3, 4))), IDS, 0.0)
+        loss_contrastive(mined_sets(IDS, 3), t64(np.ones((2, 3, 4))), 0.0)
 
 
 def test_contrastive_fd():
     for seed in range(5):
         rng = np.random.default_rng(730 + seed)
         feats = t64(rng.normal(size=(2, 6, 4)))
-        mined = MinedSets(hard_abnormal=(("abn", 0), ("abn", 1)),
-                          easy_abnormal=(("abn", 3), ("abn", 4)),
-                          hard_normal=(("nrm", 2),),
-                          easy_normal=(("nrm", 0), ("nrm", 5)))
-        check = grad_check(lambda: loss_contrastive(mined, feats, IDS, 0.5),
+        mined = mined_sets(IDS, 6, ha=[("abn", 0), ("abn", 1)], ea=[("abn", 3), ("abn", 4)],
+                           hn=[("nrm", 2)], en=[("nrm", 0), ("nrm", 5)])
+        check = grad_check(lambda: loss_contrastive(mined, feats, 0.5),
                            [("features", feats)])
         assert check.passed, check.summary()
 
@@ -309,7 +304,6 @@ def test_contrastive_fd():
 def _make_batch(rng, n_abn=2, n_nrm=2, t_len=8, d=4):
     """Abnormal videos first, then normal ones, all leaves float64."""
     return ScoredBatch(
-        video_ids=[f"abn-{i}" for i in range(n_abn)] + [f"nrm-{i}" for i in range(n_nrm)],
         labels=np.array([1] * n_abn + [0] * n_nrm),
         scores=t64(rng.uniform(0.05, 0.95, size=(n_abn + n_nrm, t_len))),
         video_scores=t64(rng.uniform(0.1, 0.9, size=n_abn + n_nrm)),
@@ -319,7 +313,8 @@ def _make_batch(rng, n_abn=2, n_nrm=2, t_len=8, d=4):
 def _mined_for(batch):
     from wvad.mining import MiningConfig, mine_batch
     cfg = MiningConfig(region_window=5, region_min_count=4, k_hard_normal=2, k_easy=2)
-    return mine_batch(list(zip(batch.video_ids, batch.labels, batch.scores.data)), cfg)
+    ids = [f"v{i}" for i in range(len(batch.labels))]
+    return mine_batch(list(zip(ids, batch.labels, batch.scores.data)), cfg)
 
 
 def test_total_zero_weights_is_zero():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from wvad.errors import ConfigError
 from wvad.tensor import (
     Tensor,
@@ -15,11 +16,11 @@ from wvad.tensor import (
     gather_rows,
     gelu,
     grad_check,
+    info_nce,
     l2_normalize,
     layer_norm,
     multi_head_self_attention,
     no_grad,
-    pad_edge,
     softmax,
     topk_mean,
     topological_order,
@@ -45,6 +46,45 @@ def test_add_mul_values():
     b = t64([3.0, 4.0])
     out = (a + b) * a
     np.testing.assert_allclose(out.data, [4.0, 12.0])
+
+
+def test_shared_gradient_feeds_two_parents():
+    """Copy-on-write accumulation: a gradient array handed to several
+    parents, or a read-only broadcast, is never written through."""
+    a = t64([1.0, 2.0, 3.0])
+    w = np.array([0.5, -1.0, 2.0])
+    v = np.array([3.0, 1.0, -2.0])
+    x = a * 2.0                       # interior; x + x hands it one array twice
+    ((x + x) * Tensor(w)).sum().backward()
+    np.testing.assert_array_equal(a.grad, 4.0 * w)
+
+    b = t64([1.0, 2.0, 3.0])
+    p, q = b * 1.0, b * 3.0           # p + q lends one array to both parents
+    (((p + q) * Tensor(w)).sum() + (p * Tensor(v)).sum()).backward()
+    np.testing.assert_array_equal(b.grad, 4.0 * w + v)
+
+    c = t64(np.ones((2, 3)))
+    y = c * 1.0                       # first gradient: a broadcast view of a scalar
+    (y.sum() + (y * Tensor(np.arange(6.0).reshape(2, 3))).sum()).backward()
+    np.testing.assert_array_equal(c.grad, 1.0 + np.arange(6.0).reshape(2, 3))
+
+
+def test_leaf_gradient_is_an_owned_writeable_copy():
+    a = t64([1.0, 2.0])
+    a.sum().backward()                 # the op hands a read-only broadcast
+    assert a.grad.flags.writeable and a.grad.flags.owndata
+    b = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+    (b * Tensor(np.array([1.0, 2.0]))).sum().backward()   # float64 gradient
+    assert b.grad.dtype == np.float32
+    np.testing.assert_array_equal(b.grad, [1.0, 2.0])
+
+
+def test_backward_twice_accumulates_into_leaves_only():
+    x = t64(3.0)
+    y = x * x + x
+    y.backward()
+    y.backward()
+    assert x.grad == pytest.approx(14.0)
 
 
 def test_reuse_accumulates_gradient():
@@ -415,16 +455,20 @@ def test_dws_conv_rejects_even_width_and_shape_mismatch():
         dws_conv1d(x, t64(np.ones((2, 3))), t64(np.eye(3)))
 
 
-def test_pad_edge_replicates_and_folds_gradient():
+def test_dws_conv_replicate_padding_folds_gradient():
+    # width 5 pads [1,2,3] to [1,1,1,2,3,3,3]; the padded rows are covered by
+    # 1,2,3,3,3,2,1 windows, and the copies fold back onto the edge rows
     x = t64(np.array([[1.0], [2.0], [3.0]]))
-    out = pad_edge(x, 2)
-    np.testing.assert_array_equal(out.data[:, 0], [1, 1, 1, 2, 3, 3, 3])
+    out = dws_conv1d(x, t64(np.ones((1, 5))), t64(np.array([[1.0]])))
+    np.testing.assert_array_equal(out.data[:, 0], [8.0, 10.0, 12.0])
     out.sum().backward()
-    np.testing.assert_array_equal(x.grad[:, 0], [3.0, 1.0, 3.0])
+    np.testing.assert_array_equal(x.grad[:, 0], [6.0, 3.0, 6.0])
     rng = np.random.default_rng(16)
     xb = t64(rng.normal(size=(2, 4, 3)))
-    w = Tensor(rng.normal(size=(2, 6, 3)))
-    check(lambda: (pad_edge(xb, 1) * w).sum(), [("x", xb)])
+    dk = t64(rng.normal(size=(3, 3)))
+    w = Tensor(rng.normal(size=(2, 4, 3)))
+    check(lambda: (dws_conv1d(xb, dk, t64(np.eye(3), False)) * w).sum(),
+          [("x", xb), ("dk", dk)])
 
 
 def test_dws_conv_batch_equals_each_video():
@@ -603,6 +647,58 @@ def test_l2_normalize_fd():
     x = t64(rng.normal(size=(3, 4)))
     w = Tensor(rng.normal(size=(3, 4)))
     check(lambda: (l2_normalize(x) * w).sum(), [("x", x)])
+
+
+# the fused ops against their composed forms (tests/oracles.py)
+
+
+def _fused_cases(rng, dtype):
+    x = rng.normal(size=(32, 33, 32)).astype(dtype)
+    gamma = rng.uniform(0.5, 1.5, size=32).astype(dtype)
+    beta = rng.normal(size=32).astype(dtype)
+    depth = rng.normal(size=(32, 3)).astype(dtype)
+    point = rng.normal(size=(32, 32)).astype(dtype) / 6.0
+    rows = [r / np.linalg.norm(r, axis=1, keepdims=True)
+            for r in (rng.normal(size=(n, 32)).astype(dtype) for n in (40, 20, 48))]
+    return {
+        "layer_norm": ((x, gamma, beta), layer_norm, oracles.layer_norm),
+        "gelu": ((x,), gelu, oracles.gelu),
+        "l2_normalize": ((x,), l2_normalize, oracles.l2_normalize),
+        "dws_conv1d": ((x, depth, point), dws_conv1d, oracles.dws_conv1d),
+        "info_nce": (tuple(rows), lambda a, p, n: info_nce(a, p, n, 0.07),
+                     lambda a, p, n: oracles.info_nce(a, p, n, 0.07)),
+    }
+
+
+@pytest.mark.parametrize("name", ["layer_norm", "gelu", "l2_normalize", "dws_conv1d",
+                                  "info_nce"])
+def test_fused_forward_is_bitwise_the_composed_form(name):
+    args, fused, composed = _fused_cases(np.random.default_rng(90), np.float32)[name]
+    want = composed(*(Tensor(a) for a in args)).data
+    got = fused(*(Tensor(a) for a in args)).data
+    assert got.dtype == want.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["layer_norm", "gelu", "l2_normalize", "dws_conv1d",
+                                  "info_nce"])
+def test_fused_gradient_matches_the_composed_form(name):
+    rng = np.random.default_rng(91)
+    args, fused, composed = _fused_cases(rng, np.float64)[name]
+    grads = []
+    for op in (fused, composed):
+        leaves = [t64(a) for a in args]
+        out = op(*leaves)
+        (out * Tensor(np.random.default_rng(92).normal(size=out.data.shape))).sum().backward()
+        grads.append([leaf.grad for leaf in leaves])
+    for got, want in zip(*grads):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+
+def test_info_nce_fd():
+    rng = np.random.default_rng(93)
+    a, p, n = (t64(rng.normal(size=(k, 4))) for k in (3, 2, 4))
+    check(lambda: info_nce(a, p, n, 0.5), [("a", a), ("p", p), ("n", n)])
 
 
 def test_dropout_zero_rate_is_identity():

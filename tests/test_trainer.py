@@ -1,11 +1,14 @@
 """Trainer tests: Adam against a closed-form oracle, balanced sampling,
 determinism, bitwise checkpoint resume, and failure diagnostics."""
 
+import builtins
+import errno
 import math
 
 import numpy as np
 import pytest
 
+import wvad.encoder as encoder_mod
 import wvad.trainer as trainer_mod
 from wvad.encoder import EncoderConfig, save_checkpoint
 from wvad.errors import ConfigError, FormatError, TrainingError
@@ -209,7 +212,7 @@ def test_train_writes_log_csv(tmp_path):
     cfg = micro_config(epochs=2)
     res = train(videos, cfg, out_dir=tmp_path / "run")
     text = (tmp_path / "run" / "log.csv").read_text().strip().splitlines()
-    assert text[0] == "step,epoch,l_total,l_snp,l_vid,l_reg,l_cnt,n_ha,n_hn"
+    assert text[0] == "step,epoch,l_total,l_snp,l_vid,l_reg,l_cnt,n_ha,n_hn,n_ea,n_en"
     assert len(text) == 1 + len(res.log)
     first = text[1].split(",")
     assert int(first[0]) == res.log[0].step
@@ -257,6 +260,56 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     tail = [r for r in res_full.log if r.epoch >= 2]
     assert res_rest.log == tail
 
+    # resumed in its own directory after dying mid-epoch: log.csv keeps the
+    # rows up to the checkpoint's step, drops the later ones, then appends
+    crash_dir = tmp_path / "crash"
+    train(videos, micro_config(epochs=3), out_dir=crash_dir)
+    (crash_dir / "checkpoint.wvck").write_bytes((half_dir / "checkpoint.wvck").read_bytes())
+    train(videos, micro_config(epochs=4), out_dir=crash_dir,
+          resume=crash_dir / "checkpoint.wvck")
+    for name in ("checkpoint.wvck", "log.csv"):
+        assert (crash_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
+
+
+def test_resume_rejects_log_with_other_columns(tmp_path):
+    videos = micro_videos()
+    out = tmp_path / "run"
+    train(videos, micro_config(epochs=1), out_dir=out)
+    (out / "log.csv").write_text("step,epoch,l_total\n1,0,0.5\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="log.csv"):
+        train(videos, micro_config(epochs=2), out_dir=out, resume=out / "checkpoint.wvck")
+
+
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    """A write that fails halfway (a full disk) leaves the previous
+    checkpoint byte-identical and no temporary file behind."""
+    model = trainer_mod._build_model(micro_config())
+    path = tmp_path / "checkpoint.wvck"
+    trainer_mod.save_checkpoint(path, model, extra=b"old")
+    before = path.read_bytes()
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(bytes(data)[:len(data) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(encoder_mod, "open",
+                        lambda *a, **k: FullDisk(builtins.open(*a, **k)), raising=False)
+    with pytest.raises(OSError):
+        trainer_mod.save_checkpoint(path, model, extra=b"new")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.wvck"]
+
 
 def test_resume_requires_matching_model_kind(tmp_path):
     videos = micro_videos()
@@ -303,8 +356,10 @@ def test_nonfinite_loss_aborts_with_step(monkeypatch):
 
 def test_mined_step_is_one_small_graph(monkeypatch):
     """One arm-d step with mining engaged, on the reference shapes (16 + 16
-    videos, T=32, D_in=D=32), builds one taped graph of at most 400 nodes,
-    counted with the walk backward replays (a graph per video holds 6,483)."""
+    videos, T=32, D_in=D=32), builds one taped graph of at most 169 nodes,
+    counted with the walk backward replays: layer norm, GELU, L2
+    normalisation, the conv taps and each InfoNCE direction are one node
+    each (265 nodes when they were composed; a graph per video holds 6,483)."""
     cfg = TrainConfig(mining_warmup_epochs=0)
     assert cfg.encoder.num_snippets == cfg.encoder.d_in == cfg.encoder.d_model == 32
     videos = micro_videos(n_normal=16, n_abnormal=16, t=32, d=32, seed=5)
@@ -322,7 +377,7 @@ def test_mined_step_is_one_small_graph(monkeypatch):
     train_step(model, videos, cfg, AdamState.for_params(model.named_params()),
                np.random.default_rng(0), step=1, epoch=0)
     assert all(seen["mined"].values()), seen["mined"]   # every term is in the graph
-    assert seen["nodes"] <= 400, seen["nodes"]
+    assert seen["nodes"] <= 169, seen["nodes"]
 
 
 def test_overfit_single_batch_drives_loss_down():
