@@ -27,7 +27,7 @@ from .metrics import EvalRecord, evaluate, snippet_to_frame_scores
 from .mining import MiningConfig, mine_batch
 from .synthdata import SynthConfig, generate_dataset, load_manifest, load_split
 from .tensor import no_grad
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, keep_freed_heap, train
 
 # loss-term weights (w_contrast, w_snippet, w_video, w_reg) and model per
 # ablation row: (a) ranking only on raw features, (b) + encoder,
@@ -451,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    keep_freed_heap()
     try:
         return args.func(args)
     except ConfigError as e:

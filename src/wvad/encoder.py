@@ -29,7 +29,7 @@ import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -168,6 +168,40 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
 
 def _zeros(shape, dtype) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+
+
+def param_shapes(config: EncoderConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Every parameter's name and shape in declaration (checkpoint) order,
+    as ``ModelParams.named`` yields them, without allocating any."""
+    d = config.d_model
+    block = {"conv_depth": (d, config.conv_width), "conv_point": (d, d), "conv_bias": (d,),
+             "wq": (d, d), "bq": (d,), "wk": (d, d), "bk": (d,), "wv": (d, d), "bv": (d,),
+             "wo": (d, d), "bo": (d,), "ln_gamma": (d,), "ln_beta": (d,),
+             "ff_w1": (d, 2 * d), "ff_b1": (2 * d,), "ff_w2": (2 * d, d), "ff_b2": (d,)}
+    yield "w_in", (config.d_in, d)
+    yield "b_in", (d,)
+    yield "cls_token", (d,)
+    if config.use_positional:
+        yield "pos", (config.num_snippets + 1, d)
+    for i in range(config.depth):
+        for name in BlockParams._ORDER:
+            yield f"block{i}.{name}", block[name]
+    yield "score_w", (d,)
+    yield "score_b", ()
+    yield "video_w", (d,)
+    yield "video_b", ()
+
+
+def params_from_tensors(config: EncoderConfig, tensors: Iterable[Tensor]) -> ModelParams:
+    """Assemble ``ModelParams`` from tensors in ``param_shapes`` order."""
+    it = iter(tensors)
+    return ModelParams(
+        w_in=next(it), b_in=next(it), cls_token=next(it),
+        pos=next(it) if config.use_positional else None,
+        blocks=[BlockParams(**{name: next(it) for name in BlockParams._ORDER})
+                for _ in range(config.depth)],
+        score_w=next(it), score_b=next(it), video_w=next(it), video_b=next(it),
+    )
 
 
 def init_params(config: EncoderConfig, seed: int, dtype=np.float32) -> ModelParams:
@@ -356,7 +390,12 @@ def save_checkpoint(path, model: Model, extra: bytes = b""):
 
 
 def load_checkpoint(path) -> tuple[Model, bytes]:
-    """Read a model back; returns it plus any trailing bytes after the params."""
+    """Read a model back; returns it plus any trailing bytes after the params.
+
+    The header's config alone fixes every parameter's shape, so a file too
+    short for them is refused before anything is allocated; the parameters
+    are then views of one float32 copy of the payload.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != CHECKPOINT_MAGIC:
@@ -374,29 +413,39 @@ def load_checkpoint(path) -> tuple[Model, bytes]:
         cfg = json.loads(buf[12:blob_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: bad config block: {e}") from e
-    model = _skeleton_from_config(cfg, path)
-    offset = blob_end
-    for name, p in model.named_params():
-        nbytes = p.data.size * 4
-        if offset + nbytes > len(buf):
+    shapes, build = _layout_from_config(cfg, path)
+    # every parameter holds at least one value, so this walk ends within
+    # len(buf) / 4 parameters however large a model the header declares
+    layout, end = [], blob_end
+    for name, shape in shapes:
+        size = math.prod(shape)
+        if end + 4 * size > len(buf):
             raise FormatError(f"{path}: truncated at parameter {name}")
-        flat = np.frombuffer(buf, dtype="<f4", count=p.data.size, offset=offset)
-        p.data = flat.reshape(p.data.shape).astype(np.float32)
-        offset += nbytes
-    return model, buf[offset:]
+        layout.append(((end - blob_end) // 4, size, shape))
+        end += 4 * size
+    flat = np.frombuffer(buf, dtype="<f4", count=(end - blob_end) // 4, offset=blob_end) \
+        .astype(np.float32)
+    return build([Tensor(flat[start:start + size].reshape(shape), requires_grad=True)
+                  for start, size, shape in layout]), buf[end:]
 
 
-def _skeleton_from_config(cfg: dict, path) -> Model:
-    kind = cfg.get("model")
+def _layout_from_config(cfg, path):
+    """The parameter shapes a checkpoint header's config declares, lazily,
+    and the function that builds the model from tensors of those shapes."""
+    kind = cfg.get("model") if isinstance(cfg, dict) else None
     if kind == "transformer":
         try:
             config = EncoderConfig(**cfg["encoder"])
         except (TypeError, KeyError, ConfigError) as e:
             raise FormatError(f"{path}: bad encoder config: {e}") from e
-        return TransformerModel.init(config, seed=0)
+        dims = ("num_snippets", "d_in", "d_model", "heads", "depth", "conv_width")
+        if not all(type(getattr(config, f)) is int for f in dims):
+            raise FormatError(f"{path}: bad encoder config: {', '.join(dims)} must be integers")
+        return param_shapes(config), \
+            lambda tensors: TransformerModel(config, params_from_tensors(config, tensors))
     if kind == "linear":
         d_in = cfg.get("d_in")
-        if not isinstance(d_in, int) or d_in < 1:
+        if type(d_in) is not int or d_in < 1:
             raise FormatError(f"{path}: bad linear config: d_in={d_in!r}")
-        return LinearModel.init(d_in, seed=0)
+        return [("w", (d_in,)), ("b", ())], lambda tensors: LinearModel(d_in, *tensors)
     raise FormatError(f"{path}: unknown model kind {kind!r}")

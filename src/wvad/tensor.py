@@ -689,8 +689,18 @@ def multi_head_self_attention(
     tokens attend within their own video only. Heads are a reshape of the
     projections to (..., heads, n, d/heads), so each output row is, per
     head, a convex combination of value rows (attention rows sum to one).
+
+    One node. Q, K and V are written side by side into one (..., n, 3d)
+    array, each by its own product: one product with [wq|wk|wv] would round
+    differently where d is not a multiple of the BLAS kernel's column tile,
+    and the forward is bitwise the composed form (``tests/oracles.py``).
+    The backward is closed form: with A the attention and dA its gradient,
+    the scores get dS = A * (dA - rowsum(dA * A)); one product with the
+    stacked (..., n, 3d) gradient gives the three projection-weight
+    gradients and one more gives dx.
     """
-    *lead, n, d = x.data.shape
+    xd = x.data
+    *lead, n, d = xd.shape
     if d % heads != 0:
         raise ConfigError(f"model dim {d} not divisible by {heads} heads")
     dh = d // heads
@@ -698,13 +708,45 @@ def multi_head_self_attention(
     r = len(lead)
     # (..., n, h, dh) <-> (..., h, n, dh); a swap, so it also merges heads back
     to_heads = (*range(r), r + 1, r, r + 2)
-    q = (x @ wq + bq).reshape(*lead, n, heads, dh).transpose(to_heads)
-    # keys go straight to (..., h, dh, n), ready for q @ k
-    k = (x @ wk + bk).reshape(*lead, n, heads, dh).transpose(*range(r), r + 1, r + 2, r)
-    v = (x @ wv + bv).reshape(*lead, n, heads, dh).transpose(to_heads)
-    attn = softmax((q @ k) * scale, axis=-1)
+    qkv = np.empty((*lead, n, 3 * d), dtype=np.result_type(xd, wq.data))
+    for i, w in enumerate((wq, wk, wv)):
+        np.matmul(xd, w.data, out=qkv[..., i * d:(i + 1) * d])
+    qkv += np.concatenate([bq.data, bk.data, bv.data])
+    qkv = qkv.reshape(*lead, n, 3, heads, dh)
+    q, k, v = (qkv[..., i, :, :].transpose(to_heads) for i in range(3))
+    s = (q @ np.swapaxes(k, -1, -2)) * scale
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
     merged = (attn @ v).transpose(to_heads).reshape(*lead, n, d)
-    return merged @ wo + bo
+    out = _result(merged @ wo.data + bo.data, (x, wq, bq, wk, bk, wv, bv, wo, bo))
+    if out.requires_grad:
+        def backward(g):
+            if wo.requires_grad:
+                _accum(wo, merged.reshape(-1, d).T @ g.reshape(-1, d))
+            if bo.requires_grad:
+                _accum(bo, _unbroadcast(g, bo.data.shape))
+            g_heads = (g @ wo.data.T).reshape(*lead, n, heads, dh).transpose(to_heads)
+            g_attn = g_heads @ np.swapaxes(v, -1, -2)
+            g_s = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True))
+            g_s *= scale
+            g_qkv = np.empty(qkv.shape, dtype=g_s.dtype)
+            g_qkv[..., 0, :, :] = (g_s @ k).transpose(to_heads)
+            g_qkv[..., 1, :, :] = (np.swapaxes(g_s, -1, -2) @ q).transpose(to_heads)
+            g_qkv[..., 2, :, :] = (np.swapaxes(attn, -1, -2) @ g_heads).transpose(to_heads)
+            g_qkv = g_qkv.reshape(-1, 3 * d)
+            g_w = xd.reshape(-1, d).T @ g_qkv
+            g_b = g_qkv.sum(axis=0)
+            for i, (w, b) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
+                cols = slice(i * d, (i + 1) * d)
+                if w.requires_grad:
+                    _accum(w, g_w[:, cols])
+                if b.requires_grad:
+                    _accum(b, g_b[cols])
+            if x.requires_grad:
+                w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+                _accum(x, (g_qkv @ w_qkv.T).reshape(xd.shape))
+        out._backward = backward
+    return out
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -33,7 +33,7 @@ from .tensor import Tensor
 OPT_MAGIC = b"WVOP"
 
 LOG_COLUMNS = ("step", "epoch", "l_total", "l_snp", "l_vid", "l_reg", "l_cnt",
-               "n_ha", "n_hn", "n_ea", "n_en")
+               "n_ha", "n_hn", "n_ea", "n_en", "grad_norm", "update_norm")
 
 # one video as the trainer sees it
 VideoTriple = tuple[str, int, np.ndarray]
@@ -79,11 +79,14 @@ class LogRow:
     n_hn: int
     n_ea: int
     n_en: int
+    grad_norm: float      # Euclidean norms over all parameters, as one vector
+    update_norm: float
 
     def as_csv(self) -> list[str]:
         return [str(self.step), str(self.epoch), repr(self.l_total), repr(self.l_snp),
                 repr(self.l_vid), repr(self.l_reg), repr(self.l_cnt),
-                str(self.n_ha), str(self.n_hn), str(self.n_ea), str(self.n_en)]
+                str(self.n_ha), str(self.n_hn), str(self.n_ea), str(self.n_en),
+                repr(self.grad_norm), repr(self.update_norm)]
 
 
 @dataclass
@@ -100,32 +103,75 @@ class TrainResult:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """The first and second moments of every parameter, each concatenated
+    in declaration order into one float32 vector."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params: Sequence[tuple[str, Tensor]]) -> "AdamState":
-        return cls(m=[np.zeros_like(p.data) for _, p in params],
-                   v=[np.zeros_like(p.data) for _, p in params])
+        size = sum(p.data.size for _, p in params)
+        return cls(m=np.zeros(size, dtype=np.float32), v=np.zeros(size, dtype=np.float32))
+
+
+def _first_non_finite(flat: np.ndarray, params: Sequence[Tensor]) -> int | None:
+    """Index of the parameter holding ``flat``'s first non-finite entry,
+    ``flat`` being per-parameter blocks in declaration order; None if all
+    are finite."""
+    finite = np.isfinite(flat)
+    if finite.all():
+        return None
+    offset = np.argmin(finite)
+    ends = np.cumsum([p.data.size for p in params])
+    return int(np.searchsorted(ends, offset, side="right"))
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm, summed in float64 by numpy's pairwise sum, which
+    does not depend on the BLAS thread count."""
+    return float(np.sqrt(np.square(x, dtype=np.float64).sum()))
+
+
+@dataclass
+class AdamUpdate:
+    """One Adam step, read off its flat vectors."""
+
+    params: np.ndarray      # the parameters after the step, each Tensor's data a view of it
+    grad_norm: float
+    update_norm: float
 
 
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: AdamState,
               lr: float, betas: tuple[float, float] = (0.9, 0.999),
-              eps: float = 1e-8, weight_decay: float = 0.0):
+              eps: float = 1e-8, weight_decay: float = 0.0) -> AdamUpdate:
     """One Adam update with bias correction; weight decay applied to the
-    parameter directly (decoupled), not mixed into the gradient."""
+    parameter directly (decoupled), not mixed into the gradient.
+
+    The gradients and parameters are concatenated into one vector each and
+    updated together; each element sees the same expressions as a
+    per-parameter update, so the result is bitwise the same. Afterwards
+    each parameter's data is a view of the new flat vector.
+    """
     b1, b2 = betas
     state.t += 1
     t = state.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in parameter {i} at adam step {t}")
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        m_hat = state.m[i] / (1.0 - b1 ** t)
-        v_hat = state.v[i] / (1.0 - b2 ** t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * weight_decay * p.data
+    g = np.concatenate([np.ravel(x) for x in grads])
+    bad = _first_non_finite(g, params)
+    if bad is not None:
+        raise TrainingError(f"non-finite gradient in parameter {bad} at adam step {t}")
+    p = np.concatenate([x.data.ravel() for x in params])
+    state.m = b1 * state.m + (1.0 - b1) * g
+    state.v = b2 * state.v + (1.0 - b2) * (g * g)
+    m_hat = state.m / (1.0 - b1 ** t)
+    v_hat = state.v / (1.0 - b2 ** t)
+    new = p - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * weight_decay * p
+    offset = 0
+    for x in params:
+        x.data = new[offset:offset + x.data.size].reshape(x.data.shape)
+        offset += x.data.size
+    return AdamUpdate(params=new, grad_norm=_norm(g), update_norm=_norm(new - p))
 
 
 # ---------------------------------------------------------------------
@@ -170,12 +216,9 @@ class BalancedSampler:
 def _opt_state_bytes(state: AdamState, step: int, next_epoch: int,
                      rng: np.random.Generator) -> bytes:
     rng_blob = json.dumps(rng.bit_generator.state, sort_keys=True).encode("utf-8")
-    parts = [OPT_MAGIC, struct.pack("<III", step, next_epoch, len(rng_blob)), rng_blob]
-    for arr in state.m:
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    for arr in state.v:
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    return b"".join(parts)
+    return b"".join([OPT_MAGIC, struct.pack("<III", step, next_epoch, len(rng_blob)), rng_blob,
+                     np.ascontiguousarray(state.m, dtype="<f4").tobytes(),
+                     np.ascontiguousarray(state.v, dtype="<f4").tobytes()])
 
 
 def _parse_opt_state(extra: bytes, params: Sequence[tuple[str, Tensor]], path):
@@ -187,26 +230,19 @@ def _parse_opt_state(extra: bytes, params: Sequence[tuple[str, Tensor]], path):
     offset = 16 + rng_len
     if len(extra) < offset:
         raise FormatError(f"{path}: truncated generator state")
-    try:
-        rng_state = json.loads(extra[16:offset].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"{path}: bad generator state: {e}") from e
     bit_gen = np.random.PCG64()
-    bit_gen.state = rng_state
-    rng = np.random.Generator(bit_gen)
-    moments = []
-    for _ in range(2):
-        group = []
-        for name, p in params:
-            nbytes = p.data.size * 4
-            if offset + nbytes > len(extra):
-                raise FormatError(f"{path}: truncated moments at {name}")
-            flat = np.frombuffer(extra, dtype="<f4", count=p.data.size, offset=offset)
-            group.append(flat.reshape(p.data.shape).astype(np.float32))
-            offset += nbytes
-        moments.append(group)
-    state = AdamState(m=moments[0], v=moments[1], t=step)
-    return state, step, next_epoch, rng
+    try:
+        bit_gen.state = json.loads(extra[16:offset].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, TypeError, ValueError, KeyError,
+            OverflowError) as e:
+        raise FormatError(f"{path}: bad generator state: {e!r}") from e
+    size = sum(p.data.size for _, p in params)
+    if len(extra) < offset + 8 * size:
+        raise FormatError(f"{path}: truncated moments: {len(extra) - offset} bytes "
+                          f"for 2 x {size} float32 values")
+    m, v = np.frombuffer(extra, dtype="<f4", count=2 * size, offset=offset) \
+        .astype(np.float32).reshape(2, size)
+    return AdamState(m=m, v=v, t=step), step, next_epoch, np.random.Generator(bit_gen)
 
 
 # ---------------------------------------------------------------------
@@ -255,7 +291,7 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 
-def _keep_freed_heap():
+def keep_freed_heap():
     """Keep the memory a step frees in the heap for the next step.
 
     A 32-video step allocates and frees a working set of about 20 MB.
@@ -264,8 +300,8 @@ def _keep_freed_heap():
     next step faults the pages back in: about 2.4k page faults and 7 ms of
     kernel time per step, a quarter of the step. Fixed thresholds of 16 MB
     (mmap) and 64 MB (trim) keep the working set; a training run's peak
-    RSS is unchanged. A process-wide setting; without glibc's ``mallopt``
-    this does nothing.
+    RSS is unchanged. A process-wide setting, which ``cli.main`` also makes
+    for every subcommand; without glibc's ``mallopt`` this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -286,7 +322,7 @@ def train(videos: Sequence[VideoTriple], config: TrainConfig,
     """
     sampler = BalancedSampler([label for _, label, _ in videos],
                               config.batch_normal, config.batch_abnormal)
-    _keep_freed_heap()
+    keep_freed_heap()
     if resume is not None:
         model, extra = load_checkpoint(resume)
         if model.kind != config.model:
@@ -366,16 +402,16 @@ def train_step(model, batch_videos: Sequence[VideoTriple], config: TrainConfig,
     total.backward()
     grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
     try:
-        adam_step(params, grads, opt, lr=config.lr, weight_decay=config.weight_decay)
+        update = adam_step(params, grads, opt, lr=config.lr, weight_decay=config.weight_decay)
     except TrainingError as e:
         raise TrainingError(f"step {step} (epoch {epoch}): {e}") from e
-    for i, p in enumerate(params):
-        if not np.all(np.isfinite(p.data)):
-            raise TrainingError(
-                f"non-finite parameter {i} after step {step} (epoch {epoch})")
+    bad = _first_non_finite(update.params, params)
+    if bad is not None:
+        raise TrainingError(f"non-finite parameter {bad} after step {step} (epoch {epoch})")
     counts = mined.counts() if mined is not None else {"HA": 0, "EA": 0, "HN": 0, "EN": 0}
     return LogRow(step=step, epoch=epoch, l_total=breakdown.l_total,
                   l_snp=breakdown.l_snp, l_vid=breakdown.l_vid,
                   l_reg=breakdown.l_reg, l_cnt=breakdown.l_cnt,
                   n_ha=counts["HA"], n_hn=counts["HN"],
-                  n_ea=counts["EA"], n_en=counts["EN"])
+                  n_ea=counts["EA"], n_en=counts["EN"],
+                  grad_norm=update.grad_norm, update_norm=update.update_norm)

@@ -6,6 +6,10 @@ gradients come from the chain rule rather than a closed form. The fused
 ops in ``wvad.tensor`` run the same forward expressions in the same order,
 so their float32 forwards must match these bit for bit.
 
+``adam_step`` is the per-parameter optimiser update that
+``wvad.trainer.adam_step`` runs on one flat vector; both must give the same
+parameter and moment bits.
+
 The mining functions are the per-video form: one video at a time, sets
 built from index lists. ``mine_batch_per_video`` returns the four sorted
 (video_id, t) tuples that ``wvad.mining.mine_batch`` must reproduce from
@@ -18,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from wvad.mining import MinedSets
-from wvad.tensor import _accum, _result
+from wvad.tensor import _accum, _result, softmax
 
 
 # ---------------------------------------------------------------------
@@ -69,12 +73,41 @@ def dws_conv1d(x, depth_kernel, point_kernel):
     return acc @ point_kernel
 
 
+def multi_head_self_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
+    *lead, n, d = x.data.shape
+    dh = d // heads
+    r = len(lead)
+    to_heads = (*range(r), r + 1, r, r + 2)
+    q = (x @ wq + bq).reshape(*lead, n, heads, dh).transpose(to_heads)
+    k = (x @ wk + bk).reshape(*lead, n, heads, dh).transpose(*range(r), r + 1, r + 2, r)
+    v = (x @ wv + bv).reshape(*lead, n, heads, dh).transpose(to_heads)
+    attn = softmax((q @ k) * (1.0 / math.sqrt(dh)), axis=-1)
+    merged = (attn @ v).transpose(to_heads).reshape(*lead, n, d)
+    return merged @ wo + bo
+
+
 def info_nce(anchors, positives, negatives, temperature):
     s_ap = (anchors @ positives.T) * (1.0 / temperature)
     s_an = (anchors @ negatives.T) * (1.0 / temperature)
     neg_sum = s_an.exp().sum(axis=1, keepdims=True)
     log_ratio = s_ap - (s_ap.exp() + neg_sum).log()
     return -log_ratio.sum()
+
+
+# ---------------------------------------------------------------------
+# per-parameter Adam
+
+
+def adam_step(params, grads, m, v, t, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    """Step ``t`` (from 1) of Adam on each parameter in turn; ``m`` and
+    ``v`` are per-parameter lists, replaced in place."""
+    b1, b2 = betas
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = b1 * m[i] + (1.0 - b1) * g
+        v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+        m_hat = m[i] / (1.0 - b1 ** t)
+        v_hat = v[i] / (1.0 - b2 ** t)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * weight_decay * p.data
 
 
 # ---------------------------------------------------------------------

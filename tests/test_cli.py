@@ -292,6 +292,21 @@ def test_mine_matches_module_output(tmp_path, capsys):
     assert got.get("EN", []) == list(expected.easy_normal)
 
 
+@pytest.mark.parametrize("command", ["eval", "export-scores", "mine"])
+def test_every_command_keeps_the_freed_heap(command, trained_run, tiny_dataset, tmp_path,
+                                           monkeypatch, capsys):
+    """Each process sets the heap thresholds once, not only ``train``: a
+    scoring pass frees and reallocates its chunk buffers too."""
+    scores = tmp_path / "scores.csv"
+    write_scores_csv(scores, [("n0", 0, np.linspace(0, 1, 8)), ("a0", 1, np.linspace(1, 0, 8))])
+    calls = []
+    monkeypatch.setattr(cli, "keep_freed_heap", lambda: calls.append(command))
+    source = (["--scores", str(scores)] if command == "mine" else
+              ["--checkpoint", str(trained_run / "checkpoint.wvck"), "--data", str(tiny_dataset)])
+    assert cli.main([command, *source, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [command]
+
+
 def test_mine_empty_input_gives_empty_output(tmp_path, capsys):
     scores_path = tmp_path / "scores.csv"
     scores_path.write_text("", encoding="utf-8")
@@ -357,6 +372,18 @@ def no_test_dataset(tmp_path_factory):
     generate_dataset(SynthConfig(**(TINY_SYNTH | dict(n_normal_test=0,
                                                       n_abnormal_test=0))), root)
     return root
+
+
+def test_resume_with_corrupt_generator_state_exits_3(trained_run, tiny_dataset, tmp_path,
+                                                     capsys):
+    raw = (trained_run / "checkpoint.wvck").read_bytes()
+    bad = tmp_path / "bad.wvck"
+    bad.write_bytes(raw.replace(b'"PCG64"', b'"PCG65"'))
+    rc = cli.main(["train", "--config", tiny_config_file(tmp_path, train={"epochs": 3}),
+                   "--data", str(tiny_dataset), "--out", str(tmp_path / "t"),
+                   "--resume", str(bad)])
+    assert rc == 3
+    assert "generator state" in capsys.readouterr().err
 
 
 def test_eval_on_empty_test_split_exits_3(trained_run, no_test_dataset, tmp_path, capsys):

@@ -15,6 +15,7 @@ from wvad.encoder import (
     encode,
     init_params,
     load_checkpoint,
+    param_shapes,
     save_checkpoint,
     snippet_scores,
     video_score,
@@ -416,6 +417,22 @@ def test_checkpoint_rejects_truncation(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("cfg", [
+    {"model": "transformer", "encoder": {"d_model": 8.0, "heads": 2}},
+    {"model": "transformer", "encoder": {"depth": "2"}},
+    {"model": "linear", "d_in": 4.0},
+    ["transformer"],
+])
+def test_checkpoint_rejects_header_config_of_wrong_types(tmp_path, cfg):
+    import json
+    import struct
+    blob = json.dumps(cfg).encode()
+    path = tmp_path / "typed.ckpt"
+    path.write_bytes(b"WVCK" + struct.pack("<II", 1, len(blob)) + blob + b"\x00" * 4096)
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_unknown_model_kind(tmp_path):
     import json
     import struct
@@ -424,3 +441,34 @@ def test_checkpoint_rejects_unknown_model_kind(tmp_path):
     path.write_bytes(b"WVCK" + struct.pack("<I", 1) + struct.pack("<I", len(blob)) + blob)
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kw", [{}, {"use_positional": True, "depth": 3, "conv_width": 5}])
+def test_param_shapes_are_the_declared_parameters(kw):
+    m = make_model(**kw)
+    assert list(param_shapes(m.config)) == [(name, p.data.shape)
+                                             for name, p in m.named_params()]
+
+
+def test_checkpoint_payload_size_is_checked_before_allocation(tmp_path):
+    """A file of under 200 bytes whose header asks for a four-million-snippet
+    positional table is refused from the header alone."""
+    import json
+    import struct
+    import tracemalloc
+    cfg = {"model": "transformer",
+           "encoder": {"num_snippets": 4_000_000, "d_in": 32, "d_model": 32, "heads": 4,
+                       "depth": 2, "conv_width": 3, "dropout_rate": 0.0,
+                       "use_positional": True}}
+    blob = json.dumps(cfg, separators=(",", ":")).encode()
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(b"WVCK" + struct.pack("<II", 1, len(blob)) + blob)
+    assert path.stat().st_size < 200
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20, peak

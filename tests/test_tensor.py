@@ -652,6 +652,10 @@ def test_l2_normalize_fd():
 # the fused ops against their composed forms (tests/oracles.py)
 
 
+FUSED_OPS = ["layer_norm", "gelu", "l2_normalize", "dws_conv1d", "info_nce", "attention",
+             "attention_2d", "attention_d36"]
+
+
 def _fused_cases(rng, dtype):
     x = rng.normal(size=(32, 33, 32)).astype(dtype)
     gamma = rng.uniform(0.5, 1.5, size=32).astype(dtype)
@@ -660,7 +664,19 @@ def _fused_cases(rng, dtype):
     point = rng.normal(size=(32, 32)).astype(dtype) / 6.0
     rows = [r / np.linalg.norm(r, axis=1, keepdims=True)
             for r in (rng.normal(size=(n, 32)).astype(dtype) for n in (40, 20, 48))]
+    proj, wide = ([a.astype(dtype) for _ in range(4)
+                   for a in (rng.normal(size=(d, d)) / 6.0, rng.normal(size=d) * 0.1)]
+                  for d in (32, 36))
     return {
+        "attention": ((x, *proj), lambda *a: multi_head_self_attention(*a, heads=4),
+                      lambda *a: oracles.multi_head_self_attention(*a, heads=4)),
+        "attention_2d": ((x[3], *proj), lambda *a: multi_head_self_attention(*a, heads=4),
+                         lambda *a: oracles.multi_head_self_attention(*a, heads=4)),
+        # a width that is no multiple of the BLAS kernel's column tile, where
+        # one product with [wq|wk|wv] would round Q, K and V differently
+        "attention_d36": ((rng.normal(size=(5, 17, 36)).astype(dtype), *wide),
+                          lambda *a: multi_head_self_attention(*a, heads=4),
+                          lambda *a: oracles.multi_head_self_attention(*a, heads=4)),
         "layer_norm": ((x, gamma, beta), layer_norm, oracles.layer_norm),
         "gelu": ((x,), gelu, oracles.gelu),
         "l2_normalize": ((x,), l2_normalize, oracles.l2_normalize),
@@ -670,8 +686,7 @@ def _fused_cases(rng, dtype):
     }
 
 
-@pytest.mark.parametrize("name", ["layer_norm", "gelu", "l2_normalize", "dws_conv1d",
-                                  "info_nce"])
+@pytest.mark.parametrize("name", FUSED_OPS)
 def test_fused_forward_is_bitwise_the_composed_form(name):
     args, fused, composed = _fused_cases(np.random.default_rng(90), np.float32)[name]
     want = composed(*(Tensor(a) for a in args)).data
@@ -680,8 +695,7 @@ def test_fused_forward_is_bitwise_the_composed_form(name):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("name", ["layer_norm", "gelu", "l2_normalize", "dws_conv1d",
-                                  "info_nce"])
+@pytest.mark.parametrize("name", FUSED_OPS)
 def test_fused_gradient_matches_the_composed_form(name):
     rng = np.random.default_rng(91)
     args, fused, composed = _fused_cases(rng, np.float64)[name]

@@ -4,10 +4,12 @@ determinism, bitwise checkpoint resume, and failure diagnostics."""
 import builtins
 import errno
 import math
+import struct
 
 import numpy as np
 import pytest
 
+import oracles
 import wvad.encoder as encoder_mod
 import wvad.trainer as trainer_mod
 from wvad.encoder import EncoderConfig, save_checkpoint
@@ -127,9 +129,65 @@ def test_adam_moments_stay_float32():
     p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
     st = AdamState.for_params([("p", p)])
     adam_step([p], [np.array([0.5], dtype=np.float32)], st, lr=0.1)
-    assert st.m[0].dtype == np.float32
-    assert st.v[0].dtype == np.float32
+    assert st.m.dtype == np.float32
+    assert st.v.dtype == np.float32
     assert p.data.dtype == np.float32
+
+
+def _adam_params(seed):
+    rng = np.random.default_rng(seed)
+    shapes = [(3, 4), (4,), (), (2, 3), (5,)]
+    return [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in shapes]
+
+
+def test_adam_state_is_one_flat_vector_per_moment():
+    params = _adam_params(0)
+    st = AdamState.for_params([(str(i), p) for i, p in enumerate(params)])
+    assert st.m.shape == st.v.shape == (12 + 4 + 1 + 6 + 5,)
+
+
+def test_flat_adam_is_bitwise_the_per_parameter_update():
+    """20 steps with weight decay; parameter 2 never gets a gradient (the
+    zeros ``train_step`` passes for it)."""
+    params, ref = _adam_params(1), _adam_params(1)
+    rng = np.random.default_rng(2)
+    st = AdamState.for_params([(str(i), p) for i, p in enumerate(params)])
+    m = [np.zeros_like(p.data) for p in ref]
+    v = [np.zeros_like(p.data) for p in ref]
+    for t in range(1, 21):
+        grads = [(rng.normal(size=p.data.shape) * 10.0 ** rng.integers(-4, 3))
+                 .astype(np.float32) for p in params]
+        grads[2] = np.zeros_like(params[2].data)
+        adam_step(params, grads, st, lr=3e-3, weight_decay=5e-4)
+        oracles.adam_step(ref, grads, m, v, t, lr=3e-3, weight_decay=5e-4)
+        for p, r in zip(params, ref):
+            assert p.data.shape == r.data.shape
+            assert p.data.tobytes() == r.data.tobytes()
+        assert st.m.tobytes() == b"".join(x.tobytes() for x in m)
+        assert st.v.tobytes() == b"".join(x.tobytes() for x in v)
+    assert st.t == 20
+
+
+def test_adam_names_the_parameter_of_a_non_finite_gradient():
+    params = _adam_params(3)
+    st = AdamState.for_params([(str(i), p) for i, p in enumerate(params)])
+    before = [p.data.tobytes() for p in params]
+    grads = [np.zeros_like(p.data) for p in params]
+    grads[3][0, 0] = np.inf      # the first value of its block, on the boundary
+    grads[4][0] = np.nan
+    with pytest.raises(TrainingError, match="parameter 3 "):
+        adam_step(params, grads, st, lr=0.1)
+    assert [p.data.tobytes() for p in params] == before
+
+
+def test_adam_reports_gradient_and_update_norms():
+    p = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+    st = AdamState.for_params([("p", p)])
+    update = adam_step([p], [np.array([3.0, -4.0], dtype=np.float32)], st, lr=0.1)
+    assert update.grad_norm == 5.0
+    # a first step moves every element by lr * g / (|g| + eps)
+    assert update.update_norm == pytest.approx(0.1 * math.sqrt(2.0), rel=1e-6)
+    assert update.params.tobytes() == p.data.tobytes()
 
 
 # ---------------------------------------------------------------------
@@ -188,6 +246,7 @@ def test_train_zero_lr_leaves_params_untouched():
     res = train(videos, cfg)
     after = {k: p.data.tobytes() for k, p in res.model.named_params()}
     assert before == after
+    assert all(r.update_norm == 0.0 and r.grad_norm > 0.0 for r in res.log)
 
 
 def test_train_mining_warmup_delays_contrastive():
@@ -212,11 +271,37 @@ def test_train_writes_log_csv(tmp_path):
     cfg = micro_config(epochs=2)
     res = train(videos, cfg, out_dir=tmp_path / "run")
     text = (tmp_path / "run" / "log.csv").read_text().strip().splitlines()
-    assert text[0] == "step,epoch,l_total,l_snp,l_vid,l_reg,l_cnt,n_ha,n_hn,n_ea,n_en"
+    assert text[0] == ("step,epoch,l_total,l_snp,l_vid,l_reg,l_cnt,n_ha,n_hn,n_ea,n_en,"
+                       "grad_norm,update_norm")
     assert len(text) == 1 + len(res.log)
     first = text[1].split(",")
     assert int(first[0]) == res.log[0].step
     assert float(first[2]) == res.log[0].l_total
+    assert float(first[11]) == res.log[0].grad_norm > 0.0
+    assert float(first[12]) == res.log[0].update_norm > 0.0
+
+
+def test_logged_norms_are_those_of_the_applied_step(monkeypatch):
+    """grad_norm is the norm of every parameter's gradient as one vector,
+    update_norm that of the change Adam made to the parameters."""
+    videos = micro_videos()
+    seen = []
+    step = trainer_mod.adam_step
+
+    def recording(params, grads, state, **kw):
+        before = np.concatenate([p.data.ravel() for p in params]).astype(np.float64)
+        g = np.concatenate([np.ravel(x) for x in grads]).astype(np.float64)
+        update = step(params, grads, state, **kw)
+        after = np.concatenate([p.data.ravel() for p in params]).astype(np.float64)
+        seen.append((np.linalg.norm(g), np.linalg.norm(after - before)))
+        return update
+
+    monkeypatch.setattr(trainer_mod, "adam_step", recording)
+    res = train(videos, micro_config(epochs=2))
+    assert len(seen) == len(res.log)
+    for row, (g, u) in zip(res.log, seen):
+        assert row.grad_norm == pytest.approx(g, rel=1e-12)
+        assert row.update_norm == pytest.approx(u, rel=1e-6)
 
 
 def test_train_linear_model():
@@ -341,6 +426,32 @@ def test_resume_rejects_truncated_optimiser(tmp_path):
         train(videos, micro_config(epochs=2), resume=tmp_path / "cut.wvck")
 
 
+def _with_generator_state(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with its generator-state JSON
+    text replaced by ``edit(text)``."""
+    model, extra = encoder_mod.load_checkpoint(src)
+    step, next_epoch, n = struct.unpack_from("<III", extra, 4)
+    blob = edit(extra[16:16 + n].decode("utf-8")).encode("utf-8")
+    save_checkpoint(dst, model, extra=extra[:4] + struct.pack("<III", step, next_epoch, len(blob))
+                    + blob + extra[16 + n:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda s: s.replace('"PCG64"', '"PCG65"'),      # another generator's name
+    lambda s: "[1, 2]",                              # valid JSON of the wrong type
+    lambda s: s.replace('"inc"', '"inx"'),           # a missing key
+    lambda s: s.replace('"has_uint32": 0', '"has_uint32": "no"'),
+], ids=["name", "type", "key", "value"])
+def test_resume_rejects_corrupt_generator_state(tmp_path, edit):
+    videos = micro_videos()
+    out = tmp_path / "run"
+    train(videos, micro_config(epochs=1), out_dir=out)
+    bad = tmp_path / "bad.wvck"
+    _with_generator_state(out / "checkpoint.wvck", bad, edit)
+    with pytest.raises(FormatError, match="generator state"):
+        train(videos, micro_config(epochs=2), resume=bad)
+
+
 def test_nonfinite_loss_aborts_with_step(monkeypatch):
     videos = micro_videos()
 
@@ -356,10 +467,11 @@ def test_nonfinite_loss_aborts_with_step(monkeypatch):
 
 def test_mined_step_is_one_small_graph(monkeypatch):
     """One arm-d step with mining engaged, on the reference shapes (16 + 16
-    videos, T=32, D_in=D=32), builds one taped graph of at most 169 nodes,
-    counted with the walk backward replays: layer norm, GELU, L2
+    videos, T=32, D_in=D=32), builds one taped graph of at most 131 nodes,
+    counted with the walk backward replays: attention, layer norm, GELU, L2
     normalisation, the conv taps and each InfoNCE direction are one node
-    each (265 nodes when they were composed; a graph per video holds 6,483)."""
+    each (169 nodes with composed attention, 265 with every op composed; a
+    graph per video holds 6,483)."""
     cfg = TrainConfig(mining_warmup_epochs=0)
     assert cfg.encoder.num_snippets == cfg.encoder.d_in == cfg.encoder.d_model == 32
     videos = micro_videos(n_normal=16, n_abnormal=16, t=32, d=32, seed=5)
@@ -377,7 +489,7 @@ def test_mined_step_is_one_small_graph(monkeypatch):
     train_step(model, videos, cfg, AdamState.for_params(model.named_params()),
                np.random.default_rng(0), step=1, epoch=0)
     assert all(seen["mined"].values()), seen["mined"]   # every term is in the graph
-    assert seen["nodes"] <= 169, seen["nodes"]
+    assert seen["nodes"] <= 131, seen["nodes"]
 
 
 def test_overfit_single_batch_drives_loss_down():
