@@ -77,6 +77,9 @@ def load_config(path=None, seed_override=None) -> ResolvedConfig:
     if path is not None:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: config is not UTF-8: byte 0x{e.object[e.start]:02x} "
+                              f"at offset {e.start}") from None
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: config is not valid JSON: {e}") from e
         if not isinstance(data, dict):
@@ -170,6 +173,12 @@ def score_videos(model, videos) -> np.ndarray:
                                for i in range(0, len(features), SCORE_CHUNK)])
 
 
+def _frame_maps(videos, t: int) -> dict[int, np.ndarray]:
+    """Each frame's snippet index, once per distinct frame count."""
+    return {n: snippet_to_frame_scores(np.arange(t), n)
+            for n in {v.record.num_frames for v in videos}}
+
+
 def evaluate_model(model, videos) -> tuple[float, float, np.ndarray]:
     """Frame-level AUC/AP of a model over loaded test videos, and the
     videos' (N, T) snippet scores."""
@@ -178,10 +187,10 @@ def evaluate_model(model, videos) -> tuple[float, float, np.ndarray]:
             raise FormatError(f"video {v.record.id} has no frame labels; "
                               "evaluation needs the test split")
     scores = score_videos(model, videos)
+    maps = _frame_maps(videos, scores.shape[1])
     record = EvalRecord(
-        frame_scores=np.concatenate([
-            snippet_to_frame_scores(s, v.record.num_frames)
-            for v, s in zip(videos, scores.astype(np.float64))]),
+        frame_scores=np.concatenate([row[maps[v.record.num_frames]]
+                                     for v, row in zip(videos, scores)]),
         frame_labels=np.concatenate([v.frame_labels for v in videos]))
     auc, ap = evaluate(record)
     return auc, ap, scores
@@ -204,15 +213,15 @@ def _write_csv(path, columns, chunks):
 def _frame_lines(videos, scores):
     """frame_scores.csv text per video. The part of a line after the frame
     index is one of 2T strings: its snippet's score repr and a 0/1 label."""
-    heads: dict[int, np.ndarray] = {}
+    maps = _frame_maps(videos, scores.shape[1])
+    heads = {n: np.array([f"{f}," for f in range(n)], dtype=object) for n in maps}
     for v, row in zip(videos, scores.tolist()):
         n = v.record.num_frames
-        if n not in heads:
-            heads[n] = np.array([f"{f}," for f in range(n)], dtype=object)
-        tails = np.array([f"{s!r},{label}\n" for s in row for label in (0, 1)], dtype=object)
-        snippet = snippet_to_frame_scores(np.arange(len(row)), n)
-        lines = (_csv_field(v.record.id) + ",") + heads[n] + tails[2 * snippet + v.frame_labels]
-        yield "".join(lines.tolist())
+        tails = np.array([f"{s},{label}\n" for s in map(repr, row) for label in (0, 1)],
+                         dtype=object)
+        lines = heads[n] + tails[2 * maps[n] + v.frame_labels]
+        prefix = _csv_field(v.record.id) + ","
+        yield prefix + prefix.join(lines.tolist())
 
 
 def _score_lines(videos, scores):
@@ -284,6 +293,9 @@ def _read_scores_csv(path) -> list[tuple[str, int, np.ndarray]]:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8: byte 0x{e.object[e.start]:02x} "
+                          f"at offset {e.start}") from None
     lines = text.splitlines()
     if not lines:
         return []

@@ -1,10 +1,12 @@
 """Frame-level evaluation: score expansion, ROC-AUC, average precision.
 
-Both metrics return the correctly rounded float64 value of an exact rational:
+Both metrics come from one sort of the scores into tie groups (each
+group's start, size and positive count) and return the correctly rounded
+float64 value of an exact rational:
 
-* ``roc_auc`` uses the average-rank form of the Mann-Whitney statistic. The
-  rank sum is a sum of halves of integers, exact in float64 for any feasible
-  n, so the single final division is the only rounding step.
+* ``roc_auc`` uses the average-rank form of the Mann-Whitney statistic.
+  Twice the positives' rank sum is an integer, so the statistic is exact
+  and the single final division is the only rounding step.
 * ``average_precision`` computes each precision term with one float division
   and combines them with ``math.fsum`` (exact summation, rounded once), so
   the result does not depend on accumulation order.
@@ -69,24 +71,61 @@ def _validate(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return s, y
 
 
-def roc_auc(scores, labels) -> float:
-    """Exact pairwise ranking probability with half credit for ties."""
-    s, y = _validate(scores, labels)
+def _tie_groups(s: np.ndarray, y: np.ndarray):
+    """The tie groups of validated scores in ascending order, from one sort:
+    each group's start in the sorted order, its size and its positive count.
+
+    Only these counts enter either metric, never the order inside a group,
+    so the sort need not be stable. Positives are counted in int64 whatever
+    the label dtype (frame labels are uint8): a count in the labels' own
+    dtype would wrap at 256, and an unsigned one would turn arithmetic with
+    the int64 positions into float64.
+    """
+    order = np.argsort(s)
+    sorted_s = s[order]
+    first = np.empty(s.size, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_s[1:], sorted_s[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=s.size)
+    positives = np.add.reduceat(y[order].astype(np.int64), starts)
+    return starts, sizes, positives
+
+
+def _auc(groups, n_pos: int, n_neg: int) -> float:
+    starts, sizes, positives = groups
+    # a group's average 1-based rank is (start + end + 1) / 2; twice the
+    # positives' rank sum is an exact integer, and so is twice Mann-Whitney U
+    twice_rank_sum = int(positives @ (2 * starts + sizes + 1))
+    return (twice_rank_sum - n_pos * (n_pos + 1)) / (2 * n_pos * n_neg)
+
+
+def _ap(groups, n_pos: int) -> float:
+    starts, sizes, positives = (a[::-1] for a in groups)
+    # walking the groups by descending score, negatives first inside a group:
+    # the j-th positive of a group sits at 0-based position
+    # start_desc + (size - positives) + j and is hit number hits_before + j + 1
+    ends = starts + sizes
+    start_desc = ends[0] - ends   # ends[0], the top group's end, is n
+    hits_before = np.cumsum(positives) - positives
+    hits = np.arange(1, n_pos + 1)
+    ranks = np.repeat(start_desc + sizes - positives - hits_before, positives) + hits
+    return math.fsum((hits / ranks).tolist()) / n_pos
+
+
+def _both_classes(y: np.ndarray) -> tuple[int, int]:
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError(f"roc_auc needs both classes, got {n_pos} pos / {n_neg} neg")
-    order = np.argsort(s, kind="stable")
-    sorted_s = s[order]
-    # average 1-based rank per tie group
-    _, inverse, counts = np.unique(sorted_s, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    group_rank = (starts + ends + 1) / 2.0
-    ranks = np.empty(s.size, dtype=np.float64)
-    ranks[order] = group_rank[inverse]
-    rank_sum = ranks[y == 1].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return n_pos, n_neg
+
+
+def roc_auc(scores, labels) -> float:
+    """Exact pairwise ranking probability with half credit for ties."""
+    s, y = _validate(scores, labels)
+    n_pos, n_neg = _both_classes(y)
+    return _auc(_tie_groups(s, y), n_pos, n_neg)
 
 
 def average_precision(scores, labels) -> float:
@@ -95,16 +134,12 @@ def average_precision(scores, labels) -> float:
     n_pos = int(y.sum())
     if n_pos == 0:
         raise MetricError("average_precision needs at least one positive")
-    # descending score; at equal score the negative sorts first
-    order = np.lexsort((y, -s))
-    ranked = y[order]
-    hits = np.cumsum(ranked)
-    positions = np.nonzero(ranked == 1)[0]
-    terms = [float(hits[i]) / float(i + 1) for i in positions]
-    return math.fsum(terms) / n_pos
+    return _ap(_tie_groups(s, y), n_pos)
 
 
 def evaluate(record: EvalRecord) -> tuple[float, float]:
-    """AUC and AP of one evaluation record."""
-    return (roc_auc(record.frame_scores, record.frame_labels),
-            average_precision(record.frame_scores, record.frame_labels))
+    """AUC and AP of one evaluation record, from one sort of its scores."""
+    s, y = _validate(record.frame_scores, record.frame_labels)
+    n_pos, n_neg = _both_classes(y)
+    groups = _tie_groups(s, y)
+    return _auc(groups, n_pos, n_neg), _ap(groups, n_pos)

@@ -120,11 +120,19 @@ def write_features(features: np.ndarray, path):
         fh.write(np.ascontiguousarray(features, dtype="<f4").tobytes())
 
 
+def _read_bytes(path) -> bytes:
+    """A file the manifest names; a missing one is a malformed dataset."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise FormatError(f"{path}: no such file") from None
+
+
 def load_features(path) -> np.ndarray:
     """Read a feature file back as float32, validating the header and
     refusing non-finite values, which ``write_features`` never writes."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    buf = _read_bytes(path)
     if len(buf) < 16:
         raise FormatError(f"{path}: truncated header ({len(buf)} bytes, need 16)")
     if buf[:4] != FEATURE_MAGIC:
@@ -147,8 +155,7 @@ def load_features(path) -> np.ndarray:
 
 
 def load_frame_labels(path, num_frames: int) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_bytes(path)
     if len(raw) != num_frames:
         raise FormatError(f"{path}: {len(raw)} label bytes, expected {num_frames}")
     labels = np.frombuffer(raw, dtype=np.uint8)
@@ -250,6 +257,9 @@ def load_manifest(root) -> tuple[dict, list[VideoRecord]]:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise FormatError(f"{path}: no manifest found") from None
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8: byte 0x{e.object[e.start]:02x} "
+                          f"at offset {e.start}") from None
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: invalid JSON: {e}") from e
     if manifest.get("format_version") != 1:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import functools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -291,6 +292,7 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 
+@functools.cache
 def keep_freed_heap():
     """Keep the memory a step frees in the heap for the next step.
 
@@ -300,8 +302,10 @@ def keep_freed_heap():
     next step faults the pages back in: about 2.4k page faults and 7 ms of
     kernel time per step, a quarter of the step. Fixed thresholds of 16 MB
     (mmap) and 64 MB (trim) keep the working set; a training run's peak
-    RSS is unchanged. A process-wide setting, which ``cli.main`` also makes
-    for every subcommand; without glibc's ``mallopt`` this does nothing.
+    RSS is unchanged. A process-wide setting: ``train_step`` asks for it on
+    every call and ``cli.main`` for every subcommand, and only the first
+    call in a process does the work. Without glibc's ``mallopt`` this does
+    nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -322,7 +326,6 @@ def train(videos: Sequence[VideoTriple], config: TrainConfig,
     """
     sampler = BalancedSampler([label for _, label, _ in videos],
                               config.batch_normal, config.batch_abnormal)
-    keep_freed_heap()
     if resume is not None:
         model, extra = load_checkpoint(resume)
         if model.kind != config.model:
@@ -383,6 +386,7 @@ def train_step(model, batch_videos: Sequence[VideoTriple], config: TrainConfig,
 
     The batch is stacked once into a (B, T, D_in) array, so the whole step
     is one taped graph."""
+    keep_freed_heap()
     video_ids = [video_id for video_id, _, _ in batch_videos]
     labels = np.array([label for _, label, _ in batch_videos])
     out = model.forward(np.stack([feats for _, _, feats in batch_videos]), rng=rng)

@@ -14,6 +14,12 @@ The mining functions are the per-video form: one video at a time, sets
 built from index lists. ``mine_batch_per_video`` returns the four sorted
 (video_id, t) tuples that ``wvad.mining.mine_batch`` must reproduce from
 its (B, T) masks.
+
+``roc_auc`` and ``average_precision`` are the metrics as they were before
+``wvad.metrics`` computed both from one sort into tie groups: an
+``argsort`` with ``np.unique`` ranks for AUC and a ``lexsort`` with a hit
+cumsum for AP. Both round the same exact rationals once, so the library's
+values must equal theirs with ``==``.
 """
 
 import math
@@ -21,6 +27,8 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from wvad.errors import MetricError
+from wvad.metrics import _validate
 from wvad.mining import MinedSets
 from wvad.tensor import _accum, _result, softmax
 
@@ -170,3 +178,40 @@ def mined_sets(video_ids, t_len, ha=(), ea=(), hn=(), en=()):
             mask[row[vid], t] = True
     return MinedSets(tuple(video_ids), *masks)
 
+
+
+# ---------------------------------------------------------------------
+# metrics with a sort per metric
+
+
+def roc_auc(scores, labels) -> float:
+    s, y = _validate(scores, labels)
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise MetricError(f"roc_auc needs both classes, got {n_pos} pos / {n_neg} neg")
+    order = np.argsort(s, kind="stable")
+    sorted_s = s[order]
+    # average 1-based rank per tie group
+    _, inverse, counts = np.unique(sorted_s, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    group_rank = (starts + ends + 1) / 2.0
+    ranks = np.empty(s.size, dtype=np.float64)
+    ranks[order] = group_rank[inverse]
+    rank_sum = ranks[y == 1].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def average_precision(scores, labels) -> float:
+    s, y = _validate(scores, labels)
+    n_pos = int(y.sum())
+    if n_pos == 0:
+        raise MetricError("average_precision needs at least one positive")
+    # descending score; at equal score the negative sorts first
+    order = np.lexsort((y, -s))
+    ranked = y[order]
+    hits = np.cumsum(ranked)
+    positions = np.nonzero(ranked == 1)[0]
+    terms = [float(hits[i]) / float(i + 1) for i in positions]
+    return math.fsum(terms) / n_pos

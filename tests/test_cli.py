@@ -459,6 +459,43 @@ def test_eval_rejects_fewer_frames_than_snippets(trained_run, tmp_path, capsys):
     assert victim["id"] in err and "frames" in err
 
 
+def test_mine_rejects_a_non_utf8_score_csv(tmp_path, capsys):
+    scores_path = tmp_path / "scores.csv"
+    write_scores_csv(scores_path, [("n0", 0, np.linspace(0, 1, 6)),
+                                   ("a0", 1, np.linspace(1, 0, 6))])
+    raw = scores_path.read_bytes()
+    at = raw.index(b"a0")
+    scores_path.write_bytes(raw[:at] + b"\x97" + raw[at + 1:])
+    rc = cli.main(["mine", "--scores", str(scores_path), "--out", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(scores_path) in err and f"offset {at}" in err and "0x97" in err
+    assert not (tmp_path / "m" / "mined.csv").exists()
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = Path(tiny_config_file(tmp_path))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:5] + b"\xff" + raw[6:])
+    rc = cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "d")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "offset 5" in err
+
+
+def test_eval_rejects_a_non_utf8_manifest(trained_run, tmp_path, capsys):
+    data = tmp_path / "data"
+    generate_dataset(SynthConfig(**TINY_SYNTH), data)
+    raw = (data / "manifest.json").read_bytes()
+    at = raw.index(b'"id"') + 1
+    (data / "manifest.json").write_bytes(raw[:at] + b"\xe9" + raw[at + 1:])
+    rc = cli.main(["eval", "--checkpoint", str(trained_run / "checkpoint.wvck"),
+                   "--data", str(data)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(data / "manifest.json") in err and f"offset {at}" in err
+
+
 # ---------------------------------------------------------------------
 # gradcheck
 

@@ -1,10 +1,12 @@
-"""Metric tests against O(n^2) pairwise oracles.
+"""Metric tests against O(n^2) pairwise oracles and the per-metric sorts.
 
 The oracles below never sort: AUC counts every positive/negative pair with
 Fraction arithmetic, and AP derives each positive's rank by pairwise
-comparison under the same tie order the implementation documents. Equality
-assertions are exact (==): both routes compute the same rational and round
-it once, so any difference is a real bug, not noise.
+comparison under the same tie order the implementation documents. For
+inputs too large for them, ``oracles.roc_auc``/``average_precision`` (one
+sort per metric, each ranking every frame) are the reference. Equality
+assertions are exact (==): every route computes the same rational and
+rounds it once, so any difference is a real bug, not noise.
 """
 
 import itertools
@@ -14,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from wvad.errors import MetricError
 from wvad.metrics import (
     EvalRecord,
@@ -231,6 +234,83 @@ def test_random_medium_cases_match_oracles_exactly():
                   else np.round(rng.random(n), 1))   # rounded -> many ties
         assert roc_auc(scores, labels) == bf_auc(scores.tolist(), labels.tolist())
         assert average_precision(scores, labels) == bf_ap(scores.tolist(), labels.tolist())
+
+
+def frame_like(rng, n_snippets, frames, pos_rate, levels=None):
+    """Frame scores as ``wvad eval`` builds them: float32 snippet scores
+    (optionally rounded to ``levels`` values) repeated per frame, with
+    uint8 labels."""
+    s = rng.random(n_snippets).astype(np.float32)
+    if levels is not None:
+        s = (np.floor(s * levels) / levels).astype(np.float32)
+    scores = np.repeat(s, frames).astype(np.float64)
+    labels = (rng.random(scores.size) < pos_rate).astype(np.uint8)
+    labels[:2] = (0, 1)
+    return scores, labels
+
+
+def assert_matches_per_metric_sorts(scores, labels):
+    want = (oracles.roc_auc(scores, labels), oracles.average_precision(scores, labels))
+    assert roc_auc(scores, labels) == want[0]
+    assert average_precision(scores, labels) == want[1]
+    assert evaluate(EvalRecord(scores, labels)) == want
+
+
+@pytest.mark.parametrize("levels", [None, 7, 100])
+@pytest.mark.parametrize("pos_rate", [0.03, 0.4, 0.97])
+def test_large_tie_heavy_frames_match_the_per_metric_sorts(levels, pos_rate):
+    rng = np.random.default_rng(1000 + (levels or 0) + int(100 * pos_rate))
+    assert_matches_per_metric_sorts(*frame_like(rng, 3000, 16, pos_rate, levels))
+
+
+def test_tie_group_with_more_than_255_positives():
+    """A uint8 count over one group wraps at 256; the group counts are int64."""
+    rng = np.random.default_rng(5)
+    scores = np.concatenate([np.full(700, 0.5), rng.random(300)])
+    labels = np.concatenate([np.ones(600, np.uint8), np.zeros(100, np.uint8),
+                             (rng.random(300) < 0.5).astype(np.uint8)])
+    perm = rng.permutation(scores.size)
+    assert_matches_per_metric_sorts(scores[perm], labels[perm])
+
+
+def test_all_tied_input():
+    labels = np.array([1, 0, 0, 1, 1, 0, 1], dtype=np.uint8)
+    scores = np.full(labels.size, 0.25, dtype=np.float32).astype(np.float64)
+    assert_matches_per_metric_sorts(scores, labels)
+    assert roc_auc(scores, labels) == 0.5
+    # every negative ranks first: the positives sit at ranks 4..7
+    assert average_precision(scores, labels) == math.fsum([1 / 4, 2 / 5, 3 / 6, 4 / 7]) / 4
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_single_class_frames_rejected_as_before(label):
+    scores = np.linspace(0.0, 1.0, 50)
+    labels = np.full(50, label, dtype=np.uint8)
+    with pytest.raises(MetricError) as want:
+        oracles.roc_auc(scores, labels)
+    with pytest.raises(MetricError) as got:
+        evaluate(EvalRecord(scores, labels))
+    assert str(got.value) == str(want.value)
+    with pytest.raises(MetricError) as got:
+        roc_auc(scores, labels)
+    assert str(got.value) == str(want.value)
+
+
+def test_evaluate_sorts_the_frames_once(monkeypatch):
+    """AUC and AP share one sort of the scores (the per-metric route made
+    three: an argsort, the sort inside np.unique and a lexsort)."""
+    calls = []
+    for name in ("argsort", "lexsort", "unique", "sort"):
+        original = getattr(np, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    scores, labels = frame_like(np.random.default_rng(9), 200, 16, 0.3, levels=20)
+    evaluate(EvalRecord(scores, labels))
+    assert calls == ["argsort"]
 
 
 # ---------------------------------------------------------------------

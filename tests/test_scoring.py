@@ -5,7 +5,8 @@
 here is the per-video path they replaced: one untaped ``forward`` per
 video, then one ``csv.writer`` row and one ``repr`` per frame or snippet.
 The files must match it byte for byte, including a video id that csv has
-to quote.
+to quote, videos of different frame counts and labels that change inside a
+snippet; the printed AUC/AP must be the per-metric sorts' values.
 """
 
 import csv
@@ -16,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from wvad import cli
 from wvad.encoder import EncoderConfig, LinearModel, TransformerModel, save_checkpoint
 from wvad.metrics import snippet_to_frame_scores
@@ -148,6 +150,47 @@ def test_csvs_match_the_per_row_oracle(kind, quoted_dataset, tmp_path, capsys):
     assert read("scores/scores.csv") == oracle_scores_csv(model, videos).encode()
     assert read("mined/mined.csv") == oracle_mined_csv(model, videos).encode()
     assert b'"a,""b"""' in read("scores/scores.csv")
+
+
+@pytest.fixture(scope="module")
+def ragged_dataset(tmp_path_factory):
+    """A test split whose videos differ in frame count (37 frames for 8
+    snippets does not divide), whose frame labels change inside a snippet,
+    and with one id that csv has to quote."""
+    root = tmp_path_factory.mktemp("ragged")
+    generate_dataset(SynthConfig(**SYNTH), root)
+    manifest_path = root / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    rng = np.random.default_rng(21)
+    for video, frames in zip(manifest["videos"], [37, 8, 64, 40, 37, 13]):
+        video["num_frames"] = frames
+        labels = (rng.random(frames) < 0.4).astype(np.uint8)
+        (root / video["frame_label_file"]).write_bytes(labels.tobytes())
+    manifest["videos"][-1]["id"] = QUOTED_ID
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    return root
+
+
+def test_eval_of_a_ragged_split_matches_the_per_row_oracle(ragged_dataset, tmp_path, capsys):
+    model = TransformerModel.init(EncoderConfig(**ENCODER), seed=6)
+    ckpt = tmp_path / "model.wvck"
+    save_checkpoint(ckpt, model)
+    videos = load_split(ragged_dataset, "test")
+    assert len({v.record.num_frames for v in videos}) == 5
+    snippet = snippet_to_frame_scores(np.arange(8), 37)
+    changes = np.diff(videos[0].frame_labels.astype(int)) != 0
+    assert np.any(changes & (np.diff(snippet) == 0))   # a label flips inside a snippet
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(ragged_dataset),
+                     "--out", str(tmp_path / "eval")]) == 0
+    want = oracle_frame_scores_csv(model, videos)
+    assert (tmp_path / "eval" / "frame_scores.csv").read_bytes() == want.encode()
+    rows = list(csv.reader(io.StringIO(want)))[1:]
+    scores = np.array([float(r[2]) for r in rows])
+    labels = np.array([int(r[3]) for r in rows], dtype=np.uint8)
+    auc, ap = oracles.roc_auc(scores, labels), oracles.average_precision(scores, labels)
+    assert capsys.readouterr().out == f"AUC={auc:.6f} AP={ap:.6f}\n"
+    assert cli.evaluate_model(model, videos)[:2] == (auc, ap)
 
 
 # ---------------------------------------------------------------------

@@ -501,3 +501,42 @@ def test_overfit_single_batch_drives_loss_down():
     first = res.log[0].l_total
     last = res.log[-1].l_total
     assert last < 0.5 * first
+
+
+# ---------------------------------------------------------------------
+# heap thresholds
+
+
+def test_train_step_driven_directly_keeps_the_freed_heap(monkeypatch):
+    """A loop over ``train_step`` outside ``train`` (a notebook, a profiling
+    script) gets the heap thresholds too."""
+    calls = []
+    monkeypatch.setattr(trainer_mod, "keep_freed_heap", lambda: calls.append(1))
+    cfg = micro_config()
+    model = trainer_mod._build_model(cfg)
+    opt = AdamState.for_params(model.named_params())
+    rng = np.random.default_rng(0)
+    for step in (1, 2):
+        train_step(model, micro_videos()[1:5], cfg, opt, rng, step=step, epoch=0)
+    assert len(calls) == 2
+
+
+def test_keep_freed_heap_sets_the_thresholds_once_per_process(monkeypatch):
+    """Every step calls it, so the ``ctypes`` lookup and the two ``mallopt``
+    calls run on the first call only."""
+    made = []
+
+    class FakeLibc:
+        def __init__(self, name):
+            made.append(name)
+            self.mallopt = lambda param, value: made.append((param, value))
+
+    trainer_mod.keep_freed_heap.cache_clear()
+    monkeypatch.setattr(trainer_mod.ctypes, "CDLL", FakeLibc)
+    try:
+        for _ in range(3):
+            trainer_mod.keep_freed_heap()
+        assert made == [None, (trainer_mod._M_MMAP_THRESHOLD, 16 << 20),
+                        (trainer_mod._M_TRIM_THRESHOLD, 64 << 20)]
+    finally:
+        trainer_mod.keep_freed_heap.cache_clear()
