@@ -23,6 +23,7 @@ returns them untouched.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -42,6 +43,7 @@ from .tensor import (
     dws_conv1d,
     gelu,
     layer_norm,
+    linear,
     multi_head_self_attention,
 )
 
@@ -146,19 +148,22 @@ class EncodedVideo:
 
     tokens: Tensor
 
-    @property
+    @functools.cached_property
     def snippet_features(self) -> Tensor:
+        """Rows 1..T, one slice shared by the snippet head and the features."""
         return self.tokens[..., 1:, :]
 
 
 @dataclass
-class VideoForward:
-    """Forward results consumed by the losses and by mining; one video's
-    shapes are shown, a batch adds a leading B axis to each."""
+class ScoredBatch:
+    """A batch's forward results, stacked along B, as the losses and mining
+    read them; the trainer adds the weak labels. A single (T, D_in) video's
+    forward drops the B axis from each."""
 
-    scores: Tensor          # (T,), each in (0,1)
-    video_score: Tensor     # scalar in (0,1)
-    features: Tensor        # (T, D) rows used by the contrastive objective
+    scores: Tensor                      # (B, T), each in (0,1)
+    video_scores: Tensor                # (B,), each in (0,1)
+    features: Tensor                    # (B, T, D) rows of the contrastive objective
+    labels: np.ndarray | None = None    # (B,) of 0 (normal) / 1 (abnormal)
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
@@ -253,22 +258,22 @@ def encode(features, params: ModelParams, config: EncoderConfig,
     if f.data.ndim != 3 or f.data.shape[1:] != expected:
         raise ConfigError(f"feature array is {f.data.shape}, config expects (B, *{expected})")
     batch, d = f.data.shape[0], config.d_model
-    x = f @ params.w_in + params.b_in
+    x = linear(f, params.w_in, params.b_in)
     cls = broadcast_to(params.cls_token.reshape(1, 1, d), (batch, 1, d))
     tokens = concat([cls, x], axis=1)
     if params.pos is not None:
         tokens = tokens + params.pos
     drop = rng is not None and config.dropout_rate > 0.0
     for blk in params.blocks:
-        conv = dws_conv1d(tokens[:, 1:], blk.conv_depth, blk.conv_point) + blk.conv_bias
-        a = concat([tokens[:, 0:1], conv], axis=1)
+        # the cls row (0) skips the conv: it has no temporal position
+        a = dws_conv1d(tokens, blk.conv_depth, blk.conv_point, blk.conv_bias, skip=1)
         attn = multi_head_self_attention(
             a, blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv, blk.wo, blk.bo,
             heads=config.heads)
         if drop:
             attn = dropout(attn, config.dropout_rate, rng)
         b = layer_norm(a + attn, blk.ln_gamma, blk.ln_beta)
-        ff = gelu(b @ blk.ff_w1 + blk.ff_b1) @ blk.ff_w2 + blk.ff_b2
+        ff = linear(gelu(linear(b, blk.ff_w1, blk.ff_b1)), blk.ff_w2, blk.ff_b2)
         if drop:
             ff = dropout(ff, config.dropout_rate, rng)
         tokens = b + ff
@@ -277,7 +282,7 @@ def encode(features, params: ModelParams, config: EncoderConfig,
 
 def snippet_scores(enc: EncodedVideo, params: ModelParams) -> Tensor:
     """Per-snippet anomaly scores, (T,) or (B, T), each strictly inside (0,1)."""
-    return (enc.snippet_features @ params.score_w + params.score_b).sigmoid()
+    return linear(enc.snippet_features, params.score_w, params.score_b).sigmoid()
 
 
 def video_score(enc: EncodedVideo, params: ModelParams) -> Tensor:
@@ -287,7 +292,7 @@ def video_score(enc: EncodedVideo, params: ModelParams) -> Tensor:
     product: a video's score does not depend on the batch it is in.
     """
     cls = enc.tokens[..., 0:1, :]
-    return (cls @ params.video_w + params.video_b)[..., 0].sigmoid()
+    return linear(cls, params.video_w, params.video_b)[..., 0].sigmoid()
 
 
 class TransformerModel:
@@ -303,12 +308,12 @@ class TransformerModel:
     def init(cls, config: EncoderConfig, seed: int, dtype=np.float32) -> "TransformerModel":
         return cls(config, init_params(config, seed, dtype))
 
-    def forward(self, features, rng: np.random.Generator | None = None) -> VideoForward:
+    def forward(self, features, rng: np.random.Generator | None = None) -> ScoredBatch:
         """Scores of a (B, T, D_in) batch, or of one (T, D_in) video."""
         enc = encode(features, self.params, self.config, rng)
-        return VideoForward(
+        return ScoredBatch(
             scores=snippet_scores(enc, self.params),
-            video_score=video_score(enc, self.params),
+            video_scores=video_score(enc, self.params),
             features=enc.snippet_features,
         )
 
@@ -338,15 +343,15 @@ class LinearModel:
         rng = np.random.Generator(np.random.PCG64(seed))
         return cls(d_in, _uniform(rng, (d_in,), d_in, dtype), _zeros((), dtype))
 
-    def forward(self, features, rng=None) -> VideoForward:
+    def forward(self, features, rng=None) -> ScoredBatch:
         """Same shapes as ``TransformerModel.forward``: (T, D_in) or (B, T, D_in)."""
         f = features if isinstance(features, Tensor) else Tensor(features)
         if f.data.ndim not in (2, 3) or f.data.shape[-1] != self.d_in:
             raise ConfigError(
                 f"feature array is {f.data.shape}, model expects (..., T, {self.d_in})")
-        return VideoForward(
-            scores=(f @ self.w + self.b).sigmoid(),
-            video_score=(f.mean(axis=-2, keepdims=True) @ self.w + self.b)[..., 0].sigmoid(),
+        return ScoredBatch(
+            scores=linear(f, self.w, self.b).sigmoid(),
+            video_scores=linear(f.mean(axis=-2, keepdims=True), self.w, self.b)[..., 0].sigmoid(),
             features=f,
         )
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoder import ScoredBatch
 from .errors import ConfigError, TrainingError
 from .mining import MinedSets
 from .tensor import Tensor, gather_rows, info_nce, l2_normalize, topk_mean
@@ -70,16 +71,6 @@ class LossBreakdown:
     l_snp: float
     l_vid: float
     l_reg: float
-
-
-@dataclass
-class ScoredBatch:
-    """Forward results of one batch, stacked along B, plus the weak labels."""
-
-    labels: np.ndarray        # (B,) of 0 (normal) / 1 (abnormal)
-    scores: Tensor            # (B, T)
-    video_scores: Tensor      # (B,)
-    features: Tensor          # (B, T, D)
 
 
 def loss_video(video_scores: Tensor, labels) -> Tensor:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 
@@ -194,6 +195,8 @@ class Tensor:
                         _accum(self, np.multiply.outer(g, b))
                     elif a.ndim == 1:      # (k,) @ (k, m) -> (m,)
                         _accum(self, b @ g)
+                    elif b.ndim == 2:      # one GEMM over the rows of the stack
+                        _accum(self, (g.reshape(-1, b.shape[1]) @ b.T).reshape(a.shape))
                     else:
                         _accum(self, g @ np.swapaxes(b, -1, -2))
                 if other.requires_grad:
@@ -432,6 +435,12 @@ def _basic_index(idx) -> bool:
                for p in parts)
 
 
+def _column_sums(g2: np.ndarray) -> np.ndarray:
+    """Sums over the rows of a (rows, m) matrix, as one GEMV: numpy's
+    reduction along axis 0 takes several times as long."""
+    return np.ones(g2.shape[0], dtype=g2.dtype) @ g2
+
+
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     out = np.empty_like(x)
@@ -538,15 +547,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = d / std
     out = _result(xhat * gamma.data + beta.data, (x, gamma, beta))
     if out.requires_grad:
+        width = xd.shape[-1]
         def backward(g):
             if x.requires_grad:
+                # the two row means as einsum sums over the short last axis, in place
                 gx = g * gamma.data
-                _accum(x, (gx - gx.mean(axis=-1, keepdims=True)
-                           - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) / std)
+                proj = xhat * (np.einsum("...i,...i->...", gx, xhat)[..., None] / width)
+                gx -= np.einsum("...i->...", gx)[..., None] / width
+                gx -= proj
+                gx /= std
+                _accum(x, gx)
             if gamma.requires_grad:
-                _accum(gamma, _unbroadcast(g * xhat, gamma.data.shape))
+                _accum(gamma, _column_sums((g * xhat).reshape(-1, width))
+                       .reshape(gamma.data.shape))
             if beta.requires_grad:
-                _accum(beta, _unbroadcast(g, beta.data.shape))
+                _accum(beta, _column_sums(g.reshape(-1, width)).reshape(beta.data.shape))
         out._backward = backward
     return out
 
@@ -584,7 +599,10 @@ def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     out = _result(val, (x,))
     if out.requires_grad:
         def backward(g):
-            _accum(x, (g - val * (g * val).sum(axis=-1, keepdims=True)) / norm)
+            gx = val * np.einsum("...i,...i->...", g, val)[..., None]
+            np.subtract(g, gx, out=gx)
+            gx /= norm
+            _accum(x, gx)
         out._backward = backward
     return out
 
@@ -620,59 +638,114 @@ def info_nce(anchors: Tensor, positives: Tensor, negatives: Tensor,
     return out
 
 
-def _depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Per-channel taps along the time axis (-2) with replicate padding,
-    one node: ``width // 2`` copies of the edge rows pad each side, and
-    their gradient folds back onto the two edge rows."""
-    xd, k = x.data, kernel.data
-    n, width = xd.shape[-2], k.shape[1]
-    half = width // 2
-    padded = xd[..., np.clip(np.arange(-half, n + half), 0, n - 1), :]
-    acc = padded[..., 0:n, :] * k[:, 0]
-    for j in range(1, width):
-        acc = acc + padded[..., j:j + n, :] * k[:, j]
-    out = _result(acc, (x, kernel))
+def _affine_backward(xd: np.ndarray, w: Tensor, b: Tensor | None, g: np.ndarray,
+                     rows: bool) -> np.ndarray | None:
+    """Gradients of ``xd @ w + b`` for rows ``xd`` (..., k) and a (k, m) or
+    (k,) weight: accumulates those of ``w`` and ``b``, and returns the
+    rows' when ``rows`` is set.
+
+    The rows are flattened to one (rows, k) matrix first, so each product
+    is one GEMM, where numpy would run a (B, T, k) stack as B of them.
+    """
+    k = xd.shape[-1]
+    w2 = w.data.reshape(k, -1)
+    g2 = g.reshape(-1, w2.shape[1])
+    if w.requires_grad:
+        _accum(w, (xd.reshape(-1, k).T @ g2).reshape(w.data.shape))
+    if b is not None and b.requires_grad:
+        _accum(b, _column_sums(g2).reshape(b.data.shape))
+    return (g2 @ w2.T).reshape(xd.shape) if rows else None
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The affine map ``x @ w + b`` of the rows of ``x`` (..., k), with
+    ``w`` (k, m) or (k,), as one node.
+
+    The forward is the composed expression, so it is bitwise ``x @ w + b``;
+    the backward runs each product as one GEMM over all rows.
+    """
+    if w.data.ndim not in (1, 2) or b.data.size != w.data.size // w.data.shape[0]:
+        raise ValueError(f"linear expects a (k, m) weight with an (m,) bias or a (k,) "
+                         f"weight with a scalar bias, got {w.data.shape} and {b.data.shape}")
+    out = _result(x.data @ w.data + b.data, (x, w, b))
     if out.requires_grad:
         def backward(g):
-            if kernel.requires_grad:
-                gk = np.empty_like(k)
-                for j in range(width):
-                    gk[:, j] = _unbroadcast(g * padded[..., j:j + n, :], k[:, j].shape)
-                _accum(kernel, gk)
-            if x.requires_grad:
-                gp = np.zeros_like(padded)
-                for j in range(width):
-                    gp[..., j:j + n, :] += g * k[:, j]
-                gx = gp[..., half:half + n, :]
-                gx[..., 0, :] += gp[..., :half, :].sum(axis=-2)
-                gx[..., -1, :] += gp[..., half + n:, :].sum(axis=-2)
+            gx = _affine_backward(x.data, w, b, g, x.requires_grad)
+            if gx is not None:
                 _accum(x, gx)
         out._backward = backward
     return out
 
 
-def dws_conv1d(x: Tensor, depth_kernel: Tensor, point_kernel: Tensor) -> Tensor:
-    """Depthwise-separable 1-D convolution over the time axis.
+def dws_conv1d(x: Tensor, depth_kernel: Tensor, point_kernel: Tensor,
+               bias: Tensor | None = None, skip: int = 0) -> Tensor:
+    """Depthwise-separable 1-D convolution over the time axis, one node.
 
     ``x`` is (T, C) or a batch (B, T, C); ``depth_kernel`` is (C, W) with W
     odd, applied per channel along time with replicate padding ("same"
-    output length); ``point_kernel`` is (C, C') and mixes channels. Output
-    row t depends only on input rows t-W//2 .. t+W//2 of the same video.
+    output length); ``point_kernel`` is (C, C') and mixes channels, and
+    ``bias`` (C',), if given, is added last. Output row t depends only on
+    input rows t-W//2 .. t+W//2 of the same video. The first ``skip`` rows
+    of each video pass through unchanged and the conv runs over the rest,
+    so C' must then equal C: the encoder's cls token has no temporal
+    position.
+
+    The forward runs the composed form's expressions in its order (taps,
+    ``@ point``, ``+ bias``, then the concatenation after the skipped
+    rows; ``tests/oracles.py``), so it is bitwise that form. In the
+    backward the padding rows' gradient folds back onto the two edge rows,
+    and the kernel gradient is one einsum over a sliding window of the
+    padded rows.
     """
-    if x.data.ndim not in (2, 3) or depth_kernel.data.ndim != 2 \
-            or point_kernel.data.ndim != 2:
+    xd, k = x.data, depth_kernel.data
+    if xd.ndim not in (2, 3) or k.ndim != 2 or point_kernel.data.ndim != 2:
         raise ValueError("dws_conv1d expects a 2-D or 3-D input and 2-D kernels")
-    channels = x.data.shape[-1]
-    if depth_kernel.data.shape[0] != channels:
-        raise ValueError(
-            f"depth kernel has {depth_kernel.data.shape[0]} channels, input has {channels}")
+    channels = xd.shape[-1]
+    if k.shape[0] != channels:
+        raise ValueError(f"depth kernel has {k.shape[0]} channels, input has {channels}")
     if point_kernel.data.shape[0] != channels:
-        raise ValueError(
-            f"point kernel has {point_kernel.data.shape[0]} input channels, input has {channels}")
-    width = depth_kernel.data.shape[1]
+        raise ValueError(f"point kernel has {point_kernel.data.shape[0]} input channels, "
+                         f"input has {channels}")
+    width = k.shape[1]
     if width % 2 == 0:
         raise ValueError(f"kernel width must be odd, got {width}")
-    return _depthwise_conv1d(x, depth_kernel) @ point_kernel
+    n = xd.shape[-2] - skip
+    if n < 1 or skip < 0 or (skip and point_kernel.data.shape[1] != channels):
+        raise ValueError(f"cannot pass {skip} rows of {xd.shape} through a "
+                         f"{point_kernel.data.shape} point kernel")
+    half = width // 2
+    padded = xd[..., skip + np.clip(np.arange(-half, n + half), 0, n - 1), :]
+    acc = padded[..., 0:n, :] * k[:, 0]
+    for j in range(1, width):
+        acc = acc + padded[..., j:j + n, :] * k[:, j]
+    y = acc @ point_kernel.data
+    if bias is not None:
+        y = y + bias.data
+    if skip:
+        y = np.concatenate([xd[..., :skip, :], y], axis=-2)
+    out = _result(y, (x, depth_kernel, point_kernel) + (() if bias is None else (bias,)))
+    if out.requires_grad:
+        def backward(g):
+            g_acc = _affine_backward(acc, point_kernel, bias, g[..., skip:, :],
+                                     x.requires_grad or depth_kernel.requires_grad)
+            if depth_kernel.requires_grad:
+                rows = padded.reshape(-1, n + 2 * half, channels)
+                windows = sliding_window_view(rows, n, axis=1)        # (B, W, C, n)
+                _accum(depth_kernel, np.einsum("btc,bjct->cj",
+                                               g_acc.reshape(-1, n, channels), windows))
+            if x.requires_grad:
+                gp = np.zeros_like(padded)
+                for j in range(width):
+                    gp[..., j:j + n, :] += g_acc * k[:, j]
+                gp[..., half, :] += gp[..., :half, :].sum(axis=-2)
+                gp[..., half + n - 1, :] += gp[..., half + n:, :].sum(axis=-2)
+                gx = np.empty_like(xd)
+                gx[..., skip:, :] = gp[..., half:half + n, :]
+                if skip:
+                    gx[..., :skip, :] = g[..., :skip, :]
+                _accum(x, gx)
+        out._backward = backward
+    return out
 
 
 def multi_head_self_attention(
@@ -694,10 +767,14 @@ def multi_head_self_attention(
     array, each by its own product: one product with [wq|wk|wv] would round
     differently where d is not a multiple of the BLAS kernel's column tile,
     and the forward is bitwise the composed form (``tests/oracles.py``).
-    The backward is closed form: with A the attention and dA its gradient,
-    the scores get dS = A * (dA - rowsum(dA * A)); one product with the
-    stacked (..., n, 3d) gradient gives the three projection-weight
-    gradients and one more gives dx.
+    The backward is closed form: with A the attention, O = A V the heads'
+    output and dA, dO their gradients, the scores get
+    dS = A * (dA - rowsum(dA * A)), where rowsum(dA * A) = rowsum(dO * O)
+    is taken over the head width instead of the sequence (Dao et al.
+    2022). dS is built in place on dA, with the score scale folded into
+    dO. The head-batched products write straight into the stacked
+    (..., n, 3d) gradient, and one product with it gives the three
+    projection-weight gradients and one more gives dx.
     """
     xd = x.data
     *lead, n, d = xd.shape
@@ -717,25 +794,27 @@ def multi_head_self_attention(
     s = (q @ np.swapaxes(k, -1, -2)) * scale
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
-    merged = (attn @ v).transpose(to_heads).reshape(*lead, n, d)
+    o = attn @ v
+    merged = o.transpose(to_heads).reshape(*lead, n, d)
     out = _result(merged @ wo.data + bo.data, (x, wq, bq, wk, bk, wv, bv, wo, bo))
     if out.requires_grad:
         def backward(g):
-            if wo.requires_grad:
-                _accum(wo, merged.reshape(-1, d).T @ g.reshape(-1, d))
-            if bo.requires_grad:
-                _accum(bo, _unbroadcast(g, bo.data.shape))
-            g_heads = (g @ wo.data.T).reshape(*lead, n, heads, dh).transpose(to_heads)
-            g_attn = g_heads @ np.swapaxes(v, -1, -2)
-            g_s = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True))
-            g_s *= scale
+            g_o = _affine_backward(merged, wo, bo, g, True) \
+                .reshape(*lead, n, heads, dh).transpose(to_heads)
+            # dS from the scaled dO, as one contiguous copy: the strided
+            # head views make numpy's small batched products much slower
+            g_os = np.multiply(g_o, scale, order="C")
+            g_s = g_os @ np.ascontiguousarray(np.swapaxes(v, -1, -2))
+            g_s -= np.einsum("...ij,...ij->...i", g_os, o)[..., None]
+            g_s *= attn
             g_qkv = np.empty(qkv.shape, dtype=g_s.dtype)
-            g_qkv[..., 0, :, :] = (g_s @ k).transpose(to_heads)
-            g_qkv[..., 1, :, :] = (np.swapaxes(g_s, -1, -2) @ q).transpose(to_heads)
-            g_qkv[..., 2, :, :] = (np.swapaxes(attn, -1, -2) @ g_heads).transpose(to_heads)
+            g_q, g_k, g_v = (g_qkv[..., i, :, :].transpose(to_heads) for i in range(3))
+            np.matmul(g_s, k, out=g_q)
+            np.matmul(np.swapaxes(g_s, -1, -2), q, out=g_k)
+            np.matmul(np.swapaxes(attn, -1, -2), g_o, out=g_v)
             g_qkv = g_qkv.reshape(-1, 3 * d)
             g_w = xd.reshape(-1, d).T @ g_qkv
-            g_b = g_qkv.sum(axis=0)
+            g_b = _column_sums(g_qkv)
             for i, (w, b) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
                 cols = slice(i * d, (i + 1) * d)
                 if w.requires_grad:

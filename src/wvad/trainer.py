@@ -27,7 +27,7 @@ import numpy as np
 
 from .encoder import EncoderConfig, LinearModel, TransformerModel, load_checkpoint, save_checkpoint
 from .errors import ConfigError, FormatError, TrainingError
-from .losses import LossConfig, ScoredBatch, loss_total
+from .losses import LossConfig, loss_total
 from .mining import MiningConfig, mine_batch
 from .tensor import Tensor
 
@@ -389,12 +389,11 @@ def train_step(model, batch_videos: Sequence[VideoTriple], config: TrainConfig,
     keep_freed_heap()
     video_ids = [video_id for video_id, _, _ in batch_videos]
     labels = np.array([label for _, label, _ in batch_videos])
-    out = model.forward(np.stack([feats for _, _, feats in batch_videos]), rng=rng)
-    batch = ScoredBatch(labels=labels, scores=out.scores,
-                        video_scores=out.video_score, features=out.features)
+    batch = model.forward(np.stack([feats for _, _, feats in batch_videos]), rng=rng)
+    batch.labels = labels
     mined = None
     if config.loss.w_contrast > 0 and epoch >= config.mining_warmup_epochs:
-        mined = mine_batch(list(zip(video_ids, labels.tolist(), out.scores.data)),
+        mined = mine_batch(list(zip(video_ids, labels.tolist(), batch.scores.data)),
                            config.mining)
     total, breakdown = loss_total(batch, mined, config.loss)
     if not np.isfinite(breakdown.l_total):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import EncoderConfig, TransformerModel
-from .losses import LossConfig, ScoredBatch, loss_total
+from .losses import LossConfig, loss_total
 from .mining import MinedSets
 from .tensor import (Tensor, broadcast_to, concat, dropout, dws_conv1d, gather_rows,
                      gelu, grad_check, l2_normalize, layer_norm,
@@ -298,12 +298,11 @@ def _objective_case(seed: int):
     mined = MinedSets(("nrm", "abn"), ha, ea, hn, en)
     loss_cfg = LossConfig(k=2)
     videos = np.stack([feats["nrm"], feats["abn"]])
+    labels = np.array([0, 1])
 
     def f():
-        out = model.forward(videos)
-        batch = ScoredBatch(labels=np.array([0, 1]),
-                            scores=out.scores, video_scores=out.video_score,
-                            features=out.features)
+        batch = model.forward(videos)
+        batch.labels = labels
         total, _ = loss_total(batch, mined, loss_cfg)
         return total
 

@@ -6,6 +6,11 @@ gradients come from the chain rule rather than a closed form. The fused
 ops in ``wvad.tensor`` run the same forward expressions in the same order,
 so their float32 forwards must match these bit for bit.
 
+The backward rules section keeps single nodes as they were before their
+backward rules were rewritten for speed (the attention, layer norm and
+conv-tap nodes): the same forwards with the earlier closed-form backward
+rules, which the rewritten rules must match in float64.
+
 ``adam_step`` is the per-parameter optimiser update that
 ``wvad.trainer.adam_step`` runs on one flat vector; both must give the same
 parameter and moment bits.
@@ -30,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from wvad.errors import MetricError
 from wvad.metrics import _validate
 from wvad.mining import MinedSets
-from wvad.tensor import _accum, _result, softmax
+from wvad.tensor import _accum, _result, _unbroadcast, concat, softmax
 
 
 # ---------------------------------------------------------------------
@@ -70,15 +75,26 @@ def pad_edge(x, half):
     return out
 
 
-def dws_conv1d(x, depth_kernel, point_kernel):
-    t_len = x.data.shape[-2]
+def linear(x, w, b):
+    return x @ w + b
+
+
+def dws_conv1d(x, depth_kernel, point_kernel, bias=None, skip=0):
+    """The taps, ``@ point`` and ``+ bias`` over rows ``skip:``, then the
+    skipped rows concatenated in front (the encoder's split -> conv ->
+    concat around its cls row)."""
+    rows = x[..., skip:, :] if skip else x
+    t_len = rows.data.shape[-2]
     width = depth_kernel.data.shape[1]
-    padded = pad_edge(x, width // 2) if width > 1 else x
+    padded = pad_edge(rows, width // 2) if width > 1 else rows
     acc = None
     for j in range(width):
         term = padded[..., j:j + t_len, :] * depth_kernel[:, j]
         acc = term if acc is None else acc + term
-    return acc @ point_kernel
+    out = acc @ point_kernel
+    if bias is not None:
+        out = out + bias
+    return concat([x[..., :skip, :], out], axis=-2) if skip else out
 
 
 def multi_head_self_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
@@ -100,6 +116,120 @@ def info_nce(anchors, positives, negatives, temperature):
     neg_sum = s_an.exp().sum(axis=1, keepdims=True)
     log_ratio = s_ap - (s_ap.exp() + neg_sum).log()
     return -log_ratio.sum()
+
+
+# ---------------------------------------------------------------------
+# backward rules replaced by faster ones
+
+
+def layer_norm_rule(x, gamma, beta, eps=1e-5):
+    xd = x.data
+    d = xd - xd.mean(axis=-1, keepdims=True)
+    std = np.sqrt((d * d).mean(axis=-1, keepdims=True) + eps)
+    xhat = d / std
+    out = _result(xhat * gamma.data + beta.data, (x, gamma, beta))
+    if out.requires_grad:
+        def backward(g):
+            if x.requires_grad:
+                gx = g * gamma.data
+                _accum(x, (gx - gx.mean(axis=-1, keepdims=True)
+                           - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) / std)
+            if gamma.requires_grad:
+                _accum(gamma, _unbroadcast(g * xhat, gamma.data.shape))
+            if beta.requires_grad:
+                _accum(beta, _unbroadcast(g, beta.data.shape))
+        out._backward = backward
+    return out
+
+
+def depthwise_conv_rule(x, kernel):
+    """The conv taps alone, with a full padded zero array and ``width``
+    full-size products for each gradient."""
+    xd, k = x.data, kernel.data
+    n, width = xd.shape[-2], k.shape[1]
+    half = width // 2
+    padded = xd[..., np.clip(np.arange(-half, n + half), 0, n - 1), :]
+    acc = padded[..., 0:n, :] * k[:, 0]
+    for j in range(1, width):
+        acc = acc + padded[..., j:j + n, :] * k[:, j]
+    out = _result(acc, (x, kernel))
+    if out.requires_grad:
+        def backward(g):
+            if kernel.requires_grad:
+                gk = np.empty_like(k)
+                for j in range(width):
+                    gk[:, j] = _unbroadcast(g * padded[..., j:j + n, :], k[:, j].shape)
+                _accum(kernel, gk)
+            if x.requires_grad:
+                gp = np.zeros_like(padded)
+                for j in range(width):
+                    gp[..., j:j + n, :] += g * k[:, j]
+                gx = gp[..., half:half + n, :]
+                gx[..., 0, :] += gp[..., :half, :].sum(axis=-2)
+                gx[..., -1, :] += gp[..., half + n:, :].sum(axis=-2)
+                _accum(x, gx)
+        out._backward = backward
+    return out
+
+
+def attention_rule(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
+    """Attention as one node whose backward forms dS from rowsum(dA * A)
+    over the sequence and runs every product on the strided head views."""
+    xd = x.data
+    *lead, n, d = xd.shape
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+    r = len(lead)
+    to_heads = (*range(r), r + 1, r, r + 2)
+    qkv = np.empty((*lead, n, 3 * d), dtype=np.result_type(xd, wq.data))
+    for i, w in enumerate((wq, wk, wv)):
+        np.matmul(xd, w.data, out=qkv[..., i * d:(i + 1) * d])
+    qkv += np.concatenate([bq.data, bk.data, bv.data])
+    qkv = qkv.reshape(*lead, n, 3, heads, dh)
+    q, k, v = (qkv[..., i, :, :].transpose(to_heads) for i in range(3))
+    s = (q @ np.swapaxes(k, -1, -2)) * scale
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    merged = (attn @ v).transpose(to_heads).reshape(*lead, n, d)
+    out = _result(merged @ wo.data + bo.data, (x, wq, bq, wk, bk, wv, bv, wo, bo))
+    if out.requires_grad:
+        def backward(g):
+            if wo.requires_grad:
+                _accum(wo, merged.reshape(-1, d).T @ g.reshape(-1, d))
+            if bo.requires_grad:
+                _accum(bo, _unbroadcast(g, bo.data.shape))
+            g_heads = (g @ wo.data.T).reshape(*lead, n, heads, dh).transpose(to_heads)
+            g_attn = g_heads @ np.swapaxes(v, -1, -2)
+            g_s = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True))
+            g_s *= scale
+            g_qkv = np.empty(qkv.shape, dtype=g_s.dtype)
+            g_qkv[..., 0, :, :] = (g_s @ k).transpose(to_heads)
+            g_qkv[..., 1, :, :] = (np.swapaxes(g_s, -1, -2) @ q).transpose(to_heads)
+            g_qkv[..., 2, :, :] = (np.swapaxes(attn, -1, -2) @ g_heads).transpose(to_heads)
+            g_qkv = g_qkv.reshape(-1, 3 * d)
+            g_w = xd.reshape(-1, d).T @ g_qkv
+            g_b = g_qkv.sum(axis=0)
+            for i, (w, b) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
+                cols = slice(i * d, (i + 1) * d)
+                if w.requires_grad:
+                    _accum(w, g_w[:, cols])
+                if b.requires_grad:
+                    _accum(b, g_b[cols])
+            if x.requires_grad:
+                w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+                _accum(x, (g_qkv @ w_qkv.T).reshape(xd.shape))
+        out._backward = backward
+    return out
+
+
+def dws_conv1d_rule(x, depth_kernel, point_kernel, bias=None, skip=0):
+    """``dws_conv1d`` as the encoder built it from nodes with the earlier
+    rules: split, conv taps, ``@ point``, ``+ bias``, concat."""
+    rows = x[..., skip:, :] if skip else x
+    out = depthwise_conv_rule(rows, depth_kernel) @ point_kernel
+    if bias is not None:
+        out = out + bias
+    return concat([x[..., :skip, :], out], axis=-2) if skip else out
 
 
 # ---------------------------------------------------------------------

@@ -80,7 +80,7 @@ def test_initial_scores_inside_unit_interval():
         rng = np.random.default_rng(seed)
         out = m.forward(rng.normal(size=(8, 4)).astype(np.float32))
         assert np.all((out.scores.data > 0) & (out.scores.data < 1))
-        assert 0 < out.video_score.data < 1
+        assert 0 < out.video_scores.data < 1
 
 
 # ---------------------------------------------------------------------
@@ -135,7 +135,7 @@ def test_forward_bitwise_deterministic_without_dropout():
     a = m.forward(f)
     b = m.forward(f)
     assert a.scores.data.tobytes() == b.scores.data.tobytes()
-    assert a.video_score.data.tobytes() == b.video_score.data.tobytes()
+    assert a.video_scores.data.tobytes() == b.video_scores.data.tobytes()
 
 
 def test_dropout_perturbs_forward():
@@ -218,7 +218,7 @@ def test_micro_model_matches_straightline_oracle():
     got = m.forward(f)
     want_scores, want_video = _oracle_forward(f, m)
     np.testing.assert_allclose(got.scores.data, want_scores, atol=1e-10)
-    np.testing.assert_allclose(float(got.video_score.data), want_video, atol=1e-10)
+    np.testing.assert_allclose(float(got.video_scores.data), want_video, atol=1e-10)
 
 
 def test_micro_model_batch_matches_straightline_oracle():
@@ -228,10 +228,10 @@ def test_micro_model_batch_matches_straightline_oracle():
     f = np.random.default_rng(22).normal(size=(4, 5, 3))
     got = m.forward(f)
     want_scores, want_video = _oracle_forward(f, m)
-    assert got.scores.shape == (4, 5) and got.video_score.shape == (4,)
+    assert got.scores.shape == (4, 5) and got.video_scores.shape == (4,)
     assert got.features.shape == (4, 5, 4)
     np.testing.assert_allclose(got.scores.data, want_scores, atol=1e-10)
-    np.testing.assert_allclose(got.video_score.data, want_video, atol=1e-10)
+    np.testing.assert_allclose(got.video_scores.data, want_video, atol=1e-10)
 
 
 @pytest.mark.parametrize("kw", [{}, {"use_positional": True}])
@@ -245,7 +245,7 @@ def test_batched_forward_equals_each_video(kw):
     for b in range(5):
         single = m.forward(f[b])
         assert single.scores.data.tobytes() == batched.scores.data[b].tobytes()
-        assert single.video_score.data.tobytes() == batched.video_score.data[b].tobytes()
+        assert single.video_scores.data.tobytes() == batched.video_scores.data[b].tobytes()
         assert single.features.data.tobytes() == batched.features.data[b].tobytes()
 
 
@@ -256,6 +256,46 @@ def test_encode_single_video_returns_its_tokens():
     batched = encode(f[None], m.params, m.config).tokens
     assert single.shape == (9, 8) and batched.shape == (1, 9, 8)
     assert single.data.tobytes() == batched.data[0].tobytes()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_encode_reaches_each_layer_through_the_module(monkeypatch, depth):
+    """The benchmark times the conv, attention, layer norm and GELU by
+    wrapping these ``wvad.encoder`` attributes, so a taped ``encode`` must
+    call each of them through the module, once per block."""
+    import wvad.encoder as encoder_mod
+    names = ("dws_conv1d", "multi_head_self_attention", "layer_norm", "gelu")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(encoder_mod, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(encoder_mod, name, counted)
+    m = make_model(seed=25, depth=depth)
+    params = [p for _, p in m.named_params()]
+    f = np.random.default_rng(25).normal(size=(3, 8, 4)).astype(np.float32)
+    tokens = encode(f, m.params, m.config).tokens
+    assert tokens.requires_grad and all(p.requires_grad for p in params)
+    assert calls == dict.fromkeys(names, depth)
+
+
+def test_forward_result_is_the_scored_batch_the_losses_read():
+    """``forward`` returns the losses' ``ScoredBatch`` without labels; the
+    trainer sets them on the same object."""
+    from wvad.losses import ScoredBatch as LossBatch
+    m = make_model(seed=26)
+    f = np.random.default_rng(26).normal(size=(2, 8, 4)).astype(np.float32)
+    for out in (m.forward(f), LinearModel.init(4, 26).forward(f)):
+        assert isinstance(out, LossBatch) and out.labels is None
+        assert out.scores.shape == (2, 8) and out.video_scores.shape == (2,)
+
+
+def test_snippet_features_are_one_slice_of_the_tokens():
+    """The snippet head and the contrastive features read one slice node."""
+    m = make_model(seed=27)
+    f = np.random.default_rng(27).normal(size=(2, 8, 4)).astype(np.float32)
+    out = m.forward(f)
+    assert out.scores._parents[0]._parents[0] is out.features
 
 
 # ---------------------------------------------------------------------
@@ -290,7 +330,7 @@ def test_video_score_zero_head_is_half_and_in_range():
     m = make_model(seed=8)
     m.params.video_w.data = np.zeros_like(m.params.video_w.data)
     f = np.random.default_rng(8).normal(size=(8, 4)).astype(np.float32)
-    assert float(m.forward(f).video_score.data) == 0.5
+    assert float(m.forward(f).video_scores.data) == 0.5
 
 
 def test_video_score_gradient_reaches_cls_token():
@@ -298,7 +338,7 @@ def test_video_score_gradient_reaches_cls_token():
     m = TransformerModel.init(config, seed=10, dtype=np.float64)
     f = np.random.default_rng(10).normal(size=(4, 3))
     out = m.forward(f)
-    out.video_score.backward()
+    out.video_scores.backward()
     assert m.params.cls_token.grad is not None
     assert np.any(m.params.cls_token.grad != 0)
 
@@ -315,7 +355,7 @@ def test_micro_end_to_end_gradcheck():
 
     def objective():
         out = m.forward(f)
-        return out.scores.sum() + out.video_score
+        return out.scores.sum() + out.video_scores
 
     report = grad_check(objective, m.named_params(), h=1e-5, tol=1e-4)
     assert report.passed, report.summary()
@@ -332,18 +372,18 @@ def test_linear_model_matches_numpy_affine():
     want = _oracle_sigmoid(f @ m.w.data + float(m.b.data))
     np.testing.assert_allclose(out.scores.data, want, atol=1e-6)
     assert out.features.data is not None
-    assert 0 < float(out.video_score.data) < 1
+    assert 0 < float(out.video_scores.data) < 1
 
 
 def test_linear_model_batch_equals_each_video():
     m = LinearModel.init(d_in=6, seed=4)
     f = np.random.default_rng(4).normal(size=(3, 10, 6)).astype(np.float32)
     batched = m.forward(f)
-    assert batched.scores.shape == (3, 10) and batched.video_score.shape == (3,)
+    assert batched.scores.shape == (3, 10) and batched.video_scores.shape == (3,)
     for b in range(3):
         single = m.forward(f[b])
         assert batched.scores.data[b].tobytes() == single.scores.data.tobytes()
-        assert batched.video_score.data[b].tobytes() == single.video_score.data.tobytes()
+        assert batched.video_scores.data[b].tobytes() == single.video_scores.data.tobytes()
 
 
 def test_linear_model_rejects_wrong_width():

@@ -19,6 +19,7 @@ from wvad.tensor import (
     info_nce,
     l2_normalize,
     layer_norm,
+    linear,
     multi_head_self_attention,
     no_grad,
     softmax,
@@ -652,11 +653,10 @@ def test_l2_normalize_fd():
 # the fused ops against their composed forms (tests/oracles.py)
 
 
-FUSED_OPS = ["layer_norm", "gelu", "l2_normalize", "dws_conv1d", "info_nce", "attention",
-             "attention_2d", "attention_d36"]
-
-
 def _fused_cases(rng, dtype):
+    """name -> (arrays, fused op, composed op). The affine and token-conv
+    cases take every width at d_model: 32 (the reference), 36 (no multiple
+    of the BLAS column tile), B = 1 and a single 2-D video."""
     x = rng.normal(size=(32, 33, 32)).astype(dtype)
     gamma = rng.uniform(0.5, 1.5, size=32).astype(dtype)
     beta = rng.normal(size=32).astype(dtype)
@@ -667,23 +667,45 @@ def _fused_cases(rng, dtype):
     proj, wide = ([a.astype(dtype) for _ in range(4)
                    for a in (rng.normal(size=(d, d)) / 6.0, rng.normal(size=d) * 0.1)]
                   for d in (32, 36))
+
+    def arrays(*shapes):
+        return [(rng.normal(size=s) / 4.0).astype(dtype) for s in shapes]
+
+    def token_conv(d, lead):
+        return (arrays((*lead, 33, d), (d, 3), (d, d), (d,)),
+                lambda *a: dws_conv1d(*a, skip=1), lambda *a: oracles.dws_conv1d(*a, skip=1))
+
+    def attention(a, heads):
+        return (a, lambda *t: multi_head_self_attention(*t, heads=heads),
+                lambda *t: oracles.multi_head_self_attention(*t, heads=heads))
+
     return {
-        "attention": ((x, *proj), lambda *a: multi_head_self_attention(*a, heads=4),
-                      lambda *a: oracles.multi_head_self_attention(*a, heads=4)),
-        "attention_2d": ((x[3], *proj), lambda *a: multi_head_self_attention(*a, heads=4),
-                         lambda *a: oracles.multi_head_self_attention(*a, heads=4)),
+        "attention": attention((x, *proj), 4),
+        "attention_2d": attention((x[3], *proj), 4),
         # a width that is no multiple of the BLAS kernel's column tile, where
         # one product with [wq|wk|wv] would round Q, K and V differently
-        "attention_d36": ((rng.normal(size=(5, 17, 36)).astype(dtype), *wide),
-                          lambda *a: multi_head_self_attention(*a, heads=4),
-                          lambda *a: oracles.multi_head_self_attention(*a, heads=4)),
+        "attention_d36": attention((rng.normal(size=(5, 17, 36)).astype(dtype), *wide), 4),
+        "attention_heads_1": attention(arrays((4, 9, 8), *[(8, 8), (8,)] * 4), 1),
+        "attention_heads_d": attention(arrays((4, 9, 8), *[(8, 8), (8,)] * 4), 8),
         "layer_norm": ((x, gamma, beta), layer_norm, oracles.layer_norm),
         "gelu": ((x,), gelu, oracles.gelu),
         "l2_normalize": ((x,), l2_normalize, oracles.l2_normalize),
         "dws_conv1d": ((x, depth, point), dws_conv1d, oracles.dws_conv1d),
         "info_nce": (tuple(rows), lambda a, p, n: info_nce(a, p, n, 0.07),
                      lambda a, p, n: oracles.info_nce(a, p, n, 0.07)),
+        "linear": (arrays((32, 33, 32), (32, 64), (64,)), linear, oracles.linear),
+        "linear_d36": (arrays((32, 33, 36), (36, 36), (36,)), linear, oracles.linear),
+        "linear_b1": (arrays((1, 33, 32), (32, 32), (32,)), linear, oracles.linear),
+        "linear_video": (arrays((33, 32), (32, 64), (64,)), linear, oracles.linear),
+        "linear_head": (arrays((32, 32, 32), (32,), ()), linear, oracles.linear),
+        "token_conv": token_conv(32, (32,)),
+        "token_conv_d36": token_conv(36, (32,)),
+        "token_conv_b1": token_conv(32, (1,)),
+        "token_conv_video": token_conv(32, ()),
     }
+
+
+FUSED_OPS = list(_fused_cases(np.random.default_rng(0), np.float32))
 
 
 @pytest.mark.parametrize("name", FUSED_OPS)
@@ -692,21 +714,130 @@ def test_fused_forward_is_bitwise_the_composed_form(name):
     want = composed(*(Tensor(a) for a in args)).data
     got = fused(*(Tensor(a) for a in args)).data
     assert got.dtype == want.dtype == np.float32
-    assert got.tobytes() == want.tobytes()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _leaf_grads(op, args):
+    leaves = [t64(a) for a in args]
+    out = op(*leaves)
+    (out * Tensor(np.random.default_rng(92).normal(size=out.data.shape))).sum().backward()
+    return [leaf.grad for leaf in leaves]
+
+
+def _assert_same_grads(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-9)
 
 
 @pytest.mark.parametrize("name", FUSED_OPS)
 def test_fused_gradient_matches_the_composed_form(name):
-    rng = np.random.default_rng(91)
-    args, fused, composed = _fused_cases(rng, np.float64)[name]
-    grads = []
-    for op in (fused, composed):
-        leaves = [t64(a) for a in args]
-        out = op(*leaves)
-        (out * Tensor(np.random.default_rng(92).normal(size=out.data.shape))).sum().backward()
-        grads.append([leaf.grad for leaf in leaves])
-    for got, want in zip(*grads):
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+    args, fused, composed = _fused_cases(np.random.default_rng(91), np.float64)[name]
+    _assert_same_grads(_leaf_grads(fused, args), _leaf_grads(composed, args))
+
+
+# the rewritten backward rules against the rules they replaced
+
+
+def _rule_cases(rng):
+    """name -> (arrays, rewritten op, op with the replaced backward rule)."""
+    def arrays(*shapes):
+        return [rng.normal(size=s) / 4.0 for s in shapes]
+
+    def conv(width, t_len, skip):
+        return (arrays((3, t_len + skip, 4), (4, width), (4, 4), (4,)),
+                lambda *a: dws_conv1d(*a, skip=skip),
+                lambda *a: oracles.dws_conv1d_rule(*a, skip=skip))
+
+    def attention(shape, heads):
+        d = shape[-1]
+        return (arrays(shape, *[(d, d), (d,)] * 4),
+                lambda *a: multi_head_self_attention(*a, heads=heads),
+                lambda *a: oracles.attention_rule(*a, heads=heads))
+
+    return {
+        "attention": attention((32, 33, 32), 4),
+        "attention_video": attention((33, 32), 4),
+        "attention_heads_1": attention((3, 7, 8), 1),
+        "attention_heads_d": attention((3, 7, 8), 8),
+        "layer_norm": (arrays((32, 33, 32), (32,), (32,)), layer_norm, oracles.layer_norm_rule),
+        "layer_norm_video": (arrays((33, 32), (32,), (32,)), layer_norm,
+                             oracles.layer_norm_rule),
+        "token_conv": (arrays((32, 33, 32), (32, 3), (32, 32), (32,)),
+                       lambda *a: dws_conv1d(*a, skip=1),
+                       lambda *a: oracles.dws_conv1d_rule(*a, skip=1)),
+        "conv_width_1": conv(1, 5, 0),
+        "conv_width_1_skip": conv(1, 5, 1),
+        "conv_width_5_t2": conv(5, 2, 0),
+        "conv_width_5_t2_skip": conv(5, 2, 1),
+        "conv_without_bias": (arrays((2, 6, 4), (4, 3), (4, 5)), dws_conv1d,
+                              oracles.dws_conv1d_rule),
+    }
+
+
+@pytest.mark.parametrize("name", list(_rule_cases(np.random.default_rng(0))))
+def test_rewritten_backward_rule_matches_the_replaced_rule(name):
+    args, new, old = _rule_cases(np.random.default_rng(96))[name]
+    _assert_same_grads(_leaf_grads(new, args), _leaf_grads(old, args))
+
+
+@pytest.mark.parametrize("width,t_len", [(1, 4), (5, 2), (5, 1), (3, 1)])
+def test_conv_kernel_gradient_at_narrow_and_short_shapes(width, t_len):
+    """The kernel gradient's sliding window covers the padded rows when the
+    kernel is wider than the sequence, and a width-1 kernel has no
+    padding at all; each is checked against finite differences."""
+    rng = np.random.default_rng(97 + width + t_len)
+    x = t64(rng.normal(size=(2, t_len + 1, 3)))
+    dk = t64(rng.normal(size=(3, width)))
+    pk = t64(rng.normal(size=(3, 3)))
+    bias = t64(rng.normal(size=3))
+    w = Tensor(rng.normal(size=(2, t_len + 1, 3)))
+    check(lambda: (dws_conv1d(x, dk, pk, bias, skip=1) * w).sum(),
+          [("x", x), ("dk", dk), ("pk", pk), ("bias", bias)])
+
+
+def test_token_conv_passes_the_skipped_rows_through():
+    rng = np.random.default_rng(98)
+    x = t64(rng.normal(size=(2, 5, 3)))
+    out = dws_conv1d(x, t64(rng.normal(size=(3, 3))), t64(rng.normal(size=(3, 3))),
+                     t64(rng.normal(size=3)), skip=2)
+    assert out.data[:, :2].tobytes() == x.data[:, :2].tobytes()
+    w = rng.normal(size=out.data.shape)
+    (out * Tensor(w)).sum().backward()
+    np.testing.assert_array_equal(x.grad[:, :2], w[:, :2])
+
+
+def test_token_conv_rejects_bad_skips():
+    x = t64(np.ones((2, 4, 3)))
+    dk = t64(np.ones((3, 3)))
+    with pytest.raises(ValueError):
+        dws_conv1d(x, dk, t64(np.ones((3, 2))), skip=1)   # rows would change width
+    with pytest.raises(ValueError):
+        dws_conv1d(x, dk, t64(np.eye(3)), skip=4)          # nothing left to convolve
+    with pytest.raises(ValueError):
+        dws_conv1d(x, dk, t64(np.eye(3)), skip=-1)
+
+
+def test_linear_rejects_mismatched_bias():
+    with pytest.raises(ValueError):
+        linear(t64(np.ones((2, 3))), t64(np.ones((3, 4))), t64(np.ones(3)))
+    with pytest.raises(ValueError):
+        linear(t64(np.ones((2, 3))), t64(np.ones((3, 2, 2))), t64(np.ones(4)))
+
+
+@pytest.mark.parametrize("shape", [(4, 5, 3), (2, 3, 5, 3), (5, 3)])
+def test_matmul_stack_gradient_is_each_videos_product(shape):
+    """N-D @ 2-D takes its input gradient as one GEMM over all rows; it
+    must equal each leading index's own product."""
+    rng = np.random.default_rng(99)
+    x, w = t64(rng.normal(size=shape)), t64(rng.normal(size=(3, 4)))
+    g = rng.normal(size=(*shape[:-1], 4))
+    ((x @ w) * Tensor(g)).sum().backward()
+    rows = g.reshape(-1, 4)
+    want = np.stack([row @ w.data.T for row in rows]).reshape(shape)
+    np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(w.grad, x.data.reshape(-1, 3).T @ rows, rtol=1e-12)
 
 
 def test_info_nce_fd():

@@ -467,10 +467,12 @@ def test_nonfinite_loss_aborts_with_step(monkeypatch):
 
 def test_mined_step_is_one_small_graph(monkeypatch):
     """One arm-d step with mining engaged, on the reference shapes (16 + 16
-    videos, T=32, D_in=D=32), builds one taped graph of at most 131 nodes,
+    videos, T=32, D_in=D=32), builds one taped graph of at most 113 nodes,
     counted with the walk backward replays: attention, layer norm, GELU, L2
-    normalisation, the conv taps and each InfoNCE direction are one node
-    each (169 nodes with composed attention, 265 with every op composed; a
+    normalisation, each InfoNCE direction, each affine map and each block's
+    conv over the tokens (cls row passed through, bias included) are one
+    node each (131 nodes with the affine maps and the cls split composed,
+    169 with composed attention as well, 265 with every op composed; a
     graph per video holds 6,483)."""
     cfg = TrainConfig(mining_warmup_epochs=0)
     assert cfg.encoder.num_snippets == cfg.encoder.d_in == cfg.encoder.d_model == 32
@@ -489,7 +491,7 @@ def test_mined_step_is_one_small_graph(monkeypatch):
     train_step(model, videos, cfg, AdamState.for_params(model.named_params()),
                np.random.default_rng(0), step=1, epoch=0)
     assert all(seen["mined"].values()), seen["mined"]   # every term is in the graph
-    assert seen["nodes"] <= 131, seen["nodes"]
+    assert seen["nodes"] <= 113, seen["nodes"]
 
 
 def test_overfit_single_batch_drives_loss_down():
