@@ -25,6 +25,7 @@ from .errors import ConfigError, FormatError, MetricError, TrainingError
 from .losses import LossConfig
 from .metrics import EvalRecord, evaluate, snippet_to_frame_scores
 from .mining import MiningConfig, mine_batch
+from .schema import from_json
 from .synthdata import SynthConfig, generate_dataset, load_manifest, load_split
 from .tensor import no_grad
 from .trainer import TrainConfig, keep_freed_heap, train
@@ -63,12 +64,25 @@ class ResolvedConfig:
         }
 
 
-def _build_section(cls, section: dict, name: str):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in config section {name!r}: {unknown}")
-    return cls(**section)
+@dataclasses.dataclass
+class AblateConfig:
+    seeds: list[int] = dataclasses.field(default_factory=lambda: [0, 1, 2])
+
+    def __post_init__(self):
+        if not self.seeds:
+            raise ConfigError("seeds must be a non-empty list of integers")
+
+
+@dataclasses.dataclass
+class _ConfigFile:
+    """The config file's sections; encoder, loss and mining go into train."""
+
+    synth: SynthConfig = dataclasses.field(default_factory=SynthConfig)
+    train: TrainConfig = dataclasses.field(default_factory=TrainConfig)
+    encoder: EncoderConfig = dataclasses.field(default_factory=EncoderConfig)
+    loss: LossConfig = dataclasses.field(default_factory=LossConfig)
+    mining: MiningConfig = dataclasses.field(default_factory=MiningConfig)
+    ablate: AblateConfig = dataclasses.field(default_factory=AblateConfig)
 
 
 def load_config(path=None, seed_override=None) -> ResolvedConfig:
@@ -82,43 +96,18 @@ def load_config(path=None, seed_override=None) -> ResolvedConfig:
                               f"at offset {e.start}") from None
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: config is not valid JSON: {e}") from e
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config root must be a JSON object")
-    known = {"synth", "train", "encoder", "loss", "mining", "ablate"}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigError(f"unknown config sections: {unknown}")
-
-    synth_section = dict(data.get("synth", {}))
-    if isinstance(synth_section.get("region_len_range"), list):
-        synth_section["region_len_range"] = tuple(synth_section["region_len_range"])
-    synth = _build_section(SynthConfig, synth_section, "synth")
-
-    encoder = _build_section(EncoderConfig, data.get("encoder", {}), "encoder")
-    loss = _build_section(LossConfig, data.get("loss", {}), "loss")
-    mining = _build_section(MiningConfig, data.get("mining", {}), "mining")
-
-    train_section = dict(data.get("train", {}))
+    train_section = data.get("train") if isinstance(data, dict) else None
     for key in ("encoder", "loss", "mining"):
-        if key in train_section:
+        if isinstance(train_section, dict) and key in train_section:
             raise ConfigError(f"put {key!r} at the top level, not inside 'train'")
-    train_cfg = _build_section(
-        TrainConfig, train_section | {"encoder": encoder, "loss": loss, "mining": mining},
-        "train")
-
-    ablate_section = dict(data.get("ablate", {}))
-    seeds = ablate_section.pop("seeds", [0, 1, 2])
-    if ablate_section:
-        raise ConfigError(f"unknown keys in config section 'ablate': "
-                          f"{sorted(ablate_section)}")
-    if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) for s in seeds)):
-        raise ConfigError("ablate.seeds must be a non-empty list of integers")
-
+    sections = from_json(_ConfigFile, data, str(path), ConfigError)
+    synth = sections.synth
+    train_cfg = dataclasses.replace(sections.train, encoder=sections.encoder,
+                                    loss=sections.loss, mining=sections.mining)
     if seed_override is not None:
         synth = dataclasses.replace(synth, seed=seed_override)
         train_cfg = dataclasses.replace(train_cfg, seed=seed_override)
-    return ResolvedConfig(synth=synth, train=train_cfg, ablate_seeds=list(seeds))
+    return ResolvedConfig(synth=synth, train=train_cfg, ablate_seeds=sections.ablate.seeds)
 
 
 def _write_run_record(out_dir: Path, command: str, config: ResolvedConfig | None,
@@ -133,13 +122,12 @@ def _write_run_record(out_dir: Path, command: str, config: ResolvedConfig | None
 
 
 def _check_dataset_compat(data_dir, config: ResolvedConfig):
-    manifest, _ = load_manifest(data_dir)
-    ds = manifest.get("config", {})
+    ds = load_manifest(data_dir).config
+    t, d = (ds.num_snippets, ds.d_in) if ds is not None else (None, None)
     enc = config.train.encoder
-    if ds.get("d_in") != enc.d_in or ds.get("num_snippets") != enc.num_snippets:
-        raise ConfigError(
-            f"dataset is T={ds.get('num_snippets')}, D={ds.get('d_in')} but the "
-            f"encoder expects T={enc.num_snippets}, D={enc.d_in}; fix the config")
+    if (t, d) != (enc.num_snippets, enc.d_in):
+        raise ConfigError(f"dataset is T={t}, D={d} but the encoder expects "
+                          f"T={enc.num_snippets}, D={enc.d_in}; fix the config")
 
 
 def _train_triples(data_dir) -> list[tuple[str, int, np.ndarray]]:

@@ -35,6 +35,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .schema import from_json
 from .tensor import (
     Tensor,
     broadcast_to,
@@ -434,23 +435,24 @@ def load_checkpoint(path) -> tuple[Model, bytes]:
                   for start, size, shape in layout]), buf[end:]
 
 
+@dataclass
+class _Header:
+    """A checkpoint's JSON config block, as ``config_dict`` writes it."""
+
+    model: str
+    encoder: EncoderConfig | None = None   # transformer
+    d_in: int | None = None                # linear
+
+
 def _layout_from_config(cfg, path):
     """The parameter shapes a checkpoint header's config declares, lazily,
     and the function that builds the model from tensors of those shapes."""
-    kind = cfg.get("model") if isinstance(cfg, dict) else None
-    if kind == "transformer":
-        try:
-            config = EncoderConfig(**cfg["encoder"])
-        except (TypeError, KeyError, ConfigError) as e:
-            raise FormatError(f"{path}: bad encoder config: {e}") from e
-        dims = ("num_snippets", "d_in", "d_model", "heads", "depth", "conv_width")
-        if not all(type(getattr(config, f)) is int for f in dims):
-            raise FormatError(f"{path}: bad encoder config: {', '.join(dims)} must be integers")
+    header = from_json(_Header, cfg, f"{path}: header", FormatError)
+    config, d_in = header.encoder, header.d_in
+    if header.model == "transformer" and config is not None:
         return param_shapes(config), \
             lambda tensors: TransformerModel(config, params_from_tensors(config, tensors))
-    if kind == "linear":
-        d_in = cfg.get("d_in")
-        if type(d_in) is not int or d_in < 1:
-            raise FormatError(f"{path}: bad linear config: d_in={d_in!r}")
+    if header.model == "linear" and d_in is not None and d_in >= 1:
         return [("w", (d_in,)), ("b", ())], lambda tensors: LinearModel(d_in, *tensors)
-    raise FormatError(f"{path}: unknown model kind {kind!r}")
+    raise FormatError(f"{path}: header of model kind {header.model!r} is neither a "
+                      "transformer with an encoder config nor a linear model with d_in >= 1")

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .schema import from_json
 
 FEATURE_MAGIC = b"WVFD"
 FEATURE_VERSION = 1
@@ -59,7 +60,6 @@ class SynthConfig:
     seed: int = 7
 
     def __post_init__(self):
-        self.region_len_range = tuple(self.region_len_range)
         for name in ("n_normal_train", "n_abnormal_train", "n_normal_test", "n_abnormal_test"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -94,6 +94,27 @@ class VideoRecord:
     feature_file: str
     frame_label_file: str | None  # test split only
 
+    def __post_init__(self):
+        if self.split not in ("train", "test"):
+            raise FormatError(f"split must be train or test, got {self.split!r}")
+        if self.video_label not in (0, 1):
+            raise FormatError(f"video_label must be 0 or 1, got {self.video_label!r}")
+        if self.num_frames < 1:
+            raise FormatError(f"num_frames must be >= 1, got {self.num_frames}")
+
+
+@dataclass
+class Manifest:
+    """A dataset's ``manifest.json``: the generating config and the videos."""
+
+    format_version: int
+    config: SynthConfig | None = None
+    videos: list[VideoRecord] = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.format_version != 1:
+            raise FormatError(f"unsupported format_version {self.format_version}")
+
 
 @dataclass
 class LoadedVideo:
@@ -121,12 +142,13 @@ def write_features(features: np.ndarray, path):
 
 
 def _read_bytes(path) -> bytes:
-    """A file the manifest names; a missing one is a malformed dataset."""
+    """A file the manifest names; a missing one, or a directory, is a
+    malformed dataset."""
     try:
         with open(path, "rb") as fh:
             return fh.read()
-    except FileNotFoundError:
-        raise FormatError(f"{path}: no such file") from None
+    except (FileNotFoundError, IsADirectoryError) as e:
+        raise FormatError(f"{path}: {e.strerror.lower()}") from None
 
 
 def load_features(path) -> np.ndarray:
@@ -251,7 +273,7 @@ def generate_dataset(config: SynthConfig, out_dir) -> dict:
 # loading
 
 
-def load_manifest(root) -> tuple[dict, list[VideoRecord]]:
+def load_manifest(root) -> Manifest:
     path = Path(root) / MANIFEST_NAME
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -262,16 +284,7 @@ def load_manifest(root) -> tuple[dict, list[VideoRecord]]:
                           f"at offset {e.start}") from None
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: invalid JSON: {e}") from e
-    if manifest.get("format_version") != 1:
-        raise FormatError(f"{path}: unsupported format_version "
-                          f"{manifest.get('format_version')!r}")
-    records = []
-    for entry in manifest.get("videos", []):
-        try:
-            records.append(VideoRecord(**entry))
-        except TypeError as e:
-            raise FormatError(f"{path}: bad video record {entry!r}: {e}") from e
-    return manifest, records
+    return from_json(Manifest, manifest, str(path), FormatError)
 
 
 def load_split(root, split: str) -> list[LoadedVideo]:
@@ -279,9 +292,8 @@ def load_split(root, split: str) -> list[LoadedVideo]:
     if split not in ("train", "test"):
         raise ValueError(f"split must be train or test, got {split!r}")
     root = Path(root)
-    _, records = load_manifest(root)
     out = []
-    for rec in records:
+    for rec in load_manifest(root).videos:
         if rec.split != split:
             continue
         features = load_features(root / rec.feature_file)

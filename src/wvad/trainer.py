@@ -19,7 +19,7 @@ import ctypes
 import functools
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -32,9 +32,6 @@ from .mining import MiningConfig, mine_batch
 from .tensor import Tensor
 
 OPT_MAGIC = b"WVOP"
-
-LOG_COLUMNS = ("step", "epoch", "l_total", "l_snp", "l_vid", "l_reg", "l_cnt",
-               "n_ha", "n_hn", "n_ea", "n_en", "grad_norm", "update_norm")
 
 # one video as the trainer sees it
 VideoTriple = tuple[str, int, np.ndarray]
@@ -69,6 +66,8 @@ class TrainConfig:
 
 @dataclass
 class LogRow:
+    """One row of ``log.csv``; the fields are its columns, in order."""
+
     step: int
     epoch: int
     l_total: float
@@ -84,10 +83,10 @@ class LogRow:
     update_norm: float
 
     def as_csv(self) -> list[str]:
-        return [str(self.step), str(self.epoch), repr(self.l_total), repr(self.l_snp),
-                repr(self.l_vid), repr(self.l_reg), repr(self.l_cnt),
-                str(self.n_ha), str(self.n_hn), str(self.n_ea), str(self.n_en),
-                repr(self.grad_norm), repr(self.update_norm)]
+        return [str(getattr(self, name)) for name in LOG_COLUMNS]
+
+
+LOG_COLUMNS = tuple(f.name for f in fields(LogRow))
 
 
 @dataclass

@@ -314,13 +314,11 @@ def check_objective(seeds: int, h: float, tol: float) -> CheckRow:
         int(rng.integers(0, 2 ** 31))), seeds, h, tol)
 
 
-def run_all(seeds: int = 10, h: float = 1e-5, tol: float = 1e-4,
-            include_objective: bool = True) -> VerificationReport:
+def run_all(seeds: int = 10, h: float = 1e-5, tol: float = 1e-4) -> VerificationReport:
     start = time.perf_counter()
     report = VerificationReport(h=h, tol=tol)
     for name, builder in OP_CASES:
         report.rows.append(check_case(name, builder, seeds, h, tol))
-    if include_objective:
-        report.rows.append(check_objective(seeds, h, tol))
+    report.rows.append(check_objective(seeds, h, tol))
     report.elapsed_s = time.perf_counter() - start
     return report

@@ -73,14 +73,14 @@ def test_load_config_reads_sections(tmp_path):
 def test_load_config_rejects_unknown_section(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"optimizer": {"lr": 0.1}}), encoding="utf-8")
-    with pytest.raises(ConfigError, match="unknown config sections"):
+    with pytest.raises(ConfigError, match=r"c\.json: unknown keys \['optimizer'\]"):
         load_config(path)
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"train": {"learning_rate": 0.1}}), encoding="utf-8")
-    with pytest.raises(ConfigError, match="unknown keys.*train"):
+    with pytest.raises(ConfigError, match=r"train: unknown keys \['learning_rate'\]"):
         load_config(path)
 
 
@@ -112,6 +112,53 @@ def test_seed_override_applies_to_synth_and_train(tmp_path):
     resolved = load_config(tiny_config_file(tmp_path), seed_override=42)
     assert resolved.synth.seed == 42
     assert resolved.train.seed == 42
+
+
+# each input used to end in a traceback, or exit 0 with a run that was not
+# the one asked for: a null seed draws from OS entropy, a string is truthy,
+# a float count is used as given
+WRONG_TYPE_CONFIGS = {
+    "epochs_str": ({"train": {"epochs": "5"}}, "train.epochs"),
+    "lr_str": ({"train": {"lr": "0.1"}}, "train.lr"),
+    "threshold_str": ({"mining": {"threshold": "0.5"}}, "mining.threshold"),
+    "region_short": ({"synth": {"region_len_range": [3]}}, "synth.region_len_range"),
+    "region_str": ({"synth": {"region_len_range": "ab"}}, "synth.region_len_range"),
+    "train_list": ({"train": [1]}, "train"),
+    "seed_null": ({"synth": {"seed": None}}, "synth.seed"),
+    "edge_blend_str": ({"synth": {"edge_blend": "no"}}, "synth.edge_blend"),
+    "positional_str": ({"encoder": {"use_positional": "false"}}, "encoder.use_positional"),
+    "epochs_float": ({"train": {"epochs": 5.5}}, "train.epochs"),
+    "heads_float": ({"encoder": {"heads": 2.0}}, "encoder.heads"),
+    "k_float": ({"loss": {"k": 2.0}}, "loss.k"),
+    "seed_bool": ({"ablate": {"seeds": [True]}}, "ablate.seeds[0]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPE_CONFIGS))
+def test_config_value_of_wrong_type_exits_2(name, tmp_path, capsys):
+    override, key = WRONG_TYPE_CONFIGS[name]
+    data = {"synth": dict(TINY_SYNTH), "encoder": dict(TINY_ENCODER)}
+    for section, value in override.items():
+        data[section] = {**data.get(section, {}), **value} if isinstance(value, dict) else value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc = cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "d")])
+    assert rc == 2
+    assert f"{path}: {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_an_int_for_a_float_is_kept_as_given(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"synth": dict(TINY_SYNTH, anomaly_shift=3,
+                                              region_len_range=[2, 4]),
+                                "train": {"lr": 1}, "loss": {"temperature": 1}}),
+                    encoding="utf-8")
+    assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "d")]) == 0
+    record = (tmp_path / "d" / "run.json").read_text(encoding="utf-8")
+    assert '"lr": 1,' in record and '"temperature": 1,' in record
+    assert '"anomaly_shift": 3,' in record
+    assert load_config(path).synth.region_len_range == (2, 4)
 
 
 # ---------------------------------------------------------------------
@@ -442,6 +489,53 @@ def test_mine_rejects_non_finite_scores(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert "non-finite score" in err and f"{scores_path}:4" in err
     assert not (tmp_path / "m" / "mined.csv").exists()
+
+
+def _set_video(key, value, split, label=None):
+    """An edit of the manifest's first ``split`` video (with ``label``)."""
+    def edit(manifest):
+        video = next(v for v in manifest["videos"]
+                     if v["split"] == split and label in (None, v["video_label"]))
+        video[key] = value
+        return manifest
+    return edit
+
+
+# each manifest used to end in a traceback, or in exit 0 (a float frame
+# count, an int id, a label that is not 0/1 on eval) or exit 2 with a
+# misleading class count (such a label on train)
+WRONG_MANIFESTS = {
+    "root_list": ("eval", lambda m: [], "expected a JSON object"),
+    "videos_int": ("eval", lambda m: {**m, "videos": 3}, "videos: "),
+    "config_list": ("train", lambda m: {**m, "config": []}, "config: "),
+    "feature_file_null": ("eval", _set_video("feature_file", None, "test"), "].feature_file: "),
+    "num_frames_float": ("eval", _set_video("num_frames", 32.0, "test", 1), "].num_frames: "),
+    "id_int": ("eval", _set_video("id", 0, "test"), "].id: "),
+    "label_str_eval": ("eval", _set_video("video_label", "1", "test", 0), "].video_label: "),
+    "label_2_eval": ("eval", _set_video("video_label", 2, "test", 1), "video_label must be"),
+    "label_str_train": ("train", _set_video("video_label", "1", "train", 1),
+                        "].video_label: "),
+    "label_2_train": ("train", _set_video("video_label", 2, "train", 0), "video_label must be"),
+    "split_other": ("eval", _set_video("split", "val", "train"), "split must be"),
+    "num_frames_0": ("eval", _set_video("num_frames", 0, "test"), "num_frames must be"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_MANIFESTS))
+def test_manifest_value_of_wrong_type_or_range_exits_3(name, trained_run, tmp_path, capsys):
+    command, edit, expected = WRONG_MANIFESTS[name]
+    data = tmp_path / "data"
+    generate_dataset(SynthConfig(**TINY_SYNTH), data)
+    manifest = edit(json.loads((data / "manifest.json").read_text(encoding="utf-8")))
+    (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(trained_run / "checkpoint.wvck")]
+    else:
+        argv = ["train", "--config", tiny_config_file(tmp_path), "--out", str(tmp_path / "r")]
+    rc = cli.main([*argv, "--data", str(data)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{data / 'manifest.json'}: " in err and expected in err
 
 
 def test_eval_rejects_fewer_frames_than_snippets(trained_run, tmp_path, capsys):

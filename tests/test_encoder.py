@@ -462,6 +462,11 @@ def test_checkpoint_rejects_truncation(tmp_path):
     {"model": "transformer", "encoder": {"depth": "2"}},
     {"model": "linear", "d_in": 4.0},
     ["transformer"],
+    # complete, and small enough for the payload: a truthy string used to
+    # load it as a positional model, reading every weight at a shifted offset
+    {"model": "transformer", "encoder": {"num_snippets": 4, "d_in": 3, "d_model": 4,
+                                         "heads": 2, "depth": 1, "conv_width": 3,
+                                         "dropout_rate": 0.0, "use_positional": "no"}},
 ])
 def test_checkpoint_rejects_header_config_of_wrong_types(tmp_path, cfg):
     import json
@@ -470,6 +475,19 @@ def test_checkpoint_rejects_header_config_of_wrong_types(tmp_path, cfg):
     path = tmp_path / "typed.ckpt"
     path.write_bytes(b"WVCK" + struct.pack("<II", 1, len(blob)) + blob + b"\x00" * 4096)
     with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def test_header_error_names_the_key(tmp_path):
+    m = make_model(seed=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, m)
+    raw = path.read_bytes()
+    good = b'"use_positional": false'
+    assert good in raw
+    path.write_bytes(raw.replace(good, b'"use_positional": "no!"'))   # same length
+    with pytest.raises(FormatError, match=r"model\.ckpt: header: encoder\.use_positional: "
+                                          r"expected bool, got 'no!'"):
         load_checkpoint(path)
 
 

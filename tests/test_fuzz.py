@@ -1,4 +1,6 @@
-"""Seeded truncation and byte-flip fuzzing of every on-disk format the CLI reads.
+"""Seeded truncation and byte-flip fuzzing of every on-disk format the CLI
+reads, and JSON-value swaps in the three JSON documents (config, manifest,
+checkpoint header).
 
 Each target is a valid file written by the package itself. A mutation
 either truncates it or replaces one to three bytes with other values, from
@@ -7,10 +9,18 @@ land in the file's structured part (headers, the generator state, the
 manifest's keys) rather than in bulk float payload, where most flips parse
 cleanly. Parsing a mutated file may succeed; when it fails, the error must
 be a ``FormatError`` or ``ConfigError``, which the CLI turns into exit 3 or
-2, never a traceback.
+2, never a traceback. Byte flips rarely turn a JSON value into one of
+another type, so each value of those documents is also swapped, one at a
+time, for every value of another type in ``OTHER_VALUES``.
 """
 
+import copy
 import csv
+import dataclasses
+import functools
+import json
+import operator
+import struct
 
 import numpy as np
 import pytest
@@ -58,6 +68,73 @@ def fuzz(raw: bytes, structured, path, parse, seed: int):
         except Exception as e:   # noqa: BLE001 - the test reports every kind
             escaped.append(f"{what}: {type(e).__name__}: {e}")
     return escaped
+
+
+OTHER_VALUES = (None, True, False, 0, -1, 3, 0.5, 2.0, "", "x", [], [1, 2], {}, {"k": 1})
+
+
+def json_paths(value, path=()):
+    """The path of every value below ``value``, containers included."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def swaps(doc):
+    """(description, copy of ``doc``) with one value replaced by one of another type."""
+    for path in json_paths(doc):
+        old = functools.reduce(operator.getitem, path, doc)
+        for value in OTHER_VALUES:
+            if type(value) is not type(old):
+                out = copy.deepcopy(doc)
+                functools.reduce(operator.getitem, path[:-1], out)[path[-1]] = value
+                yield f"{'/'.join(map(str, path))} = {value!r}", out
+
+
+def fuzz_values(doc, write, parse):
+    """Parse every swap of ``doc``; return the ones that failed with
+    anything but FormatError/ConfigError, and the number of swaps."""
+    escaped, count = [], 0
+    for what, mutated in swaps(doc):
+        count += 1
+        path = write(mutated)
+        try:
+            parse(path)
+        except (FormatError, ConfigError):
+            pass
+        except Exception as e:   # noqa: BLE001 - the test reports every kind
+            escaped.append(f"{what}: {type(e).__name__}: {e}")
+    return escaped, count
+
+
+def full_config() -> dict:
+    """Every key of the config schema, at its default, in its section."""
+    resolved = cli.load_config()
+    train = dataclasses.asdict(resolved.train)
+    sections = {key: train.pop(key) for key in ("encoder", "loss", "mining")}
+    return {"synth": dataclasses.asdict(resolved.synth), "train": train, **sections,
+            "ablate": {"seeds": resolved.ablate_seeds}}
+
+
+def test_config(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(full_config(), indent=1), encoding="utf-8")
+    cli.load_config(good)
+    raw = good.read_bytes()
+    assert fuzz(raw, (0, len(raw)), tmp_path / "bad.json", cli.load_config, SEED + 5) == []
+
+
+def test_config_value_swaps(tmp_path):
+    path = tmp_path / "c.json"
+
+    def write(doc):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    escaped, count = fuzz_values(full_config(), write, cli.load_config)
+    assert escaped == [] and count > 500
 
 
 def test_checkpoint_and_optimiser_section(tmp_path):
@@ -114,6 +191,41 @@ def dataset(tmp_path):
                                  n_abnormal_test=1, num_snippets=8, frames_per_snippet=2,
                                  d_in=6, seed=9), root)
     return root
+
+
+def test_checkpoint_header_value_swaps(tmp_path):
+    model = TransformerModel.init(EncoderConfig(num_snippets=4, d_in=3, d_model=4, heads=2,
+                                                depth=1), seed=2)
+    good = tmp_path / "good.wvck"
+    save_checkpoint(good, model)
+    raw = good.read_bytes()
+    (blob_len,) = struct.unpack_from("<I", raw, 8)
+    header, payload = json.loads(raw[12:12 + blob_len]), raw[12 + blob_len:]
+    path = tmp_path / "bad.wvck"
+
+    def write(doc):
+        blob = json.dumps(doc).encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + payload)
+        return path
+
+    escaped, count = fuzz_values(header, write, load_checkpoint)
+    assert escaped == [] and count > 100
+
+
+def test_manifest_value_swaps(dataset):
+    path = dataset / MANIFEST_NAME
+    doc = json.loads(path.read_text(encoding="utf-8"))
+
+    def write(mutated):
+        path.write_text(json.dumps(mutated), encoding="utf-8")
+        return path
+
+    def parse(_):
+        load_split(dataset, "test")
+        load_split(dataset, "train")
+
+    escaped, count = fuzz_values(doc, write, parse)
+    assert escaped == [] and count > 500
 
 
 def test_manifest(dataset):

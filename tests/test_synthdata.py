@@ -16,6 +16,7 @@ from wvad.errors import ConfigError, FormatError
 from wvad.metrics import roc_auc
 from wvad.synthdata import (
     SynthConfig,
+    VideoRecord,
     generate_dataset,
     load_features,
     load_frame_labels,
@@ -167,7 +168,7 @@ def test_different_seeds_differ(tmp_path):
 def test_manifest_records_are_consistent(tmp_path):
     cfg = small_config()
     generate_dataset(cfg, tmp_path)
-    _, records = load_manifest(tmp_path)
+    records = load_manifest(tmp_path).videos
     assert len(records) == 4 + 4 + 3 + 3
     for rec in records:
         assert rec.num_frames == cfg.num_frames
@@ -241,6 +242,43 @@ def test_manifest_bad_record(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(FormatError):
         load_manifest(tmp_path)
+
+
+GOOD_RECORD = dict(id="v", split="test", video_label=1, num_frames=4,
+                   feature_file="features/v.wvfd", frame_label_file="labels/v.bin")
+
+
+@pytest.mark.parametrize("key, value", [("split", "validation"), ("video_label", 2),
+                                        ("video_label", -1), ("num_frames", 0)])
+def test_video_record_values_are_checked(key, value):
+    with pytest.raises(FormatError, match=f"^{key} must be"):
+        VideoRecord(**{**GOOD_RECORD, key: value})
+
+
+def test_manifest_record_errors_name_the_record_and_key(tmp_path):
+    doc = {"format_version": 1, "videos": [GOOD_RECORD, {**GOOD_RECORD, "num_frames": 32.0}]}
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=r"manifest\.json: videos\[1\]\.num_frames: "
+                                          r"expected int, got 32\.0$"):
+        load_manifest(tmp_path)
+
+
+def test_manifest_config_errors_are_format_errors(tmp_path):
+    generate_dataset(small_config(), tmp_path)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc["config"]["region_len_range"] = [9, 3]
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=r"manifest\.json: config: region_len_range"):
+        load_manifest(tmp_path)
+
+
+def test_manifest_without_config_still_loads(tmp_path):
+    generate_dataset(small_config(), tmp_path)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    del doc["config"]
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    assert load_manifest(tmp_path).config is None
+    assert len(load_split(tmp_path, "test")) == 6
 
 
 # ---------------------------------------------------------------------

@@ -2,6 +2,7 @@
 determinism, bitwise checkpoint resume, and failure diagnostics."""
 
 import builtins
+import dataclasses
 import errno
 import math
 import struct
@@ -274,6 +275,8 @@ def test_train_writes_log_csv(tmp_path):
     assert text[0] == ("step,epoch,l_total,l_snp,l_vid,l_reg,l_cnt,n_ha,n_hn,n_ea,n_en,"
                        "grad_norm,update_norm")
     assert len(text) == 1 + len(res.log)
+    # each row is its LogRow's fields in order, each written as its repr
+    assert text[1:] == [",".join(map(repr, dataclasses.astuple(row))) for row in res.log]
     first = text[1].split(",")
     assert int(first[0]) == res.log[0].step
     assert float(first[2]) == res.log[0].l_total

@@ -18,8 +18,8 @@ def test_suite_passes_on_fresh_build():
 
 
 def test_suite_covers_every_op_case():
-    report = run_all(seeds=1, include_objective=False)
-    assert [r.name for r in report.rows] == [name for name, _ in OP_CASES]
+    report = run_all(seeds=1)
+    assert [r.name for r in report.rows] == [name for name, _ in OP_CASES] + ["full_objective"]
 
 
 def test_summary_lines_name_each_check():
