@@ -12,8 +12,9 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
-import math
+import operator
 import sys
 from pathlib import Path
 
@@ -48,6 +49,10 @@ FRAME_COLUMNS = ("video_id", "frame", "score", "label")
 # in cache (600 videos: 135 ms at 32, 169 ms at 64) and memory does not grow
 # with the split
 SCORE_CHUNK = 32
+
+# score-CSV rows turned into columns at a time: only one chunk's row lists
+# and field strings are held, the rest as ints and float64 values
+SCORES_CSV_CHUNK = 512
 
 
 @dataclasses.dataclass
@@ -265,7 +270,7 @@ def cmd_eval(args) -> int:
 
 def cmd_export_scores(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
-    videos = load_split(args.data, args.split)
+    videos = load_split(args.data, args.split, frame_labels=False)
     out = Path(args.out)
     _write_run_record(out, "export-scores", None,
                       checkpoint=str(args.checkpoint), data=str(args.data),
@@ -276,15 +281,47 @@ def cmd_export_scores(args) -> int:
     return 0
 
 
+def _score_chunk(chunk, fields, width):
+    """A chunk of score-CSV rows as columns: the ids, and the t, score and
+    label values up to the chunk's first field that does not convert, with
+    the raw score texts and that field's error."""
+    columns = list(zip(*chunk))
+    if len(columns) < width:   # a short row: its missing fields read as None
+        columns = list(zip(*(row + [None] * (width - len(row)) for row in chunk)))
+    vids, t_texts, score_texts, label_texts = fields(columns)
+    m, misfit, converted = len(chunk), None, []
+    for convert, texts in ((int, t_texts), (float, score_texts), (int, label_texts)):
+        values = []
+        try:
+            values.extend(map(convert, texts))   # keeps the values before a misfit
+        except (TypeError, ValueError) as e:
+            if len(values) < m:
+                m, misfit = len(values), f"malformed row: {e}"
+        converted.append(values)
+    ts, scores, labels = (values[:m] for values in converted)
+    return vids[:m], ts, np.array(scores, dtype=np.float64), labels, score_texts, misfit
+
+
 def _read_scores_csv(path) -> list[tuple[str, int, np.ndarray]]:
+    """A score CSV's videos in order of first appearance: id, label and the
+    scores in snippet order.
+
+    Rows are converted to columns SCORES_CSV_CHUNK at a time, up to the
+    first field that does not convert, and each check then runs once over
+    its columns, on the rows before the first row an earlier check failed.
+    So a malformed file reports its first malformed row (rows that are not
+    blank are numbered from 2), and that row's first failure in this order:
+    t, score and label convert, the score is finite, the id and label are
+    valid, the label is the video's first, (video, t) is new. Then each
+    video's snippet indices must be 0..T-1.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file") from None
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8: byte 0x{e.object[e.start]:02x} "
                           f"at offset {e.start}") from None
-    lines = text.splitlines()
     if not lines:
         return []
     reader = csv.reader(lines)
@@ -295,37 +332,77 @@ def _read_scores_csv(path) -> list[tuple[str, int, np.ndarray]]:
     # found by name, read as csv.DictReader would: a repeated name reads its
     # last column, and a short row's missing fields read as None (malformed)
     column = {name: i for i, name in enumerate(header)}
-    i_vid, i_t, i_score, i_label = (column[name] for name in SCORE_COLUMNS)
-    width = len(header)
-    per_video: dict[str, dict] = {}
-    for i, row in enumerate(filter(None, reader), start=2):
-        if len(row) < width:
-            row = row + [None] * (width - len(row))
+    fields = operator.itemgetter(*(column[name] for name in SCORE_COLUMNS))
+    rows = filter(None, reader)
+    run_ids, run_lengths, ts, labels, scores = [], [], [], [], []
+    n, error, non_finite, unreadable = 0, None, None, None
+    while error is None and unreadable is None:
+        chunk = []
         try:
-            vid = row[i_vid]
-            t = int(row[i_t])
-            score = float(row[i_score])
-            label = int(row[i_label])
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"{path}:{i}: malformed row: {e}") from e
-        if not math.isfinite(score):
-            raise ConfigError(f"{path}:{i}: non-finite score {row[i_score]!r}")
-        if vid is None or label not in (0, 1):
-            raise ConfigError(f"{path}:{i}: bad video id or label")
-        entry = per_video.setdefault(vid, {"label": label, "scores": {}})
-        if entry["label"] != label:
-            raise ConfigError(f"{path}:{i}: conflicting labels for video {vid}")
-        if t in entry["scores"]:
-            raise ConfigError(f"{path}:{i}: duplicate snippet index {t} for {vid}")
-        entry["scores"][t] = score
-    videos = []
-    for vid, entry in per_video.items():
-        ts = sorted(entry["scores"])
-        if ts != list(range(len(ts))):
-            raise ConfigError(f"{path}: video {vid} snippet indices are not 0..T-1")
-        videos.append((vid, entry["label"],
-                       np.array([entry["scores"][t] for t in ts], dtype=np.float64)))
-    return videos
+            chunk.extend(itertools.islice(rows, SCORES_CSV_CHUNK))   # keeps the rows read
+        except csv.Error as e:
+            unreadable = e
+        if not chunk:
+            break
+        vids, t_values, score_values, label_values, score_texts, error = \
+            _score_chunk(chunk, fields, len(header))
+        finite = np.isfinite(score_values)
+        if non_finite is None and not finite.all():
+            k = int(np.argmin(finite))
+            non_finite = (n + k, f"non-finite score {score_texts[k]!r}")
+        if vids:   # ids by runs of equal ids
+            changes = np.fromiter(map(operator.ne, vids, vids[1:]), bool, len(vids) - 1)
+            starts = [0, *(np.flatnonzero(changes) + 1).tolist()]
+            run_ids += [vids[i] for i in starts]
+            run_lengths += np.diff(starts, append=len(vids)).tolist()
+        ts += t_values
+        labels += label_values
+        scores.append(score_values)
+        n += len(vids)
+    bad = n   # the first failing row so far: a misfit's, or past the last
+    if non_finite is not None:
+        bad, error = non_finite
+    code_of = {}   # the videos in order of first appearance
+    run_codes = [code_of.setdefault(vid, len(code_of)) for vid in run_ids]
+    codes = np.repeat(np.array(run_codes, dtype=np.intp), run_lengths)
+    valid = codes[:bad] != code_of.get(None, -1)
+    if not set(labels[:bad]) <= {0, 1}:
+        valid &= np.fromiter(map((0, 1).__contains__, labels[:bad]), bool, bad)
+    if not valid.all():
+        bad, error = int(np.argmin(valid)), "bad video id or label"
+    first_rows = np.cumsum([0] + run_lengths)[np.unique(run_codes, return_index=True)[1]]
+    label_of = np.array(labels[:bad], dtype=np.int8)
+    conflict = label_of != label_of[first_rows[codes[:bad]]]
+    if conflict.any():
+        bad = int(np.argmax(conflict))
+        error = f"conflicting labels for video {list(code_of)[codes[bad]]}"
+    # t's distinct values coded, so that any int compares exactly
+    t_index = dict(zip(dict.fromkeys(ts), itertools.count()))
+    t_codes = np.fromiter(map(t_index.__getitem__, ts), np.intp, len(ts))
+    first_seen = np.unique(codes[:bad] * len(t_index) + t_codes[:bad], return_index=True)[1]
+    repeated = np.ones(bad, dtype=bool)
+    repeated[first_seen] = False
+    if repeated.any():
+        bad = int(np.argmax(repeated))
+        error = f"duplicate snippet index {ts[bad]} for {list(code_of)[codes[bad]]}"
+    if error is not None:
+        raise ConfigError(f"{path}:{bad + 2}: {error}")
+    if unreadable is not None:
+        raise unreadable
+    if not n:
+        return []
+    # with no index repeated, 0..T-1 is every index in range; clipped to fit int64
+    t = np.fromiter(map(max, map(min, t_index, itertools.repeat(n)), itertools.repeat(-1)),
+                    np.intp, len(t_index))[t_codes]
+    counts = np.bincount(codes)
+    stray = (t < 0) | (t >= counts[codes])
+    if stray.any():
+        raise ConfigError(f"{path}: video {list(code_of)[codes[stray].min()]} "
+                          "snippet indices are not 0..T-1")
+    ends = np.cumsum(counts)
+    ordered = np.empty(n, dtype=np.float64)
+    ordered[ends[codes] - counts[codes] + t] = np.concatenate(scores)
+    return list(zip(code_of, label_of[first_rows].tolist(), np.split(ordered, ends[:-1])))
 
 
 def cmd_mine(args) -> int:

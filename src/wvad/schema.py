@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import reprlib
 import types
 import typing
@@ -66,6 +67,8 @@ def _checker(tp):
     def check_scalar(value):
         if type(value) not in accepted:
             raise _Invalid(f"expected {tp.__name__}, got {reprlib.repr(value)}")
+        if type(value) is float and not math.isfinite(value):   # JSON NaN, Infinity
+            raise _Invalid(f"expected a finite float, got {value}")
         return value
     return check_scalar
 

@@ -143,17 +143,16 @@ def write_features(features: np.ndarray, path):
 
 def _read_bytes(path) -> bytes:
     """A file the manifest names; a missing one, or a directory, is a
-    malformed dataset."""
+    malformed dataset. Read whole and unbuffered: no buffer object to build."""
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", buffering=0) as fh:
             return fh.read()
     except (FileNotFoundError, IsADirectoryError) as e:
         raise FormatError(f"{path}: {e.strerror.lower()}") from None
 
 
-def load_features(path) -> np.ndarray:
-    """Read a feature file back as float32, validating the header and
-    refusing non-finite values, which ``write_features`` never writes."""
+def _read_features(path) -> tuple[bytes, int, int]:
+    """A feature file's bytes, T and D, after every check but the values'."""
     buf = _read_bytes(path)
     if len(buf) < 16:
         raise FormatError(f"{path}: truncated header ({len(buf)} bytes, need 16)")
@@ -168,21 +167,41 @@ def load_features(path) -> np.ndarray:
     if len(buf) != expected:
         raise FormatError(
             f"{path}: payload is {len(buf) - 16} bytes at offset 16, expected {t * d * 4}")
-    flat = np.frombuffer(buf, dtype="<f4", count=t * d, offset=16)
+    return buf, t, d
+
+
+def _check_finite(flat: np.ndarray, path):
+    """Refuse a non-finite value, which ``write_features`` never writes."""
     finite = np.isfinite(flat)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise FormatError(f"{path}: non-finite value {flat[bad]} at offset {16 + 4 * bad}")
+
+
+def _read_labels(path, num_frames: int) -> bytes:
+    raw = _read_bytes(path)
+    if len(raw) != num_frames:
+        raise FormatError(f"{path}: {len(raw)} label bytes, expected {num_frames}")
+    return raw
+
+
+def _check_labels(labels: np.ndarray, path):
+    if labels.max(initial=0) > 1:
+        raise FormatError(f"{path}: labels must be 0x00/0x01")
+
+
+def load_features(path) -> np.ndarray:
+    """Read a feature file back as float32, validating the header and
+    refusing non-finite values."""
+    buf, t, d = _read_features(path)
+    flat = np.frombuffer(buf, dtype="<f4", count=t * d, offset=16)
+    _check_finite(flat, path)
     return flat.reshape(t, d).astype(np.float32)
 
 
 def load_frame_labels(path, num_frames: int) -> np.ndarray:
-    raw = _read_bytes(path)
-    if len(raw) != num_frames:
-        raise FormatError(f"{path}: {len(raw)} label bytes, expected {num_frames}")
-    labels = np.frombuffer(raw, dtype=np.uint8)
-    if not np.all((labels == 0) | (labels == 1)):
-        raise FormatError(f"{path}: labels must be 0x00/0x01")
+    labels = np.frombuffer(_read_labels(path, num_frames), dtype=np.uint8)
+    _check_labels(labels, path)
     return labels.copy()
 
 
@@ -287,22 +306,91 @@ def load_manifest(root) -> Manifest:
     return from_json(Manifest, manifest, str(path), FormatError)
 
 
-def load_split(root, split: str) -> list[LoadedVideo]:
-    """Load every video of one split, features (and test labels) included."""
+def _joiner(root: Path):
+    """``name -> str(root / name)``, a plain concatenation for a name that
+    pathlib would not normalise."""
+    prefix = str(root / "x")[:-1]
+
+    def join(name: str) -> str:
+        parts = name.split("/")
+        if name.startswith("/") or "" in parts or "." in parts:
+            return str(root / name)
+        return prefix + name
+    return join
+
+
+def load_split(root, split: str, *, frame_labels: bool = True) -> list[LoadedVideo]:
+    """Load every video of one split: its features and, unless
+    ``frame_labels`` is false, the frame labels of the videos that have them.
+
+    Each file is opened and read once, and its values are copied into one
+    float32 block for the split's features and one uint8 block for its
+    labels, whose videos hold views of them. Finiteness and the 0/1 labels
+    are checked once over the blocks. A malformed split raises the error of
+    its first malformed video, each video checked in manifest order:
+    features, frame count, then labels.
+    """
     if split not in ("train", "test"):
         raise ValueError(f"split must be train or test, got {split!r}")
     root = Path(root)
+    join = _joiner(root)
+    records = [rec for rec in load_manifest(root).videos if rec.split == split]
+    with_labels = [frame_labels and rec.frame_label_file is not None for rec in records]
+    features = np.empty(0, dtype=np.float32)
+    labels = np.empty(sum(rec.num_frames for rec, has in zip(records, with_labels) if has),
+                      dtype=np.uint8)
+    copied = []         # (record, feature path, block offset, (T, D)) of each video read
+    label_spans = {}    # video index -> (label path, block offset, frames)
+    used = used_labels = 0
+    try:
+        for i, rec in enumerate(records):
+            path = join(rec.feature_file)
+            buf, t, d = _read_features(path)
+            end = used + t * d
+            if end > features.size:   # the first video, or one larger than it
+                grown = np.empty(max(end, 2 * features.size, len(records) * t * d),
+                                 dtype=np.float32)
+                grown[:used] = features[:used]
+                features = grown
+            features[used:end] = np.frombuffer(buf, dtype="<f4", count=t * d, offset=16)
+            copied.append((rec, path, used, (t, d)))
+            used = end
+            if rec.num_frames < t:
+                raise FormatError(
+                    f"{root / MANIFEST_NAME}: video {rec.id} has {rec.num_frames} frames, "
+                    f"fewer than its {t} snippets")
+            if with_labels[i]:
+                path = join(rec.frame_label_file)
+                n = rec.num_frames
+                labels[used_labels:used_labels + n] = np.frombuffer(
+                    _read_labels(path, n), dtype=np.uint8)
+                label_spans[i] = (path, used_labels, n)
+                used_labels += n
+    except (FormatError, OSError, ValueError):   # reading or checking a video's files
+        # an earlier video's values fail before this video's file does
+        _check_values(features[:used], labels[:used_labels], copied, label_spans)
+        raise
+    _check_values(features[:used], labels, copied, label_spans)
     out = []
-    for rec in load_manifest(root).videos:
-        if rec.split != split:
-            continue
-        features = load_features(root / rec.feature_file)
-        if rec.num_frames < features.shape[0]:
-            raise FormatError(
-                f"{root / MANIFEST_NAME}: video {rec.id} has {rec.num_frames} frames, "
-                f"fewer than its {features.shape[0]} snippets")
-        frame_labels = None
-        if rec.frame_label_file is not None:
-            frame_labels = load_frame_labels(root / rec.frame_label_file, rec.num_frames)
-        out.append(LoadedVideo(record=rec, features=features, frame_labels=frame_labels))
+    for i, (rec, _, start, (t, d)) in enumerate(copied):
+        video_labels = None
+        if i in label_spans:
+            _, begin, n = label_spans[i]
+            video_labels = labels[begin:begin + n]
+        out.append(LoadedVideo(record=rec, features=features[start:start + t * d].reshape(t, d),
+                               frame_labels=video_labels))
     return out
+
+
+def _check_values(features, labels, copied, label_spans):
+    """Check the copied features' finiteness and labels' values at once;
+    on a fault, raise the error of the first video that has one."""
+    # min and max carry any NaN or infinity, with no temporary of the block's size
+    if np.isfinite([features.min(initial=0), features.max(initial=0)]).all() \
+            and labels.max(initial=0) <= 1:
+        return
+    for i, (_, path, start, (t, d)) in enumerate(copied):
+        _check_finite(features[start:start + t * d], path)
+        if i in label_spans:
+            path, start, n = label_spans[i]
+            _check_labels(labels[start:start + n], path)

@@ -25,16 +25,28 @@ its (B, T) masks.
 ``argsort`` with ``np.unique`` ranks for AUC and a ``lexsort`` with a hit
 cumsum for AP. Both round the same exact rationals once, so the library's
 values must equal theirs with ``==``.
+
+``load_split_per_video`` and ``read_scores_csv_rows`` are the readers as
+they were before ``wvad.synthdata.load_split`` copied a split into one
+block with its value checks run once, and before ``wvad.cli``'s score-CSV
+reader worked column by column: one video, or one row, at a time, each
+check in turn. On any input the library must return the same values or
+raise the same exception class with the same message.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from wvad.errors import MetricError
+from wvad.cli import SCORE_COLUMNS
+from wvad.errors import ConfigError, FormatError, MetricError
 from wvad.metrics import _validate
 from wvad.mining import MinedSets
+from wvad.synthdata import MANIFEST_NAME, LoadedVideo, load_features, load_frame_labels, \
+    load_manifest
 from wvad.tensor import _accum, _result, _unbroadcast, concat, softmax
 
 
@@ -345,3 +357,80 @@ def average_precision(scores, labels) -> float:
     positions = np.nonzero(ranked == 1)[0]
     terms = [float(hits[i]) / float(i + 1) for i in positions]
     return math.fsum(terms) / n_pos
+
+
+# ---------------------------------------------------------------------
+# readers, one video or one row at a time
+
+
+def load_split_per_video(root, split: str) -> list[LoadedVideo]:
+    """Load every video of one split, features (and test labels) included."""
+    if split not in ("train", "test"):
+        raise ValueError(f"split must be train or test, got {split!r}")
+    root = Path(root)
+    out = []
+    for rec in load_manifest(root).videos:
+        if rec.split != split:
+            continue
+        features = load_features(root / rec.feature_file)
+        if rec.num_frames < features.shape[0]:
+            raise FormatError(
+                f"{root / MANIFEST_NAME}: video {rec.id} has {rec.num_frames} frames, "
+                f"fewer than its {features.shape[0]} snippets")
+        frame_labels = None
+        if rec.frame_label_file is not None:
+            frame_labels = load_frame_labels(root / rec.frame_label_file, rec.num_frames)
+        out.append(LoadedVideo(record=rec, features=features, frame_labels=frame_labels))
+    return out
+
+
+def read_scores_csv_rows(path) -> list[tuple[str, int, np.ndarray]]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise FormatError(f"{path}: no such file") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8: byte 0x{e.object[e.start]:02x} "
+                          f"at offset {e.start}") from None
+    lines = text.splitlines()
+    if not lines:
+        return []
+    reader = csv.reader(lines)
+    header = next(reader)
+    if set(header) != set(SCORE_COLUMNS):
+        raise ConfigError(f"{path}: expected columns {','.join(SCORE_COLUMNS)}, "
+                          f"got {header}")
+    # found by name, read as csv.DictReader would: a repeated name reads its
+    # last column, and a short row's missing fields read as None (malformed)
+    column = {name: i for i, name in enumerate(header)}
+    i_vid, i_t, i_score, i_label = (column[name] for name in SCORE_COLUMNS)
+    width = len(header)
+    per_video: dict[str, dict] = {}
+    for i, row in enumerate(filter(None, reader), start=2):
+        if len(row) < width:
+            row = row + [None] * (width - len(row))
+        try:
+            vid = row[i_vid]
+            t = int(row[i_t])
+            score = float(row[i_score])
+            label = int(row[i_label])
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{path}:{i}: malformed row: {e}") from e
+        if not math.isfinite(score):
+            raise ConfigError(f"{path}:{i}: non-finite score {row[i_score]!r}")
+        if vid is None or label not in (0, 1):
+            raise ConfigError(f"{path}:{i}: bad video id or label")
+        entry = per_video.setdefault(vid, {"label": label, "scores": {}})
+        if entry["label"] != label:
+            raise ConfigError(f"{path}:{i}: conflicting labels for video {vid}")
+        if t in entry["scores"]:
+            raise ConfigError(f"{path}:{i}: duplicate snippet index {t} for {vid}")
+        entry["scores"][t] = score
+    videos = []
+    for vid, entry in per_video.items():
+        ts = sorted(entry["scores"])
+        if ts != list(range(len(ts))):
+            raise ConfigError(f"{path}: video {vid} snippet indices are not 0..T-1")
+        videos.append((vid, entry["label"],
+                       np.array([entry["scores"][t] for t in ts], dtype=np.float64)))
+    return videos

@@ -4,14 +4,17 @@ resolution of a class's field checks."""
 
 from __future__ import annotations
 
+import json
 import typing
 from dataclasses import dataclass, field
 
 import pytest
 
-from wvad import schema
+from wvad import cli, schema
+from wvad.encoder import EncoderConfig, TransformerModel, save_checkpoint
 from wvad.errors import ConfigError, FormatError
 from wvad.schema import from_json
+from wvad.synthdata import MANIFEST_NAME, SynthConfig, generate_dataset
 
 
 @dataclass
@@ -112,3 +115,56 @@ def test_field_checks_are_resolved_once_per_class(monkeypatch):
         assert from_json(list[Fresh], [{"a": 1}, {}], "f.json", ConfigError) \
             == [Fresh(a=1), Fresh()]
     assert calls == [Fresh]
+
+
+# ---------------------------------------------------------------------
+# non-finite floats: Python's json reads NaN, Infinity and -Infinity
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_float_is_refused(literal):
+    value = json.loads(f'{{"name": "a", "inner": {{"x": {literal}}}}}')
+    with pytest.raises(ConfigError, match=r"^f\.json: inner\.x: expected a finite float, got "):
+        read(value)
+
+
+@pytest.mark.parametrize("section, key, literal", [
+    ("synth", "anomaly_shift", "Infinity"), ("train", "lr", "NaN"),
+    ("loss", "temperature", "-Infinity")])
+def test_a_non_finite_config_float_exits_2(section, key, literal, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(f'{{"{section}": {{"{key}": {literal}}}}}', encoding="utf-8")
+    assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "d")]) == 2
+    assert f"{path}: {section}.{key}: expected a finite float" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+TINY = SynthConfig(n_normal_train=1, n_abnormal_train=1, n_normal_test=1, n_abnormal_test=1,
+                   num_snippets=4, frames_per_snippet=2, d_in=4, region_len_range=(1, 2))
+TINY_ENCODER = EncoderConfig(num_snippets=4, d_in=4, d_model=4, heads=2, depth=1)
+
+
+def test_a_non_finite_manifest_float_exits_3(tmp_path, capsys):
+    data, ckpt = tmp_path / "d", tmp_path / "m.wvck"
+    generate_dataset(TINY, data)
+    save_checkpoint(ckpt, TransformerModel.init(TINY_ENCODER, 0))
+    manifest = data / MANIFEST_NAME
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(text.replace('"anomaly_shift": 4.0', '"anomaly_shift": NaN'),
+                        encoding="utf-8")
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 3
+    assert (f"{manifest}: config.anomaly_shift: expected a finite float, got nan"
+            in capsys.readouterr().err)
+
+
+def test_a_non_finite_checkpoint_header_float_exits_3(tmp_path, capsys):
+    data, ckpt = tmp_path / "d", tmp_path / "m.wvck"
+    generate_dataset(TINY, data)
+    save_checkpoint(ckpt, TransformerModel.init(TINY_ENCODER, 0))
+    raw = ckpt.read_bytes()
+    good = b'"dropout_rate": 0.0'
+    assert good in raw
+    ckpt.write_bytes(raw.replace(good, b'"dropout_rate": NaN'.ljust(len(good))))   # same length
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 3
+    assert (f"{ckpt}: header: encoder.dropout_rate: expected a finite float, got nan"
+            in capsys.readouterr().err)
