@@ -27,7 +27,7 @@ from .losses import LossConfig
 from .metrics import EvalRecord, evaluate, snippet_to_frame_scores
 from .mining import MiningConfig, mine_batch
 from .schema import from_json
-from .synthdata import SynthConfig, generate_dataset, load_manifest, load_split
+from .synthdata import Manifest, SynthConfig, generate_dataset, load_manifest, load_split
 from .tensor import no_grad
 from .trainer import TrainConfig, keep_freed_heap, train
 
@@ -126,8 +126,8 @@ def _write_run_record(out_dir: Path, command: str, config: ResolvedConfig | None
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _check_dataset_compat(data_dir, config: ResolvedConfig):
-    ds = load_manifest(data_dir).config
+def _check_dataset_compat(manifest: Manifest, config: ResolvedConfig):
+    ds = manifest.config
     t, d = (ds.num_snippets, ds.d_in) if ds is not None else (None, None)
     enc = config.train.encoder
     if (t, d) != (enc.num_snippets, enc.d_in):
@@ -135,13 +135,14 @@ def _check_dataset_compat(data_dir, config: ResolvedConfig):
                           f"T={enc.num_snippets}, D={enc.d_in}; fix the config")
 
 
-def _train_triples(data_dir) -> list[tuple[str, int, np.ndarray]]:
-    videos = load_split(data_dir, "train")
+def _train_triples(data_dir,
+                   manifest: Manifest | None = None) -> list[tuple[str, int, np.ndarray]]:
+    videos = load_split(data_dir, "train", manifest=manifest)
     return [(v.record.id, v.record.video_label, v.features) for v in videos]
 
 
-def _load_test_split(data_dir) -> list:
-    videos = load_split(data_dir, "test")
+def _load_test_split(data_dir, manifest: Manifest | None = None) -> list:
+    videos = load_split(data_dir, "test", manifest=manifest)
     if not videos:
         raise FormatError(f"{data_dir}: the test split has no videos to evaluate")
     return videos
@@ -245,11 +246,12 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config, args.seed)
-    _check_dataset_compat(args.data, config)
+    manifest = load_manifest(args.data)
+    _check_dataset_compat(manifest, config)
     out = Path(args.out)
     _write_run_record(out, "train", config, data=str(args.data),
                       resume=str(args.resume) if args.resume else None)
-    result = train(_train_triples(args.data), config.train,
+    result = train(_train_triples(args.data, manifest), config.train,
                    out_dir=out, resume=args.resume)
     print(f"trained {result.steps} steps; checkpoint at {result.checkpoint_path}")
     return 0
@@ -312,8 +314,9 @@ def _read_scores_csv(path) -> list[tuple[str, int, np.ndarray]]:
     So a malformed file reports its first malformed row (rows that are not
     blank are numbered from 2), and that row's first failure in this order:
     t, score and label convert, the score is finite, the id and label are
-    valid, the label is the video's first, (video, t) is new. Then each
-    video's snippet indices must be 0..T-1.
+    valid, the label is the video's first, (video, t) is new. A row that
+    csv cannot read at all ends the reading and fails after the rows before
+    it. Then each video's snippet indices must be 0..T-1.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -387,8 +390,8 @@ def _read_scores_csv(path) -> list[tuple[str, int, np.ndarray]]:
         error = f"duplicate snippet index {ts[bad]} for {list(code_of)[codes[bad]]}"
     if error is not None:
         raise ConfigError(f"{path}:{bad + 2}: {error}")
-    if unreadable is not None:
-        raise unreadable
+    if unreadable is not None:   # a row csv cannot read, such as an over-long field
+        raise ConfigError(f"{path}:{n + 2}: unreadable row: {unreadable}") from unreadable
     if not n:
         return []
     # with no index repeated, 0..T-1 is every index in range; clipped to fit int64
@@ -442,11 +445,12 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = load_config(args.config, args.seed)
-    _check_dataset_compat(args.data, config)
+    manifest = load_manifest(args.data)
+    _check_dataset_compat(manifest, config)
     out = Path(args.out)
     _write_run_record(out, "ablate", config, data=str(args.data))
-    triples = _train_triples(args.data)
-    test_videos = _load_test_split(args.data)
+    triples = _train_triples(args.data, manifest)
+    test_videos = _load_test_split(args.data, manifest)
     results = []
     for preset in sorted(ABLATION_PRESETS):
         for seed in config.ablate_seeds:

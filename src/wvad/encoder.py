@@ -38,8 +38,10 @@ from .errors import ConfigError, FormatError
 from .schema import from_json
 from .tensor import (
     Tensor,
-    broadcast_to,
-    concat,
+    _accum,
+    _affine_backward,
+    _result,
+    _stable_sigmoid,
     dropout,
     dws_conv1d,
     gelu,
@@ -258,10 +260,7 @@ def encode(features, params: ModelParams, config: EncoderConfig,
     expected = (config.num_snippets, config.d_in)
     if f.data.ndim != 3 or f.data.shape[1:] != expected:
         raise ConfigError(f"feature array is {f.data.shape}, config expects (B, *{expected})")
-    batch, d = f.data.shape[0], config.d_model
-    x = linear(f, params.w_in, params.b_in)
-    cls = broadcast_to(params.cls_token.reshape(1, 1, d), (batch, 1, d))
-    tokens = concat([cls, x], axis=1)
+    tokens = _embed(f, params.w_in, params.b_in, params.cls_token)
     if params.pos is not None:
         tokens = tokens + params.pos
     drop = rng is not None and config.dropout_rate > 0.0
@@ -281,9 +280,59 @@ def encode(features, params: ModelParams, config: EncoderConfig,
     return EncodedVideo(tokens=tokens[0] if single else tokens)
 
 
+def _embed(f: Tensor, w: Tensor, b: Tensor, cls_token: Tensor) -> Tensor:
+    """The input projection ``f @ w + b`` of (B, T, D_in) features with the
+    (D,) cls token in front of each video's rows: (B, T+1, D), one node.
+
+    The forward is the composed form's (the projection, then the cls token
+    broadcast over the batch and concatenated), so it is bitwise that form.
+    """
+    x = f.data @ w.data + b.data
+    batch, _, d = x.shape
+    cls = np.broadcast_to(cls_token.data.reshape(1, 1, d), (batch, 1, d))
+    out = _result(np.concatenate([cls, x], axis=1), (f, w, b, cls_token))
+    if out.requires_grad:
+        def backward(g):
+            gf = _affine_backward(f.data, w, b, g[:, 1:], f.requires_grad)
+            if gf is not None:
+                _accum(f, gf)
+            if cls_token.requires_grad:
+                _accum(cls_token, g[:, 0].sum(axis=0))
+        out._backward = backward
+    return out
+
+
+def _sigmoid_head(x: Tensor, w: Tensor, b: Tensor, row: int | None = None) -> Tensor:
+    """``sigmoid(x @ w + b)`` over the rows of ``x`` (..., k) with a (k,)
+    weight and a scalar bias, one node. With ``row``, only that row of the
+    second-to-last axis is read (the cls token) and the axis is dropped.
+
+    The forward is the composed form's (a slice, ``linear``, an index and
+    ``sigmoid``), so it is bitwise that form; so is the backward.
+    """
+    xd = x.data if row is None else x.data[..., row:row + 1, :]
+    z = xd @ w.data + b.data
+    val = _stable_sigmoid(z if row is None else z[..., 0])
+    out = _result(val, (x, w, b))
+    if out.requires_grad:
+        def backward(g):
+            gz = g * val * (1.0 - val)
+            gx = _affine_backward(xd, w, b, gz if row is None else gz[..., None],
+                                  x.requires_grad)
+            if gx is None:
+                return
+            if row is not None:
+                full = np.zeros_like(x.data)
+                full[..., row:row + 1, :] = gx
+                gx = full
+            _accum(x, gx)
+        out._backward = backward
+    return out
+
+
 def snippet_scores(enc: EncodedVideo, params: ModelParams) -> Tensor:
     """Per-snippet anomaly scores, (T,) or (B, T), each strictly inside (0,1)."""
-    return linear(enc.snippet_features, params.score_w, params.score_b).sigmoid()
+    return _sigmoid_head(enc.snippet_features, params.score_w, params.score_b)
 
 
 def video_score(enc: EncodedVideo, params: ModelParams) -> Tensor:
@@ -292,8 +341,7 @@ def video_score(enc: EncodedVideo, params: ModelParams) -> Tensor:
     The cls row keeps its row axis so that each video is its own (1, D)
     product: a video's score does not depend on the batch it is in.
     """
-    cls = enc.tokens[..., 0:1, :]
-    return linear(cls, params.video_w, params.video_b)[..., 0].sigmoid()
+    return _sigmoid_head(enc.tokens, params.video_w, params.video_b, row=0)
 
 
 class TransformerModel:
@@ -351,8 +399,8 @@ class LinearModel:
             raise ConfigError(
                 f"feature array is {f.data.shape}, model expects (..., T, {self.d_in})")
         return ScoredBatch(
-            scores=linear(f, self.w, self.b).sigmoid(),
-            video_scores=linear(f.mean(axis=-2, keepdims=True), self.w, self.b)[..., 0].sigmoid(),
+            scores=_sigmoid_head(f, self.w, self.b),
+            video_scores=_sigmoid_head(f.mean(axis=-2, keepdims=True), self.w, self.b, row=0),
             features=f,
         )
 

@@ -18,6 +18,11 @@ many videos the batch holds (the batch-MIL set-up of Sultani et al. 2018).
 A term with weight 0.0 is skipped entirely and reported as 0 in the
 breakdown, which keeps ablations honest: no gradient can leak from a
 disabled term.
+
+Each term is one tape node with a closed-form backward, and the weighted
+sum is one more. Each forward runs the numpy expressions of the term's
+composed form (a chain of generic tape ops, kept in ``tests/oracles.py``)
+in the same order, so it is bitwise that form.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from .encoder import ScoredBatch
 from .errors import ConfigError, TrainingError
 from .mining import MinedSets
-from .tensor import Tensor, gather_rows, info_nce, l2_normalize, topk_mean
+from .tensor import Tensor, _accum, _result, _unit_rows, _unit_rows_backward
 
 _CLAMP = 1e-7
 
@@ -76,81 +81,200 @@ class LossBreakdown:
 def loss_video(video_scores: Tensor, labels) -> Tensor:
     """Mean binary cross-entropy of (B,) video-level scores against labels.
 
-    Scores are clamped to [1e-7, 1-1e-7] before the log.
+    Scores are clamped to [1e-7, 1-1e-7] before the log; the clamp passes
+    no gradient where it binds.
     """
     y = np.asarray(labels)
     if video_scores.data.shape != y.shape or y.ndim != 1:
         raise ValueError(f"scores {video_scores.data.shape} vs labels {y.shape}")
     if not y.size:
         raise ValueError("empty batch")
-    v = video_scores.clip(_CLAMP, 1.0 - _CLAMP)
+    v, dtype = video_scores.data, video_scores.data.dtype
     # the probability given to the true label: v if abnormal, 1 - v if normal
-    sign = Tensor((2 * y - 1).astype(v.data.dtype))
-    return -(v * sign + Tensor((1 - y).astype(v.data.dtype))).log().mean()
+    sign = (2 * y - 1).astype(dtype)
+    p = np.clip(v, _CLAMP, 1.0 - _CLAMP) * sign + (1 - y).astype(dtype)
+    out = _result(-np.log(p).mean(), (video_scores,))
+    if out.requires_grad:
+        def backward(g):
+            inside = (v > _CLAMP) & (v < 1.0 - _CLAMP)
+            _accum(video_scores, (-g / y.size) / p * sign * inside)
+        out._backward = backward
+    return out
 
 
-def loss_snippet_topk(abn_scores: Tensor, nrm_scores: Tensor, k: int,
-                      pair_mode: str = "matched") -> Tensor:
+def loss_snippet_topk(scores: Tensor, labels, k: int, pair_mode: str = "matched") -> Tensor:
     """Ranking hinge summed over abnormal/normal video pairs.
 
-    Rows of the (A, T) and (N, T) score arrays are videos; each pair adds
-    max(0, 1 - topk_mean(abnormal) + topk_mean(normal)), zero once the
-    abnormal video's top-k mean exceeds the normal one's by the margin.
-    ``matched`` pairs row i with row i for the first min(A, N) rows,
-    ``all_pairs`` pairs every abnormal row with every normal row.
+    Rows of the (B, T) scores are videos, labelled 1 (abnormal) or 0
+    (normal); each pair adds max(0, 1 - topk_mean(abnormal) +
+    topk_mean(normal)), zero once the abnormal video's top-k mean exceeds
+    the normal one's by the margin. Ties in the top k break toward the
+    lowest index, as in ``tensor.topk_mean``. ``matched`` pairs the i-th
+    abnormal row with the i-th normal row, in batch order, for the first
+    min(A, N) of each; ``all_pairs`` pairs every abnormal row with every
+    normal row.
     """
-    if abn_scores.data.ndim != 2 or nrm_scores.data.ndim != 2:
+    x, y = scores.data, np.asarray(labels)
+    if x.ndim != 2:
         raise ValueError("loss_snippet_topk expects (videos, T) score arrays")
+    if y.shape != x.shape[:1]:
+        raise ValueError(f"scores {x.shape} vs labels {y.shape}")
     if pair_mode not in _PAIR_MODES:
         raise ConfigError(f"pair_mode must be one of {_PAIR_MODES}, got {pair_mode!r}")
-    abn = topk_mean(abn_scores, k, axis=1)
-    nrm = topk_mean(nrm_scores, k, axis=1)
+    if not 1 <= k <= x.shape[1]:
+        raise ValueError(f"k must be in [1, {x.shape[1]}], got {k}")
+    abnormal, normal = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+    top = np.argsort(-x, axis=1, kind="stable")[:, :k]
+    values = x[np.arange(x.shape[0])[:, None], top]
+    abn, nrm = values[abnormal].mean(axis=1), values[normal].mean(axis=1)
+    one = np.asarray(1.0, dtype=x.dtype)
     if pair_mode == "all_pairs":
-        margin = 1.0 - abn.reshape(-1, 1) + nrm.reshape(1, -1)
+        margin = one - abn.reshape(-1, 1) + nrm.reshape(1, -1)
     else:
-        m = min(abn.data.shape[0], nrm.data.shape[0])
-        margin = 1.0 - abn[:m] + nrm[:m]
-    return margin.relu().sum()
+        m = min(abn.shape[0], nrm.shape[0])
+        margin = one - abn[:m] + nrm[:m]
+    out = _result(np.maximum(margin, 0.0).sum(), (scores,))
+    if out.requires_grad:
+        def backward(g):
+            active = g * (margin > 0)
+            if pair_mode == "all_pairs":
+                g_abn, g_nrm = -active.sum(axis=1), active.sum(axis=0)
+            else:
+                g_abn, g_nrm = np.zeros_like(abn), np.zeros_like(nrm)
+                g_abn[:m], g_nrm[:m] = -active, active
+            z = np.zeros_like(x)
+            z[abnormal[:, None], top[abnormal]] = (g_abn / k)[:, None]
+            z[normal[:, None], top[normal]] = (g_nrm / k)[:, None]
+            _accum(scores, z)
+        out._backward = backward
+    return out
 
 
 def loss_regularisation(scores: Tensor, smooth_weight: float, sparse_weight: float) -> Tensor:
     """Smoothness + sparsity of (B, T) score rows, both scaled by 1/T and
     summed over the videos."""
-    if scores.data.ndim != 2:
+    x = scores.data
+    if x.ndim != 2:
         raise ValueError("loss_regularisation expects (videos, T) scores")
-    n = scores.data.shape[1]
+    n = x.shape[1]
     if n < 2:
         raise ValueError(f"need at least 2 snippets, got {n}")
-    diffs = scores[:, 1:] - scores[:, :-1]
-    return ((diffs * diffs).sum() * smooth_weight + scores.sum() * sparse_weight) / float(n)
+    smooth, sparse, count = (np.asarray(c, dtype=x.dtype)
+                             for c in (smooth_weight, sparse_weight, float(n)))
+    diffs = x[:, 1:] - x[:, :-1]
+    out = _result(((diffs * diffs).sum() * smooth + x.sum() * sparse) / count, (scores,))
+    if out.requires_grad:
+        def backward(g):
+            g_n = g / count
+            g_diffs = diffs * (2.0 * (g_n * smooth))
+            z = np.full(x.shape, g_n * sparse, dtype=x.dtype)
+            z[:, 1:] += g_diffs
+            z[:, :-1] -= g_diffs
+            _accum(scores, z)
+        out._backward = backward
+    return out
+
+
+def _info_nce(a: np.ndarray, p: np.ndarray, n: np.ndarray, inv_temperature: float):
+    """Sum over all anchor/positive pairs of the negated log-ratio
+    -log(exp(s_ap) / (exp(s_ap) + sum_n exp(s_an))), s = (row . row) / temperature,
+    for (A, D) anchor, (P, D) positive and (N, D) negative rows.
+
+    Returns the value and a function from its gradient to the three row
+    sets' gradients: the log-sum-exp backward in closed form.
+    """
+    s_ap = (a @ p.T) * inv_temperature                  # (A, P)
+    e_an = np.exp((a @ n.T) * inv_temperature)          # (A, N)
+    e_ap = np.exp(s_ap)
+    denom = e_ap + e_an.sum(axis=1, keepdims=True)     # (A, P)
+
+    def grads(g):
+        inv_denom = 1.0 / denom
+        g_ap = (e_ap * inv_denom - 1.0) * (g * inv_temperature)
+        g_an = e_an * (inv_denom.sum(axis=1, keepdims=True) * (g * inv_temperature))
+        return g_ap @ p + g_an @ n, g_ap.T @ a, g_an.T @ a
+
+    return -(s_ap - np.log(denom)).sum(), grads
+
+
+# (anchors, positives, negatives) of the two directions, as indices into
+# ``MinedSets.masks()`` (HA, EA, HN, EN)
+_DIRECTIONS = ((0, 1, 3), (2, 3, 1))
 
 
 def loss_contrastive(mined: MinedSets, features: Tensor, temperature: float) -> Tensor:
     """Both contrastive directions over (B, T, D) features whose rows are
-    the mined masks' rows; empty anchor/positive/negative sets give 0.
+    the mined masks' rows; a direction whose anchor, positive or negative
+    set is empty adds nothing, and with neither the term is 0.
 
-    Each set's rows are gathered in (video id, t) order, the order of the
-    sets' sorted views."""
+    Each set's rows are taken in (video id, t) order, the order of the
+    sets' sorted views. The rows of every set a direction uses are gathered
+    and L2-normalised together, once. Mined sets are disjoint except where
+    scores tie (hard and easy normal can then share a snippet), so the
+    backward checks: it scatters with one plain indexed write when they
+    are, and adds shared rows up only when they are not.
+    """
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
     masks = mined.masks()
-    total: Tensor | None = None
-    if any(m.any() for m in masks):
-        batch, t_len, dim = features.data.shape
-        order = sorted(range(batch), key=mined.video_ids.__getitem__)
-        row_of = np.arange(batch * t_len).reshape(batch, t_len)[order]
-        flat = features.reshape(-1, dim)
-        ha, ea, hn, en = (
-            l2_normalize(gather_rows(flat, row_of[m[order]])) if m.any() else None
-            for m in masks)
-        # an anchor set needs positives and negatives to contrast against
-        for anchors, positives, negatives in ((ha, ea, en), (hn, en, ea)):
-            if anchors is not None and positives is not None and negatives is not None:
-                term = info_nce(anchors, positives, negatives, temperature)
-                total = term if total is None else total + term
-    if total is not None:
-        return total
-    return Tensor(np.zeros((), dtype=features.data.dtype))
+    sizes = [np.count_nonzero(m) for m in masks]
+    directions = [d for d in _DIRECTIONS if all(sizes[i] for i in d)]
+    if not directions:
+        return Tensor(np.zeros((), dtype=features.data.dtype))
+    batch, t_len, dim = features.data.shape
+    if masks[0].shape != (batch, t_len):
+        raise ValueError(f"mined masks {masks[0].shape} vs features {features.data.shape}")
+    used = sorted({i for d in directions for i in d})
+    order = np.array(sorted(range(batch), key=mined.video_ids.__getitem__))
+    # every used set's rows, set after set, each in (video id, t) order
+    chosen = np.array([masks[i] for i in used])[:, order]
+    row_of = (order[:, None] * t_len + np.arange(t_len)).ravel()
+    rows = row_of[np.flatnonzero(chosen) % row_of.size]
+    block, end = {}, 0
+    for i in used:
+        block[i], end = slice(end, end + sizes[i]), end + sizes[i]
+    unit, norm = _unit_rows(features.data.reshape(-1, dim)[rows])
+    value, parts = None, []
+    for d in directions:
+        term, grads = _info_nce(*(unit[block[i]] for i in d), 1.0 / temperature)
+        value = term if value is None else value + term
+        parts.append((d, grads))
+    out = _result(value, (features,))
+    if out.requires_grad:
+        disjoint = np.count_nonzero(chosen.any(axis=0)) == rows.size
+
+        def backward(g):
+            g_unit = np.zeros_like(unit)
+            for d, grads in parts:
+                for i, g_set in zip(d, grads(g)):
+                    g_unit[block[i]] += g_set
+            g_rows = _unit_rows_backward(g_unit, unit, norm)
+            z = np.zeros((batch * t_len, dim), dtype=g_rows.dtype)
+            if disjoint:
+                z[rows] = g_rows
+            else:
+                np.add.at(z, rows, g_rows)
+            _accum(features, z.reshape(features.data.shape))
+        out._backward = backward
+    return out
+
+
+def _weighted_sum(terms: list[tuple[Tensor, float]]) -> Tensor:
+    """sum_i w_i * term_i over scalar terms as one node, added in the order
+    given as ``term * w`` tape ops would add them."""
+    weights = [np.asarray(w, dtype=t.data.dtype) for t, w in terms]
+    value = None
+    for (t, _), w in zip(terms, weights):
+        value = t.data * w if value is None else value + t.data * w
+    parents = tuple(t for t, _ in terms)
+    out = _result(value, parents)
+    if out.requires_grad:
+        def backward(g):
+            for t, w in zip(parents, weights):
+                if t.requires_grad:
+                    _accum(t, g * w)
+        out._backward = backward
+    return out
 
 
 def loss_total(batch: ScoredBatch, mined: MinedSets | None,
@@ -162,40 +286,28 @@ def loss_total(batch: ScoredBatch, mined: MinedSets | None,
     while mining is warming up and the term is reported as 0).
     """
     labels = np.asarray(batch.labels)
-    abnormal = np.flatnonzero(labels == 1)
-    normal = np.flatnonzero(labels == 0)
-    if not abnormal.size or not normal.size:
+    n_abnormal, n_normal = np.count_nonzero(labels == 1), np.count_nonzero(labels == 0)
+    if not n_abnormal or not n_normal:
         raise TrainingError(
-            f"batch needs both labels, got {abnormal.size} abnormal / {normal.size} normal")
-
-    total: Tensor | None = None
-    parts: dict[str, float] = {}
-
-    def add(name: str, weight: float, term: Tensor | None):
-        nonlocal total
-        if term is None:
-            parts[name] = 0.0
-            return
-        parts[name] = float(term.data)
-        weighted = term * weight
-        total = weighted if total is None else total + weighted
-
-    add("l_cnt", config.w_contrast,
-        loss_contrastive(mined, batch.features, config.temperature)
-        if config.w_contrast > 0 and mined is not None else None)
-    add("l_snp", config.w_snippet,
-        loss_snippet_topk(batch.scores[abnormal], batch.scores[normal], config.k,
-                          config.pair_mode)
-        if config.w_snippet > 0 else None)
-    add("l_vid", config.w_video,
-        loss_video(batch.video_scores, labels) if config.w_video > 0 else None)
-    add("l_reg", config.w_reg,
-        loss_regularisation(batch.scores, config.smooth_weight, config.sparse_weight)
-        if config.w_reg > 0 else None)
-
-    if total is None:
+            f"batch needs both labels, got {n_abnormal} abnormal / {n_normal} normal")
+    terms = {
+        "l_cnt": (config.w_contrast,
+                  loss_contrastive(mined, batch.features, config.temperature)
+                  if config.w_contrast > 0 and mined is not None else None),
+        "l_snp": (config.w_snippet,
+                  loss_snippet_topk(batch.scores, labels, config.k, config.pair_mode)
+                  if config.w_snippet > 0 else None),
+        "l_vid": (config.w_video,
+                  loss_video(batch.video_scores, labels) if config.w_video > 0 else None),
+        "l_reg": (config.w_reg,
+                  loss_regularisation(batch.scores, config.smooth_weight, config.sparse_weight)
+                  if config.w_reg > 0 else None),
+    }
+    present = [(term, weight) for weight, term in terms.values() if term is not None]
+    if present:
+        total = _weighted_sum(present)
+    else:
         total = Tensor(np.zeros((), dtype=batch.scores.data.dtype))
-    breakdown = LossBreakdown(l_total=float(total.data), l_cnt=parts["l_cnt"],
-                              l_snp=parts["l_snp"], l_vid=parts["l_vid"],
-                              l_reg=parts["l_reg"])
-    return total, breakdown
+    parts = {name: 0.0 if term is None else float(term.data)
+             for name, (_, term) in terms.items()}
+    return total, LossBreakdown(l_total=float(total.data), **parts)

@@ -319,9 +319,11 @@ def _joiner(root: Path):
     return join
 
 
-def load_split(root, split: str, *, frame_labels: bool = True) -> list[LoadedVideo]:
+def load_split(root, split: str, *, frame_labels: bool = True,
+               manifest: Manifest | None = None) -> list[LoadedVideo]:
     """Load every video of one split: its features and, unless
     ``frame_labels`` is false, the frame labels of the videos that have them.
+    ``manifest`` is the root's manifest if the caller has read it already.
 
     Each file is opened and read once, and its values are copied into one
     float32 block for the split's features and one uint8 block for its
@@ -334,7 +336,9 @@ def load_split(root, split: str, *, frame_labels: bool = True) -> list[LoadedVid
         raise ValueError(f"split must be train or test, got {split!r}")
     root = Path(root)
     join = _joiner(root)
-    records = [rec for rec in load_manifest(root).videos if rec.split == split]
+    if manifest is None:
+        manifest = load_manifest(root)
+    records = [rec for rec in manifest.videos if rec.split == split]
     with_labels = [frame_labels and rec.frame_label_file is not None for rec in records]
     features = np.empty(0, dtype=np.float32)
     labels = np.empty(sum(rec.num_frames for rec, has in zip(records, with_labels) if has),

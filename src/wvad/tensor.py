@@ -23,6 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError
 
 _GRAD_ENABLED = True
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 @contextmanager
@@ -44,7 +45,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -442,13 +443,10 @@ def _column_sums(g2: np.ndarray) -> np.ndarray:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """The logistic function without overflow: 1 / (1 + e) where x >= 0
+    and e / (1 + e) elsewhere, with e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------
@@ -591,49 +589,27 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
+def _unit_rows(xd: np.ndarray, eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Each row (last axis) of ``xd`` scaled to unit Euclidean norm, and the norms."""
+    norm = np.sqrt((xd * xd).sum(axis=-1, keepdims=True) + eps)
+    return xd / norm, norm
+
+
+def _unit_rows_backward(g: np.ndarray, val: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """The rows' gradient of ``_unit_rows`` from its output ``val``'s, ``g``."""
+    gx = val * np.einsum("...i,...i->...", g, val)[..., None]
+    np.subtract(g, gx, out=gx)
+    gx /= norm
+    return gx
+
+
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     """Scale each row (last axis) to unit Euclidean norm, one node."""
-    xd = x.data
-    norm = np.sqrt((xd * xd).sum(axis=-1, keepdims=True) + eps)
-    val = xd / norm
+    val, norm = _unit_rows(x.data, eps)
     out = _result(val, (x,))
     if out.requires_grad:
         def backward(g):
-            gx = val * np.einsum("...i,...i->...", g, val)[..., None]
-            np.subtract(g, gx, out=gx)
-            gx /= norm
-            _accum(x, gx)
-        out._backward = backward
-    return out
-
-
-def info_nce(anchors: Tensor, positives: Tensor, negatives: Tensor,
-             temperature: float) -> Tensor:
-    """Sum over all anchor/positive pairs of the negated log-ratio
-    -log(exp(s_ap) / (exp(s_ap) + sum_n exp(s_an))), s = (row . row) / temperature.
-
-    Rows are (A, D), (P, D) and (N, D); each pair's denominator holds that
-    pair's similarity plus the anchor's similarities to every negative. One
-    node, with the log-sum-exp backward in closed form.
-    """
-    a, p, n = anchors.data, positives.data, negatives.data
-    inv = 1.0 / temperature
-    s_ap = (a @ p.T) * inv                              # (A, P)
-    e_an = np.exp((a @ n.T) * inv)                      # (A, N)
-    e_ap = np.exp(s_ap)
-    denom = e_ap + e_an.sum(axis=1, keepdims=True)     # (A, P)
-    out = _result(-(s_ap - np.log(denom)).sum(), (anchors, positives, negatives))
-    if out.requires_grad:
-        def backward(g):
-            inv_denom = 1.0 / denom
-            g_ap = (e_ap * inv_denom - 1.0) * (g * inv)
-            g_an = e_an * (inv_denom.sum(axis=1, keepdims=True) * (g * inv))
-            if anchors.requires_grad:
-                _accum(anchors, g_ap @ p + g_an @ n)
-            if positives.requires_grad:
-                _accum(positives, g_ap.T @ a)
-            if negatives.requires_grad:
-                _accum(negatives, g_an.T @ a)
+            _accum(x, _unit_rows_backward(g, val, norm))
         out._backward = backward
     return out
 
@@ -734,15 +710,22 @@ def dws_conv1d(x: Tensor, depth_kernel: Tensor, point_kernel: Tensor,
                 _accum(depth_kernel, np.einsum("btc,bjct->cj",
                                                g_acc.reshape(-1, n, channels), windows))
             if x.requires_grad:
-                gp = np.zeros_like(padded)
-                for j in range(width):
-                    gp[..., j:j + n, :] += g_acc * k[:, j]
-                gp[..., half, :] += gp[..., :half, :].sum(axis=-2)
-                gp[..., half + n - 1, :] += gp[..., half + n:, :].sum(axis=-2)
+                # tap j = half + s read input row t + s for output row t: its
+                # product lands there, and the rows that read the padding
+                # fold onto the edge row as a short sum
                 gx = np.empty_like(xd)
-                gx[..., skip:, :] = gp[..., half:half + n, :]
                 if skip:
                     gx[..., :skip, :] = g[..., :skip, :]
+                g_in = gx[..., skip:, :]
+                np.multiply(g_acc, k[:, half], out=g_in)
+                for s in range(-half, half + 1):
+                    lo, hi = min(n, max(0, -s)), max(0, min(n, n - s))
+                    if s and lo < hi:
+                        g_in[..., lo + s:hi + s, :] += g_acc[..., lo:hi, :] * k[:, half + s]
+                    if s < 0:
+                        g_in[..., 0, :] += g_acc[..., :lo, :].sum(axis=-2) * k[:, half + s]
+                    elif s > 0:
+                        g_in[..., n - 1, :] += g_acc[..., hi:, :].sum(axis=-2) * k[:, half + s]
                 _accum(x, gx)
         out._backward = backward
     return out

@@ -4,7 +4,10 @@ The tensor ops here are the composed forms: chains of the tape's own
 elementwise and index ops, each with its own local backward rule, so their
 gradients come from the chain rule rather than a closed form. The fused
 ops in ``wvad.tensor`` run the same forward expressions in the same order,
-so their float32 forwards must match these bit for bit.
+so their float32 forwards must match these bit for bit. So must the
+objective's terms in ``wvad.losses`` and the encoder's heads and input
+projection, each one node, against the composed objective, heads and
+input projection here.
 
 The backward rules section keeps single nodes as they were before their
 backward rules were rewritten for speed (the attention, layer norm and
@@ -35,6 +38,7 @@ raise the same exception class with the same message.
 """
 
 import csv
+import itertools
 import math
 from pathlib import Path
 
@@ -47,7 +51,8 @@ from wvad.metrics import _validate
 from wvad.mining import MinedSets
 from wvad.synthdata import MANIFEST_NAME, LoadedVideo, load_features, load_frame_labels, \
     load_manifest
-from wvad.tensor import _accum, _result, _unbroadcast, concat, softmax
+from wvad.tensor import (Tensor, _accum, _result, _unbroadcast, broadcast_to, concat,
+                         gather_rows, softmax, topk_mean)
 
 
 # ---------------------------------------------------------------------
@@ -128,6 +133,110 @@ def info_nce(anchors, positives, negatives, temperature):
     neg_sum = s_an.exp().sum(axis=1, keepdims=True)
     log_ratio = s_ap - (s_ap.exp() + neg_sum).log()
     return -log_ratio.sum()
+
+
+# ---------------------------------------------------------------------
+# the composed objective, heads and input projection
+
+
+_CLAMP = 1e-7
+
+
+def loss_video(video_scores, labels):
+    y = np.asarray(labels)
+    v = video_scores.clip(_CLAMP, 1.0 - _CLAMP)
+    sign = Tensor((2 * y - 1).astype(v.data.dtype))
+    return -(v * sign + Tensor((1 - y).astype(v.data.dtype))).log().mean()
+
+
+def loss_snippet_topk(abn_scores, nrm_scores, k, pair_mode="matched"):
+    """The hinge over separate (A, T) abnormal and (N, T) normal rows."""
+    abn = topk_mean(abn_scores, k, axis=1)
+    nrm = topk_mean(nrm_scores, k, axis=1)
+    if pair_mode == "all_pairs":
+        margin = 1.0 - abn.reshape(-1, 1) + nrm.reshape(1, -1)
+    else:
+        m = min(abn.data.shape[0], nrm.data.shape[0])
+        margin = 1.0 - abn[:m] + nrm[:m]
+    return margin.relu().sum()
+
+
+def loss_regularisation(scores, smooth_weight, sparse_weight):
+    n = scores.data.shape[1]
+    diffs = scores[:, 1:] - scores[:, :-1]
+    return ((diffs * diffs).sum() * smooth_weight + scores.sum() * sparse_weight) / float(n)
+
+
+def loss_contrastive(mined, features, temperature):
+    """One gather, L2 normalisation and InfoNCE per set and direction."""
+    masks = mined.masks()
+    total = None
+    if any(m.any() for m in masks):
+        batch, t_len, dim = features.data.shape
+        order = sorted(range(batch), key=mined.video_ids.__getitem__)
+        row_of = np.arange(batch * t_len).reshape(batch, t_len)[order]
+        flat = features.reshape(-1, dim)
+        ha, ea, hn, en = (
+            l2_normalize(gather_rows(flat, row_of[m[order]])) if m.any() else None
+            for m in masks)
+        for anchors, positives, negatives in ((ha, ea, en), (hn, en, ea)):
+            if anchors is not None and positives is not None and negatives is not None:
+                term = info_nce(anchors, positives, negatives, temperature)
+                total = term if total is None else total + term
+    if total is not None:
+        return total
+    return Tensor(np.zeros((), dtype=features.data.dtype))
+
+
+def loss_total(batch, mined, config):
+    """The terms on sliced abnormal and normal rows, each times its weight
+    and added with one tape op each; returns the total and the terms'
+    values (0.0 for a term not evaluated)."""
+    labels = np.asarray(batch.labels)
+    abnormal = np.flatnonzero(labels == 1)
+    normal = np.flatnonzero(labels == 0)
+    total = None
+    parts = {}
+
+    def add(name, weight, term):
+        nonlocal total
+        if term is None:
+            parts[name] = 0.0
+            return
+        parts[name] = float(term.data)
+        weighted = term * weight
+        total = weighted if total is None else total + weighted
+
+    add("l_cnt", config.w_contrast,
+        loss_contrastive(mined, batch.features, config.temperature)
+        if config.w_contrast > 0 and mined is not None else None)
+    add("l_snp", config.w_snippet,
+        loss_snippet_topk(batch.scores[abnormal], batch.scores[normal], config.k,
+                          config.pair_mode)
+        if config.w_snippet > 0 else None)
+    add("l_vid", config.w_video,
+        loss_video(batch.video_scores, labels) if config.w_video > 0 else None)
+    add("l_reg", config.w_reg,
+        loss_regularisation(batch.scores, config.smooth_weight, config.sparse_weight)
+        if config.w_reg > 0 else None)
+    if total is None:
+        total = Tensor(np.zeros((), dtype=batch.scores.data.dtype))
+    return total, parts
+
+
+def embed(features, w, b, cls_token):
+    """The input projection, then the cls token broadcast and concatenated."""
+    batch, d = features.data.shape[0], w.data.shape[1]
+    cls = broadcast_to(cls_token.reshape(1, 1, d), (batch, 1, d))
+    return concat([cls, linear(features, w, b)], axis=1)
+
+
+def snippet_scores(tokens, w, b):
+    return linear(tokens[..., 1:, :], w, b).sigmoid()
+
+
+def video_score(tokens, w, b):
+    return linear(tokens[..., 0:1, :], w, b)[..., 0].sigmoid()
 
 
 # ---------------------------------------------------------------------
@@ -384,6 +493,19 @@ def load_split_per_video(root, split: str) -> list[LoadedVideo]:
     return out
 
 
+def _readable(rows, path):
+    """``rows`` up to one that csv cannot read, which fails as a malformed
+    row does, numbered as the rows before it are."""
+    for i in itertools.count(2):
+        try:
+            row = next(rows)
+        except StopIteration:
+            return
+        except csv.Error as e:
+            raise ConfigError(f"{path}:{i}: unreadable row: {e}") from e
+        yield row
+
+
 def read_scores_csv_rows(path) -> list[tuple[str, int, np.ndarray]]:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -406,7 +528,7 @@ def read_scores_csv_rows(path) -> list[tuple[str, int, np.ndarray]]:
     i_vid, i_t, i_score, i_label = (column[name] for name in SCORE_COLUMNS)
     width = len(header)
     per_video: dict[str, dict] = {}
-    for i, row in enumerate(filter(None, reader), start=2):
+    for i, row in enumerate(_readable(filter(None, reader), path), start=2):
         if len(row) < width:
             row = row + [None] * (width - len(row))
         try:

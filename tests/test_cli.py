@@ -9,12 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wvad import cli
+from wvad import cli, synthdata
 from wvad.cli import ABLATION_PRESETS, load_config
 from wvad.encoder import EncoderConfig, save_checkpoint
 from wvad.errors import ConfigError
 from wvad.mining import MiningConfig, mine_batch
-from wvad.synthdata import SynthConfig, generate_dataset, load_split
+from wvad.synthdata import SynthConfig, generate_dataset, load_manifest, load_split
 from wvad.trainer import TrainConfig, _build_model
 from wvad.verification import OP_CASES
 
@@ -193,6 +193,46 @@ def test_exit_code_2_on_dataset_encoder_mismatch(tmp_path, tiny_dataset, capsys)
                    "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "encoder expects" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_dataset_mismatch_fails_before_the_run_record(command, tmp_path, tiny_dataset,
+                                                        capsys):
+    cfg = tiny_config_file(tmp_path, encoder={"num_snippets": 4})
+    out = tmp_path / "o"
+    rc = cli.main([command, "--config", cfg, "--data", str(tiny_dataset), "--out", str(out)])
+    assert rc == 2
+    assert "encoder expects" in capsys.readouterr().err
+    assert not (out / "run.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_train_and_ablate_read_the_manifest_once(command, tmp_path, tiny_dataset,
+                                                 monkeypatch, capsys):
+    calls = []
+
+    def counting(root):
+        calls.append(root)
+        return load_manifest(root)
+
+    monkeypatch.setattr(synthdata, "load_manifest", counting)
+    monkeypatch.setattr(cli, "load_manifest", counting)
+    cfg = tiny_config_file(tmp_path, train={"epochs": 1}, ablate={"seeds": [0]})
+    rc = cli.main([command, "--config", cfg, "--data", str(tiny_dataset),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert calls == [str(tiny_dataset)]
+
+
+def test_mine_on_an_over_long_score_field_exits_2_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "scores.csv"
+    rows = [cli.SCORE_COLUMNS, ["v0", "0", "0.5", "0"], ["v0", "1", "0." + "1" * 140_000, "0"]]
+    path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    rc = cli.main(["mine", "--scores", str(path), "--out", str(tmp_path / "m")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{path}:3: unreadable row: field larger than field limit" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------

@@ -5,13 +5,18 @@ numpy, independent of the Tensor graph, so agreement is a real cross-check
 rather than the same code run twice.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import oracles
 from wvad.encoder import (
+    EncodedVideo,
     EncoderConfig,
     LinearModel,
     TransformerModel,
+    _embed,
     encode,
     init_params,
     load_checkpoint,
@@ -295,7 +300,7 @@ def test_snippet_features_are_one_slice_of_the_tokens():
     m = make_model(seed=27)
     f = np.random.default_rng(27).normal(size=(2, 8, 4)).astype(np.float32)
     out = m.forward(f)
-    assert out.scores._parents[0]._parents[0] is out.features
+    assert out.scores._parents[0] is out.features
 
 
 # ---------------------------------------------------------------------
@@ -341,6 +346,73 @@ def test_video_score_gradient_reaches_cls_token():
     out.video_scores.backward()
     assert m.params.cls_token.grad is not None
     assert np.any(m.params.cls_token.grad != 0)
+
+
+# ---------------------------------------------------------------------
+# the heads and the input projection, one node each, against their
+# composed forms (tests/oracles.py)
+
+
+def _node_cases(rng, dtype):
+    """name -> (arrays, fused op, composed op). Heads read (B, T+1, D)
+    tokens, or one video's (T+1, D); the linear model's heads read the
+    (B, T, D_in) features."""
+    def arrays(*shapes):
+        return [(rng.normal(size=s) / 4.0).astype(dtype) for s in shapes]
+
+    def snippet(tokens, w, b):
+        return snippet_scores(EncodedVideo(tokens), SimpleNamespace(score_w=w, score_b=b))
+
+    def video(tokens, w, b):
+        return video_score(EncodedVideo(tokens), SimpleNamespace(video_w=w, video_b=b))
+
+    def linear_model(part):
+        return lambda f, w, b: getattr(LinearModel(f.data.shape[-1], w, b).forward(f), part)
+
+    cases = {}
+    for suffix, lead in (("", (32,)), ("_b2", (2,)), ("_video", ())):
+        heads = arrays((*lead, 33, 32), (32,), ())
+        cases["snippet_head" + suffix] = (heads, snippet, oracles.snippet_scores)
+        cases["video_head" + suffix] = (heads, video, oracles.video_score)
+    for suffix, shape in (("", (32, 32, 32, 32)), ("_b2", (2, 32, 32, 32)),
+                          ("_d36", (4, 32, 20, 36))):
+        batch, t_len, d_in, d = shape
+        cases["input_projection" + suffix] = (
+            arrays((batch, t_len, d_in), (d_in, d), (d,), (d,)), _embed, oracles.embed)
+    features = arrays((32, 32, 32), (32,), ())
+    cases["linear_model_scores"] = (
+        features, linear_model("scores"), lambda f, w, b: oracles.linear(f, w, b).sigmoid())
+    cases["linear_model_video"] = (
+        features, linear_model("video_scores"),
+        lambda f, w, b: oracles.video_score(f.mean(axis=-2, keepdims=True), w, b))
+    return cases
+
+
+NODE_CASES = list(_node_cases(np.random.default_rng(0), np.float32))
+
+
+@pytest.mark.parametrize("name", NODE_CASES)
+def test_fused_head_and_projection_are_bitwise_the_composed_forms(name):
+    args, fused, composed = _node_cases(np.random.default_rng(60), np.float32)[name]
+    want = composed(*(Tensor(a) for a in args)).data
+    got = fused(*(Tensor(a) for a in args)).data
+    assert got.dtype == want.dtype == np.float32
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _leaf_grads(op, args):
+    leaves = [Tensor(a, requires_grad=True) for a in args]
+    out = op(*leaves)
+    (out * Tensor(np.random.default_rng(61).normal(size=out.data.shape))).sum().backward()
+    return [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("name", NODE_CASES)
+def test_fused_head_and_projection_gradients_match_the_composed_forms(name):
+    args, fused, composed = _node_cases(np.random.default_rng(62), np.float64)[name]
+    for g, w in zip(_leaf_grads(fused, args), _leaf_grads(composed, args)):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-9)
 
 
 # ---------------------------------------------------------------------

@@ -10,8 +10,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from wvad.errors import ConfigError, TrainingError
 from wvad.losses import (
+    LossBreakdown,
     LossConfig,
     ScoredBatch,
     loss_contrastive,
@@ -21,7 +23,8 @@ from wvad.losses import (
     loss_video,
 )
 from oracles import mined_sets
-from wvad.tensor import Tensor, grad_check
+from wvad.mining import MiningConfig, mine_batch
+from wvad.tensor import Tensor, _unit_rows, grad_check, l2_normalize
 
 
 def t64(data):
@@ -31,6 +34,12 @@ def t64(data):
 def rows(*seqs):
     """(videos, T) float64 leaf, one row per sequence."""
     return t64(np.vstack(seqs))
+
+
+def hinge(abn, nrm, k, pair_mode="matched"):
+    """The hinge over abnormal score rows ``abn`` and normal rows ``nrm``,
+    stacked into one batch, abnormal rows first."""
+    return loss_snippet_topk(rows(*abn, *nrm), [1] * len(abn) + [0] * len(nrm), k, pair_mode)
 
 
 # ---------------------------------------------------------------------
@@ -104,60 +113,61 @@ def test_video_loss_fd():
 
 
 def test_hinge_saturated_margin_is_zero():
-    out = loss_snippet_topk(rows(np.ones(6)), rows(np.zeros(6)), 3)
+    out = hinge([np.ones(6)], [np.zeros(6)], 3)
     assert float(out.data) == 0.0
 
 
 def test_hinge_no_separation_is_one():
-    out = loss_snippet_topk(rows(np.full(6, 0.5)), rows(np.full(6, 0.5)), 3)
+    out = hinge([np.full(6, 0.5)], [np.full(6, 0.5)], 3)
     assert float(out.data) == pytest.approx(1.0)
 
 
 def test_hinge_hand_value():
     # top-k means 0.7 and 0.4 -> 1 - 0.7 + 0.4 = 0.7
-    out = loss_snippet_topk(rows(np.full(5, 0.7)), rows(np.full(5, 0.4)), 3)
+    out = hinge([np.full(5, 0.7)], [np.full(5, 0.4)], 3)
     assert float(out.data) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_hinge_zero_beyond_margin_positive_inside():
-    abn = rows([1.0, 1.0, 1.0, 0.0])
-    nrm = rows([0.0, 0.0, 0.0, 0.0])
-    assert float(loss_snippet_topk(abn, nrm, 3).data) == 0.0
-    abn2 = rows([0.9, 0.8, 0.7, 0.0])
-    assert float(loss_snippet_topk(abn2, nrm, 3).data) > 0.0
+    nrm = [0.0, 0.0, 0.0, 0.0]
+    assert float(hinge([[1.0, 1.0, 1.0, 0.0]], [nrm], 3).data) == 0.0
+    assert float(hinge([[0.9, 0.8, 0.7, 0.0]], [nrm], 3).data) > 0.0
 
 
 def test_hinge_bounded_by_two():
     # worst case: abnormal all 0, normal all 1
-    out = loss_snippet_topk(rows(np.zeros(4)), rows(np.ones(4)), 2)
+    out = hinge([np.zeros(4)], [np.ones(4)], 2)
     assert float(out.data) == pytest.approx(2.0)
 
 
 def test_hinge_k_too_large():
     with pytest.raises(ValueError):
-        loss_snippet_topk(rows(np.ones(3)), rows(np.ones(3)), 4)
+        hinge([np.ones(3)], [np.ones(3)], 4)
+    with pytest.raises(ValueError):
+        loss_snippet_topk(rows(np.ones(3)), [1, 0], 2)
 
 
 def test_hinge_fd():
     for seed in range(5):
         rng = np.random.default_rng(710 + seed)
-        # distinct scores away from the hinge kink
-        abn = rows(rng.permutation(np.linspace(0.55, 0.9, 8)),
-                   rng.permutation(np.linspace(0.55, 0.9, 8)))
-        nrm = rows(rng.permutation(np.linspace(0.1, 0.45, 8)),
-                   rng.permutation(np.linspace(0.1, 0.45, 8)))
-        check = grad_check(lambda: loss_snippet_topk(abn, nrm, 3),
-                           [("abn", abn), ("nrm", nrm)])
-        assert check.passed, check.summary()
+        # distinct scores away from the hinge kink, the labels interleaved
+        scores = rows(rng.permutation(np.linspace(0.1, 0.45, 8)),
+                      rng.permutation(np.linspace(0.55, 0.9, 8)),
+                      rng.permutation(np.linspace(0.55, 0.9, 8)),
+                      rng.permutation(np.linspace(0.1, 0.45, 8)))
+        for pair_mode in ("matched", "all_pairs"):
+            check = grad_check(lambda: loss_snippet_topk(scores, [0, 1, 1, 0], 3, pair_mode),
+                               [("scores", scores)])
+            assert check.passed, check.summary()
 
 
 def test_hinge_batch_sums_pairs():
     # top-2 means: abnormal 0.9, 0.6; normal 0.3, 0.2
-    abn = rows([0.9, 0.9, 0.1], [0.6, 0.6, 0.0])
-    nrm = rows([0.3, 0.3, 0.0], [0.2, 0.1, 0.3])
-    matched = loss_snippet_topk(abn, nrm, 2)
+    abn = [[0.9, 0.9, 0.1], [0.6, 0.6, 0.0]]
+    nrm = [[0.3, 0.3, 0.0], [0.2, 0.1, 0.3]]
+    matched = hinge(abn, nrm, 2)
     assert float(matched.data) == pytest.approx((1 - 0.9 + 0.3) + (1 - 0.6 + 0.25), abs=1e-12)
-    allp = loss_snippet_topk(abn, nrm, 2, "all_pairs")
+    allp = hinge(abn, nrm, 2, "all_pairs")
     want = sum(1 - a + n for a in (0.9, 0.6) for n in (0.3, 0.25))
     assert float(allp.data) == pytest.approx(want, abs=1e-12)
 
@@ -281,6 +291,12 @@ def test_contrastive_missing_positive_contributes_zero():
     assert float(loss_contrastive(mined, feats, 0.07).data) == 0.0
 
 
+def test_contrastive_rejects_masks_of_another_shape():
+    _, mined = _features_one_each([1.0, 0.0], [0.0, 1.0], [0.0, 1.0])
+    with pytest.raises(ValueError):
+        loss_contrastive(mined, t64(np.ones((2, 3, 2))), 1.0)
+
+
 def test_contrastive_rejects_bad_temperature():
     with pytest.raises(ConfigError):
         loss_contrastive(mined_sets(IDS, 3), t64(np.ones((2, 3, 4))), 0.0)
@@ -311,7 +327,6 @@ def _make_batch(rng, n_abn=2, n_nrm=2, t_len=8, d=4):
 
 
 def _mined_for(batch):
-    from wvad.mining import MiningConfig, mine_batch
     cfg = MiningConfig(region_window=5, region_min_count=4, k_hard_normal=2, k_easy=2)
     ids = [f"v{i}" for i in range(len(batch.labels))]
     return mine_batch(list(zip(ids, batch.labels, batch.scores.data)), cfg)
@@ -365,8 +380,9 @@ def test_total_matched_vs_all_pairs_counts():
     # matched pairs: min(2,1)=1 hinge; all pairs: 2 hinges
     _, matched = loss_total(batch, None, LossConfig(w_contrast=0))
     _, allp = loss_total(batch, None, LossConfig(w_contrast=0, pair_mode="all_pairs"))
-    h01 = float(loss_snippet_topk(batch.scores[0:1], batch.scores[2:3], 3).data)
-    h11 = float(loss_snippet_topk(batch.scores[1:2], batch.scores[2:3], 3).data)
+    s = batch.scores.data
+    h01 = float(hinge([s[0]], [s[2]], 3).data)
+    h11 = float(hinge([s[1]], [s[2]], 3).data)
     assert matched.l_snp == pytest.approx(h01, abs=1e-12)
     assert allp.l_snp == pytest.approx(h01 + h11, abs=1e-12)
 
@@ -396,3 +412,178 @@ def test_total_gradient_reaches_each_head_through_its_term():
     assert batch.scores.grad is not None and np.any(batch.scores.grad != 0)
     assert batch.video_scores.grad is not None and np.all(batch.video_scores.grad != 0)
     assert batch.features.grad is not None and np.any(batch.features.grad != 0)
+
+
+# ---------------------------------------------------------------------
+# each term as one node against its composed form (tests/oracles.py)
+
+
+def _objective_cases():
+    """name -> (abnormal count, normal count, T, LossConfig, mined-set kind)."""
+    weighted = LossConfig(w_contrast=0.5, w_snippet=2.0, w_video=0.25, w_reg=3.0, k=4,
+                          smooth_weight=0.3, sparse_weight=0.01, temperature=0.2)
+    return {
+        "reference": (16, 16, 32, LossConfig(), "mined"),
+        "reference_all_pairs": (16, 16, 32, LossConfig(pair_mode="all_pairs"), "mined"),
+        "b2": (1, 1, 32, LossConfig(), "mined"),
+        "uneven_5_3": (5, 3, 16, LossConfig(), "mined"),
+        "uneven_2_6_all_pairs": (2, 6, 16, LossConfig(pair_mode="all_pairs"), "mined"),
+        "uneven_3_5_weighted": (3, 5, 16, weighted, "mined"),
+        "warm_up": (4, 4, 16, LossConfig(), None),
+        "empty_sets": (4, 4, 16, LossConfig(), "empty"),
+        "hard_normal_direction_only": (3, 2, 16, LossConfig(), "one_direction"),
+        "shared_normal_rows": (2, 3, 16, weighted, "ties"),
+        "zero_weights": (3, 3, 16, LossConfig(w_contrast=0, w_snippet=0, w_video=0, w_reg=0),
+                         "mined"),
+    }
+
+
+OBJECTIVE_CASES = list(_objective_cases())
+
+
+def _objective_batch(name, dtype):
+    """Labels interleaved in a seeded order, float leaves of ``dtype``, and
+    mined sets taken from the float32 scores, so both dtypes share them."""
+    n_abn, n_nrm, t_len, config, kind = _objective_cases()[name]
+    rng = np.random.default_rng([50, OBJECTIVE_CASES.index(name)])
+    labels = rng.permutation(np.array([1] * n_abn + [0] * n_nrm))
+    scores = rng.uniform(0.05, 0.95, size=(labels.size, t_len))
+    if kind == "ties":   # flat normal rows: their top and bottom snippets coincide
+        scores[labels == 0] = 0.25
+    video_scores = rng.uniform(0.05, 0.95, size=labels.size)
+    features = rng.normal(size=(labels.size, t_len, 32))
+    ids = [f"v{i:02d}" for i in rng.permutation(labels.size)]
+    mined = None
+    if kind in ("mined", "ties"):
+        mined = mine_batch(list(zip(ids, labels.tolist(), scores.astype(np.float32))),
+                           MiningConfig())
+    elif kind == "empty":
+        mined = mined_sets(ids, t_len)
+    elif kind == "one_direction":   # no hard abnormal snippet
+        a = ids[np.flatnonzero(labels == 1)[0]]
+        n0, n1 = (ids[i] for i in np.flatnonzero(labels == 0)[:2])
+        mined = mined_sets(ids, t_len, ea=[(a, 2), (a, 7)], hn=[(n0, 1), (n1, 4)],
+                           en=[(n0, 9), (n1, 0), (n1, 5)])
+    batch = ScoredBatch(labels=labels,
+                        scores=Tensor(scores.astype(dtype), requires_grad=True),
+                        video_scores=Tensor(video_scores.astype(dtype), requires_grad=True),
+                        features=Tensor(features.astype(dtype), requires_grad=True))
+    return batch, mined, config
+
+
+def test_the_objective_cases_reach_every_set_kind():
+    counts = {name: _objective_batch(name, np.float32)[1] for name in OBJECTIVE_CASES}
+    assert all(counts["reference"].counts().values())
+    assert not any(counts["empty_sets"].counts().values())
+    one = counts["hard_normal_direction_only"]
+    assert one.counts()["HA"] == 0 and all(one.counts()[k] for k in ("EA", "HN", "EN"))
+    ties = counts["shared_normal_rows"]
+    assert (ties.hn & ties.en).any()
+
+
+@pytest.mark.parametrize("name", OBJECTIVE_CASES)
+def test_fused_terms_are_bitwise_the_composed_forms(name):
+    batch, mined, config = _objective_batch(name, np.float32)
+    labels = batch.labels
+    abnormal, normal = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
+    pairs = [
+        (loss_video(batch.video_scores, labels), oracles.loss_video(batch.video_scores, labels)),
+        (loss_snippet_topk(batch.scores, labels, config.k, config.pair_mode),
+         oracles.loss_snippet_topk(batch.scores[abnormal], batch.scores[normal], config.k,
+                                   config.pair_mode)),
+        (loss_regularisation(batch.scores, config.smooth_weight, config.sparse_weight),
+         oracles.loss_regularisation(batch.scores, config.smooth_weight,
+                                     config.sparse_weight)),
+    ]
+    if mined is not None:
+        pairs.append((loss_contrastive(mined, batch.features, config.temperature),
+                      oracles.loss_contrastive(mined, batch.features, config.temperature)))
+    total, breakdown = loss_total(batch, mined, config)
+    want_total, parts = oracles.loss_total(batch, mined, config)
+    pairs.append((total, want_total))
+    for got, want in pairs:
+        assert got.data.dtype == want.data.dtype == np.float32
+        assert np.asarray(got.data).tobytes() == np.asarray(want.data).tobytes()
+    assert breakdown == LossBreakdown(l_total=float(want_total.data), **parts)
+
+
+def _objective_grads(loss, name):
+    batch, mined, config = _objective_batch(name, np.float64)
+    total = loss(batch, mined, config)[0]
+    leaves = (batch.scores, batch.video_scores, batch.features)
+    if total.requires_grad:
+        total.backward()
+    return [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("name", OBJECTIVE_CASES)
+def test_fused_objective_gradient_matches_the_composed_form(name):
+    got = _objective_grads(loss_total, name)
+    want = _objective_grads(oracles.loss_total, name)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if g is not None:
+            np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("term", ["w_contrast", "w_snippet", "w_video", "w_reg"])
+def test_a_term_alone_reaches_only_its_inputs(term):
+    """Each term's weight alone: the other terms are not evaluated, so the
+    leaves only they read get no gradient at all."""
+    batch, mined, _ = _objective_batch("reference", np.float64)
+    weights = dict.fromkeys(("w_contrast", "w_snippet", "w_video", "w_reg"), 0.0)
+    total, _ = loss_total(batch, mined, LossConfig(**{**weights, term: 1.5}))
+    total.backward()
+    reached = {"w_contrast": "features", "w_snippet": "scores", "w_video": "video_scores",
+               "w_reg": "scores"}[term]
+    for leaf in ("scores", "video_scores", "features"):
+        grad = getattr(batch, leaf).grad
+        assert (grad is not None) == (leaf == reached), leaf
+    assert np.any(getattr(batch, reached).grad != 0)
+
+
+def test_all_zero_weights_leave_no_graph():
+    batch, mined, _ = _objective_batch("zero_weights", np.float64)
+    total, _ = loss_total(batch, mined, _objective_cases()["zero_weights"][3])
+    assert not total.requires_grad and not total._parents
+
+
+def test_unit_rows_of_the_gathered_sets_are_each_sets_own_bits():
+    """The contrastive node normalises every set's rows in one call; each
+    row's bits are those of normalising its set alone."""
+    rng = np.random.default_rng(51)
+    for sizes in ((326, 20, 48, 48), (1, 1, 1, 1), (3, 40, 1, 7)):
+        sets = [rng.normal(size=(n, 32)).astype(np.float32) for n in sizes]
+        together = _unit_rows(np.concatenate(sets))[0]
+        apart = np.concatenate([l2_normalize(Tensor(s)).data for s in sets])
+        assert together.tobytes() == apart.tobytes()
+
+
+def test_mined_sets_are_disjoint_unless_scores_tie():
+    """The contrastive backward writes each gathered row back once when the
+    sets are disjoint: they are on untied scores, and hard and easy normal
+    share snippets when a normal video's scores tie."""
+    for seed in range(20):
+        rng = np.random.default_rng([52, seed])
+        labels = rng.integers(0, 2, size=12)
+        scores = rng.uniform(size=(12, 16))
+        mined = mine_batch([(f"v{i}", int(y), s) for i, (y, s) in enumerate(zip(labels, scores))],
+                           MiningConfig())
+        masks = mined.masks()
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert not (masks[i] & masks[j]).any(), (seed, i, j)
+    flat = mine_batch([("n", 0, np.full(16, 0.5)), ("a", 1, np.linspace(0, 1, 16))],
+                      MiningConfig())
+    assert (flat.hn & flat.en).any()
+
+
+def test_contrastive_fd_with_shared_rows_and_one_direction():
+    rng = np.random.default_rng(53)
+    feats = t64(rng.normal(size=(2, 6, 4)))
+    shared = mined_sets(IDS, 6, ha=[("abn", 0)], ea=[("abn", 3), ("abn", 4)],
+                        hn=[("nrm", 2), ("nrm", 0)], en=[("nrm", 0), ("nrm", 5)])
+    one = mined_sets(IDS, 6, ea=[("abn", 3)], hn=[("nrm", 2)], en=[("nrm", 0), ("nrm", 5)])
+    for mined in (shared, one):
+        check = grad_check(lambda: loss_contrastive(mined, feats, 0.5), [("features", feats)])
+        assert check.passed, check.summary()

@@ -343,13 +343,17 @@ def test_score_csv_cases(name, header, rows, expected, tmp_path):
 
 def test_an_unreadable_row_fails_after_the_rows_before_it(tmp_path):
     """csv's field limit ends the reading; a malformed row before it is
-    reported first, and without one the csv error is raised as before."""
+    reported first, and without one the unreadable row is, as a malformed
+    row with its number."""
     huge = ["v0", "1", "0." + "1" * 140_000, "0"]
-    assert_same_scores(write_csv(tmp_path / "a.csv", cli.SCORE_COLUMNS,
-                                 [VALID[0], ["v0", "x", "0.5", "0"], huge]))
-    kind, _ = assert_same_scores(write_csv(tmp_path / "b.csv", cli.SCORE_COLUMNS,
-                                           [VALID[0], huge]))
-    assert kind is csv.Error
+    kind, message = assert_same_scores(write_csv(
+        tmp_path / "a.csv", cli.SCORE_COLUMNS, [VALID[0], ["v0", "x", "0.5", "0"], huge]))
+    assert kind is ConfigError and message.startswith(f"{tmp_path / 'a.csv'}:3: malformed row")
+    kind, message = assert_same_scores(write_csv(tmp_path / "b.csv", cli.SCORE_COLUMNS,
+                                                 [VALID[0], huge]))
+    assert kind is ConfigError
+    assert message == (f"{tmp_path / 'b.csv'}:3: unreadable row: "
+                       "field larger than field limit (131072)")
 
 
 # ---------------------------------------------------------------------

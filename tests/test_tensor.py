@@ -7,8 +7,11 @@ import pytest
 
 import oracles
 from wvad.errors import ConfigError
+from wvad.losses import _info_nce
 from wvad.tensor import (
     Tensor,
+    _accum,
+    _result,
     broadcast_to,
     concat,
     dropout,
@@ -16,7 +19,6 @@ from wvad.tensor import (
     gather_rows,
     gelu,
     grad_check,
-    info_nce,
     l2_normalize,
     layer_norm,
     linear,
@@ -653,6 +655,19 @@ def test_l2_normalize_fd():
 # the fused ops against their composed forms (tests/oracles.py)
 
 
+def info_nce(anchors, positives, negatives, temperature):
+    """The closed-form InfoNCE that ``loss_contrastive`` runs per
+    direction, as one node."""
+    value, grads = _info_nce(anchors.data, positives.data, negatives.data, 1.0 / temperature)
+    out = _result(value, (anchors, positives, negatives))
+    if out.requires_grad:
+        def backward(g):
+            for t, g_t in zip((anchors, positives, negatives), grads(g)):
+                _accum(t, g_t)
+        out._backward = backward
+    return out
+
+
 def _fused_cases(rng, dtype):
     """name -> (arrays, fused op, composed op). The affine and token-conv
     cases take every width at d_model: 32 (the reference), 36 (no multiple
@@ -771,6 +786,10 @@ def _rule_cases(rng):
         "conv_width_1_skip": conv(1, 5, 1),
         "conv_width_5_t2": conv(5, 2, 0),
         "conv_width_5_t2_skip": conv(5, 2, 1),
+        "conv_width_5_t6": conv(5, 6, 0),
+        "conv_width_5_t6_skip": conv(5, 6, 1),
+        "conv_width_3_t1": conv(3, 1, 0),
+        "conv_width_7_t2_skip": conv(7, 2, 1),
         "conv_without_bias": (arrays((2, 6, 4), (4, 3), (4, 5)), dws_conv1d,
                               oracles.dws_conv1d_rule),
     }

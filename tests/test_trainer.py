@@ -470,13 +470,15 @@ def test_nonfinite_loss_aborts_with_step(monkeypatch):
 
 def test_mined_step_is_one_small_graph(monkeypatch):
     """One arm-d step with mining engaged, on the reference shapes (16 + 16
-    videos, T=32, D_in=D=32), builds one taped graph of at most 113 nodes,
-    counted with the walk backward replays: attention, layer norm, GELU, L2
-    normalisation, each InfoNCE direction, each affine map and each block's
-    conv over the tokens (cls row passed through, bias included) are one
-    node each (131 nodes with the affine maps and the cls split composed,
-    169 with composed attention as well, 265 with every op composed; a
-    graph per video holds 6,483)."""
+    videos, T=32, D_in=D=32), builds one taped graph of at most 66 nodes,
+    counted with the walk backward replays: 41 parameters and 25 ops.
+    Attention, layer norm, GELU, each affine map, each block's conv over
+    the tokens (cls row passed through, bias included), the input
+    projection with the cls token, each sigmoid head, each objective term
+    and their weighted sum are one node each (113 nodes with the objective
+    and the heads composed, 131 with the affine maps and the cls split
+    composed as well, 169 with composed attention too, 265 with every op
+    composed; a graph per video holds 6,483)."""
     cfg = TrainConfig(mining_warmup_epochs=0)
     assert cfg.encoder.num_snippets == cfg.encoder.d_in == cfg.encoder.d_model == 32
     videos = micro_videos(n_normal=16, n_abnormal=16, t=32, d=32, seed=5)
@@ -494,7 +496,7 @@ def test_mined_step_is_one_small_graph(monkeypatch):
     train_step(model, videos, cfg, AdamState.for_params(model.named_params()),
                np.random.default_rng(0), step=1, epoch=0)
     assert all(seen["mined"].values()), seen["mined"]   # every term is in the graph
-    assert seen["nodes"] <= 113, seen["nodes"]
+    assert seen["nodes"] <= 66, seen["nodes"]
 
 
 def test_overfit_single_batch_drives_loss_down():
