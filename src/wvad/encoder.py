@@ -38,16 +38,15 @@ from .errors import ConfigError, FormatError
 from .schema import from_json
 from .tensor import (
     Tensor,
-    _accum,
-    _affine_backward,
-    _result,
-    _stable_sigmoid,
+    affine_grads,
     dropout,
     dws_conv1d,
     gelu,
     layer_norm,
     linear,
     multi_head_self_attention,
+    node,
+    stable_sigmoid,
 )
 
 CHECKPOINT_MAGIC = b"WVCK"
@@ -290,16 +289,12 @@ def _embed(f: Tensor, w: Tensor, b: Tensor, cls_token: Tensor) -> Tensor:
     x = f.data @ w.data + b.data
     batch, _, d = x.shape
     cls = np.broadcast_to(cls_token.data.reshape(1, 1, d), (batch, 1, d))
-    out = _result(np.concatenate([cls, x], axis=1), (f, w, b, cls_token))
-    if out.requires_grad:
-        def backward(g):
-            gf = _affine_backward(f.data, w, b, g[:, 1:], f.requires_grad)
-            if gf is not None:
-                _accum(f, gf)
-            if cls_token.requires_grad:
-                _accum(cls_token, g[:, 0].sum(axis=0))
-        out._backward = backward
-    return out
+
+    def backward(g):
+        g_cls = g[:, 0].sum(axis=0) if cls_token.requires_grad else None
+        return (*affine_grads(f.data, w, b, g[:, 1:], f.requires_grad), g_cls)
+
+    return node(np.concatenate([cls, x], axis=1), (f, w, b, cls_token), backward)
 
 
 def _sigmoid_head(x: Tensor, w: Tensor, b: Tensor, row: int | None = None) -> Tensor:
@@ -312,22 +307,19 @@ def _sigmoid_head(x: Tensor, w: Tensor, b: Tensor, row: int | None = None) -> Te
     """
     xd = x.data if row is None else x.data[..., row:row + 1, :]
     z = xd @ w.data + b.data
-    val = _stable_sigmoid(z if row is None else z[..., 0])
-    out = _result(val, (x, w, b))
-    if out.requires_grad:
-        def backward(g):
-            gz = g * val * (1.0 - val)
-            gx = _affine_backward(xd, w, b, gz if row is None else gz[..., None],
+    val = stable_sigmoid(z if row is None else z[..., 0])
+
+    def backward(g):
+        gz = g * val * (1.0 - val)
+        gx, gw, gb = affine_grads(xd, w, b, gz if row is None else gz[..., None],
                                   x.requires_grad)
-            if gx is None:
-                return
-            if row is not None:
-                full = np.zeros_like(x.data)
-                full[..., row:row + 1, :] = gx
-                gx = full
-            _accum(x, gx)
-        out._backward = backward
-    return out
+        if gx is not None and row is not None:
+            full = np.zeros_like(x.data)
+            full[..., row:row + 1, :] = gx
+            gx = full
+        return gx, gw, gb
+
+    return node(val, (x, w, b), backward)
 
 
 def snippet_scores(enc: EncodedVideo, params: ModelParams) -> Tensor:

@@ -34,7 +34,7 @@ import numpy as np
 from .encoder import ScoredBatch
 from .errors import ConfigError, TrainingError
 from .mining import MinedSets
-from .tensor import Tensor, _accum, _result, _unit_rows, _unit_rows_backward
+from .tensor import Tensor, node, unit_rows, unit_rows_backward
 
 _CLAMP = 1e-7
 
@@ -93,13 +93,12 @@ def loss_video(video_scores: Tensor, labels) -> Tensor:
     # the probability given to the true label: v if abnormal, 1 - v if normal
     sign = (2 * y - 1).astype(dtype)
     p = np.clip(v, _CLAMP, 1.0 - _CLAMP) * sign + (1 - y).astype(dtype)
-    out = _result(-np.log(p).mean(), (video_scores,))
-    if out.requires_grad:
-        def backward(g):
-            inside = (v > _CLAMP) & (v < 1.0 - _CLAMP)
-            _accum(video_scores, (-g / y.size) / p * sign * inside)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        inside = (v > _CLAMP) & (v < 1.0 - _CLAMP)
+        return ((-g / y.size) / p * sign * inside,)
+
+    return node(-np.log(p).mean(), (video_scores,), backward)
 
 
 def loss_snippet_topk(scores: Tensor, labels, k: int, pair_mode: str = "matched") -> Tensor:
@@ -133,21 +132,20 @@ def loss_snippet_topk(scores: Tensor, labels, k: int, pair_mode: str = "matched"
     else:
         m = min(abn.shape[0], nrm.shape[0])
         margin = one - abn[:m] + nrm[:m]
-    out = _result(np.maximum(margin, 0.0).sum(), (scores,))
-    if out.requires_grad:
-        def backward(g):
-            active = g * (margin > 0)
-            if pair_mode == "all_pairs":
-                g_abn, g_nrm = -active.sum(axis=1), active.sum(axis=0)
-            else:
-                g_abn, g_nrm = np.zeros_like(abn), np.zeros_like(nrm)
-                g_abn[:m], g_nrm[:m] = -active, active
-            z = np.zeros_like(x)
-            z[abnormal[:, None], top[abnormal]] = (g_abn / k)[:, None]
-            z[normal[:, None], top[normal]] = (g_nrm / k)[:, None]
-            _accum(scores, z)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        active = g * (margin > 0)
+        if pair_mode == "all_pairs":
+            g_abn, g_nrm = -active.sum(axis=1), active.sum(axis=0)
+        else:
+            g_abn, g_nrm = np.zeros_like(abn), np.zeros_like(nrm)
+            g_abn[:m], g_nrm[:m] = -active, active
+        z = np.zeros_like(x)
+        z[abnormal[:, None], top[abnormal]] = (g_abn / k)[:, None]
+        z[normal[:, None], top[normal]] = (g_nrm / k)[:, None]
+        return (z,)
+
+    return node(np.maximum(margin, 0.0).sum(), (scores,), backward)
 
 
 def loss_regularisation(scores: Tensor, smooth_weight: float, sparse_weight: float) -> Tensor:
@@ -162,17 +160,17 @@ def loss_regularisation(scores: Tensor, smooth_weight: float, sparse_weight: flo
     smooth, sparse, count = (np.asarray(c, dtype=x.dtype)
                              for c in (smooth_weight, sparse_weight, float(n)))
     diffs = x[:, 1:] - x[:, :-1]
-    out = _result(((diffs * diffs).sum() * smooth + x.sum() * sparse) / count, (scores,))
-    if out.requires_grad:
-        def backward(g):
-            g_n = g / count
-            g_diffs = diffs * (2.0 * (g_n * smooth))
-            z = np.full(x.shape, g_n * sparse, dtype=x.dtype)
-            z[:, 1:] += g_diffs
-            z[:, :-1] -= g_diffs
-            _accum(scores, z)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        g_n = g / count
+        g_diffs = diffs * (2.0 * (g_n * smooth))
+        z = np.full(x.shape, g_n * sparse, dtype=x.dtype)
+        z[:, 1:] += g_diffs
+        z[:, :-1] -= g_diffs
+        return (z,)
+
+    return node(((diffs * diffs).sum() * smooth + x.sum() * sparse) / count, (scores,),
+                backward)
 
 
 def _info_nce(a: np.ndarray, p: np.ndarray, n: np.ndarray, inv_temperature: float):
@@ -209,10 +207,9 @@ def loss_contrastive(mined: MinedSets, features: Tensor, temperature: float) -> 
 
     Each set's rows are taken in (video id, t) order, the order of the
     sets' sorted views. The rows of every set a direction uses are gathered
-    and L2-normalised together, once. Mined sets are disjoint except where
-    scores tie (hard and easy normal can then share a snippet), so the
-    backward checks: it scatters with one plain indexed write when they
-    are, and adds shared rows up only when they are not.
+    and L2-normalised together, once, and the backward scatters their
+    gradients back with one ``np.add.at``: mined sets are disjoint except
+    where scores tie, when hard and easy normal can share a snippet.
     """
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
@@ -233,30 +230,23 @@ def loss_contrastive(mined: MinedSets, features: Tensor, temperature: float) -> 
     block, end = {}, 0
     for i in used:
         block[i], end = slice(end, end + sizes[i]), end + sizes[i]
-    unit, norm = _unit_rows(features.data.reshape(-1, dim)[rows])
+    unit, norm = unit_rows(features.data.reshape(-1, dim)[rows])
     value, parts = None, []
     for d in directions:
         term, grads = _info_nce(*(unit[block[i]] for i in d), 1.0 / temperature)
         value = term if value is None else value + term
         parts.append((d, grads))
-    out = _result(value, (features,))
-    if out.requires_grad:
-        disjoint = np.count_nonzero(chosen.any(axis=0)) == rows.size
 
-        def backward(g):
-            g_unit = np.zeros_like(unit)
-            for d, grads in parts:
-                for i, g_set in zip(d, grads(g)):
-                    g_unit[block[i]] += g_set
-            g_rows = _unit_rows_backward(g_unit, unit, norm)
-            z = np.zeros((batch * t_len, dim), dtype=g_rows.dtype)
-            if disjoint:
-                z[rows] = g_rows
-            else:
-                np.add.at(z, rows, g_rows)
-            _accum(features, z.reshape(features.data.shape))
-        out._backward = backward
-    return out
+    def backward(g):
+        g_unit = np.zeros_like(unit)
+        for d, grads in parts:
+            for i, g_set in zip(d, grads(g)):
+                g_unit[block[i]] += g_set
+        z = np.zeros((batch * t_len, dim), dtype=unit.dtype)
+        np.add.at(z, rows, unit_rows_backward(g_unit, unit, norm))
+        return (z.reshape(features.data.shape),)
+
+    return node(value, (features,), backward)
 
 
 def _weighted_sum(terms: list[tuple[Tensor, float]]) -> Tensor:
@@ -266,15 +256,7 @@ def _weighted_sum(terms: list[tuple[Tensor, float]]) -> Tensor:
     value = None
     for (t, _), w in zip(terms, weights):
         value = t.data * w if value is None else value + t.data * w
-    parents = tuple(t for t, _ in terms)
-    out = _result(value, parents)
-    if out.requires_grad:
-        def backward(g):
-            for t, w in zip(parents, weights):
-                if t.requires_grad:
-                    _accum(t, g * w)
-        out._backward = backward
-    return out
+    return node(value, [t for t, _ in terms], lambda g: [g * w for w in weights])
 
 
 def loss_total(batch: ScoredBatch, mined: MinedSets | None,

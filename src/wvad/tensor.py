@@ -308,7 +308,7 @@ class Tensor:
         return out
 
     def sigmoid(self) -> "Tensor":
-        val = _stable_sigmoid(self.data)
+        val = stable_sigmoid(self.data)
         out = _result(val, (self,))
         if out.requires_grad:
             def backward(g):
@@ -400,6 +400,27 @@ def _accum(t: Tensor, g: np.ndarray):
         t._owns_grad = True
 
 
+def node(value: np.ndarray, parents: Sequence[Tensor],
+         backward: Callable[[np.ndarray], Iterable[np.ndarray | None]]) -> Tensor:
+    """One tape node: ``value`` computed from ``parents``, with
+    ``backward(g)`` giving one gradient per parent, in order (None for a
+    parent it leaves alone). Parents that need no gradient get none. Fused
+    nodes in other modules are built with this alone.
+    """
+    out = _result(value, tuple(parents))
+    if out.requires_grad:
+        out._backward = lambda g: _accum_each(parents, backward(g))
+    return out
+
+
+def _accum_each(tensors: Iterable[Tensor], grads: Iterable[np.ndarray | None]):
+    """``_accum`` each gradient that is given into its tensor, if that
+    tensor requires one."""
+    for t, g in zip(tensors, grads):
+        if g is not None and t.requires_grad:
+            _accum(t, g)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to ``shape``."""
     if g.shape == shape:
@@ -442,11 +463,16 @@ def _column_sums(g2: np.ndarray) -> np.ndarray:
     return np.ones(g2.shape[0], dtype=g2.dtype) @ g2
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """The logistic function without overflow: 1 / (1 + e) where x >= 0
-    and e / (1 + e) elsewhere, with e = exp(-|x|)."""
+    and e / (1 + e) elsewhere, with e = exp(-|x|), in ``x``'s dtype.
+
+    The one is a scalar of that dtype: numpy < 2 would promote a 0-d
+    float32 with a Python float to float64.
+    """
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    one = e.dtype.type(1)
+    return np.where(x >= 0, one, e) / (one + e)
 
 
 # ---------------------------------------------------------------------
@@ -470,25 +496,20 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Repeat ``x`` along broadcast axes; the gradient sums them back."""
-    out = _result(np.broadcast_to(x.data, shape), (x,))
-    if out.requires_grad:
-        def backward(g):
-            _accum(x, _unbroadcast(g, x.data.shape))
-        out._backward = backward
-    return out
+    return node(np.broadcast_to(x.data, shape), (x,),
+                lambda g: (_unbroadcast(g, x.data.shape),))
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
     """Select rows by integer index; duplicate indices accumulate gradient."""
     idx = np.asarray(indices, dtype=np.intp)
-    out = _result(x.data[idx], (x,))
-    if out.requires_grad:
-        def backward(g):
-            z = np.zeros_like(x.data)
-            np.add.at(z, idx, g)
-            _accum(x, z)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        z = np.zeros_like(x.data)
+        np.add.at(z, idx, g)
+        return (z,)
+
+    return node(x.data[idx], (x,), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -496,13 +517,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     val = e / e.sum(axis=axis, keepdims=True)
-    out = _result(val, (x,))
-    if out.requires_grad:
-        def backward(g):
-            inner = (g * val).sum(axis=axis, keepdims=True)
-            _accum(x, val * (g - inner))
-        out._backward = backward
-    return out
+    return node(val, (x,), lambda g: (val * (g - (g * val).sum(axis=axis, keepdims=True)),))
 
 
 def topk_mean(scores: Tensor, k: int, axis: int | None = None) -> Tensor:
@@ -589,14 +604,14 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
-def _unit_rows(xd: np.ndarray, eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def unit_rows(xd: np.ndarray, eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Each row (last axis) of ``xd`` scaled to unit Euclidean norm, and the norms."""
     norm = np.sqrt((xd * xd).sum(axis=-1, keepdims=True) + eps)
     return xd / norm, norm
 
 
-def _unit_rows_backward(g: np.ndarray, val: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """The rows' gradient of ``_unit_rows`` from its output ``val``'s, ``g``."""
+def unit_rows_backward(g: np.ndarray, val: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """The rows' gradient of ``unit_rows`` from its output ``val``'s, ``g``."""
     gx = val * np.einsum("...i,...i->...", g, val)[..., None]
     np.subtract(g, gx, out=gx)
     gx /= norm
@@ -605,20 +620,15 @@ def _unit_rows_backward(g: np.ndarray, val: np.ndarray, norm: np.ndarray) -> np.
 
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     """Scale each row (last axis) to unit Euclidean norm, one node."""
-    val, norm = _unit_rows(x.data, eps)
-    out = _result(val, (x,))
-    if out.requires_grad:
-        def backward(g):
-            _accum(x, _unit_rows_backward(g, val, norm))
-        out._backward = backward
-    return out
+    val, norm = unit_rows(x.data, eps)
+    return node(val, (x,), lambda g: (unit_rows_backward(g, val, norm),))
 
 
-def _affine_backward(xd: np.ndarray, w: Tensor, b: Tensor | None, g: np.ndarray,
-                     rows: bool) -> np.ndarray | None:
-    """Gradients of ``xd @ w + b`` for rows ``xd`` (..., k) and a (k, m) or
-    (k,) weight: accumulates those of ``w`` and ``b``, and returns the
-    rows' when ``rows`` is set.
+def affine_grads(xd: np.ndarray, w: Tensor, b: Tensor | None, g: np.ndarray,
+                 rows: bool) -> tuple[np.ndarray | None, ...]:
+    """Gradients (rows, ``w``, ``b``) of ``xd @ w + b`` for rows ``xd``
+    (..., k) and a (k, m) or (k,) weight, each None where it is not needed:
+    the rows' unless ``rows`` is set, a tensor's unless it requires one.
 
     The rows are flattened to one (rows, k) matrix first, so each product
     is one GEMM, where numpy would run a (B, T, k) stack as B of them.
@@ -626,11 +636,10 @@ def _affine_backward(xd: np.ndarray, w: Tensor, b: Tensor | None, g: np.ndarray,
     k = xd.shape[-1]
     w2 = w.data.reshape(k, -1)
     g2 = g.reshape(-1, w2.shape[1])
-    if w.requires_grad:
-        _accum(w, (xd.reshape(-1, k).T @ g2).reshape(w.data.shape))
-    if b is not None and b.requires_grad:
-        _accum(b, _column_sums(g2).reshape(b.data.shape))
-    return (g2 @ w2.T).reshape(xd.shape) if rows else None
+    gw = (xd.reshape(-1, k).T @ g2).reshape(w.data.shape) if w.requires_grad else None
+    gb = (_column_sums(g2).reshape(b.data.shape)
+          if b is not None and b.requires_grad else None)
+    return (g2 @ w2.T).reshape(xd.shape) if rows else None, gw, gb
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -643,14 +652,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if w.data.ndim not in (1, 2) or b.data.size != w.data.size // w.data.shape[0]:
         raise ValueError(f"linear expects a (k, m) weight with an (m,) bias or a (k,) "
                          f"weight with a scalar bias, got {w.data.shape} and {b.data.shape}")
-    out = _result(x.data @ w.data + b.data, (x, w, b))
-    if out.requires_grad:
-        def backward(g):
-            gx = _affine_backward(x.data, w, b, g, x.requires_grad)
-            if gx is not None:
-                _accum(x, gx)
-        out._backward = backward
-    return out
+    return node(x.data @ w.data + b.data, (x, w, b),
+                lambda g: affine_grads(x.data, w, b, g, x.requires_grad))
 
 
 def dws_conv1d(x: Tensor, depth_kernel: Tensor, point_kernel: Tensor,
@@ -702,8 +705,9 @@ def dws_conv1d(x: Tensor, depth_kernel: Tensor, point_kernel: Tensor,
     out = _result(y, (x, depth_kernel, point_kernel) + (() if bias is None else (bias,)))
     if out.requires_grad:
         def backward(g):
-            g_acc = _affine_backward(acc, point_kernel, bias, g[..., skip:, :],
-                                     x.requires_grad or depth_kernel.requires_grad)
+            g_acc, *g_point = affine_grads(acc, point_kernel, bias, g[..., skip:, :],
+                                           x.requires_grad or depth_kernel.requires_grad)
+            _accum_each((point_kernel, bias), g_point)
             if depth_kernel.requires_grad:
                 rows = padded.reshape(-1, n + 2 * half, channels)
                 windows = sliding_window_view(rows, n, axis=1)        # (B, W, C, n)
@@ -784,8 +788,9 @@ def multi_head_self_attention(
     out = _result(merged @ wo.data + bo.data, (x, wq, bq, wk, bk, wv, bv, wo, bo))
     if out.requires_grad:
         def backward(g):
-            g_o = _affine_backward(merged, wo, bo, g, True) \
-                .reshape(*lead, n, heads, dh).transpose(to_heads)
+            g_o, *g_out = affine_grads(merged, wo, bo, g, True)
+            _accum_each((wo, bo), g_out)
+            g_o = g_o.reshape(*lead, n, heads, dh).transpose(to_heads)
             # dS from the scaled dO, as one contiguous copy: the strided
             # head views make numpy's small batched products much slower
             g_os = np.multiply(g_o, scale, order="C")

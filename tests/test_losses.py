@@ -24,7 +24,7 @@ from wvad.losses import (
 )
 from oracles import mined_sets
 from wvad.mining import MiningConfig, mine_batch
-from wvad.tensor import Tensor, _unit_rows, grad_check, l2_normalize
+from wvad.tensor import Tensor, grad_check, l2_normalize, unit_rows
 
 
 def t64(data):
@@ -554,7 +554,7 @@ def test_unit_rows_of_the_gathered_sets_are_each_sets_own_bits():
     rng = np.random.default_rng(51)
     for sizes in ((326, 20, 48, 48), (1, 1, 1, 1), (3, 40, 1, 7)):
         sets = [rng.normal(size=(n, 32)).astype(np.float32) for n in sizes]
-        together = _unit_rows(np.concatenate(sets))[0]
+        together = unit_rows(np.concatenate(sets))[0]
         apart = np.concatenate([l2_normalize(Tensor(s)).data for s in sets])
         assert together.tobytes() == apart.tobytes()
 

@@ -10,8 +10,6 @@ from wvad.errors import ConfigError
 from wvad.losses import _info_nce
 from wvad.tensor import (
     Tensor,
-    _accum,
-    _result,
     broadcast_to,
     concat,
     dropout,
@@ -24,7 +22,9 @@ from wvad.tensor import (
     linear,
     multi_head_self_attention,
     no_grad,
+    node,
     softmax,
+    stable_sigmoid,
     topk_mean,
     topological_order,
 )
@@ -297,6 +297,29 @@ def test_sigmoid_is_stable_at_extremes():
     with np.errstate(over="raise"):
         y = x.sigmoid()
     np.testing.assert_allclose(y.data, [0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_keeps_the_input_dtype_down_to_0d(dtype):
+    """A 0-d input (one video's cls score) must not promote to float64, as
+    a Python-float operand would under numpy < 2."""
+    for x in (np.asarray(-2.0, dtype=dtype), np.asarray(2.0, dtype=dtype),
+              np.linspace(-3.0, 3.0, 6, dtype=dtype).reshape(2, 3)):
+        for value in (stable_sigmoid(x), Tensor(x).sigmoid().data):
+            assert value.dtype == dtype and value.shape == x.shape
+            np.testing.assert_allclose(value, 1.0 / (1.0 + np.exp(-x.astype(np.float64))),
+                                       rtol=1e-6)
+
+
+def test_node_gives_each_parent_its_gradient_only_if_it_needs_one():
+    a, b, c = t64([1.0, 2.0]), t64([3.0, 4.0], requires_grad=False), t64([5.0, 6.0])
+    out = node(a.data * b.data + c.data, (a, b, c), lambda g: (g * b.data, g * a.data, None))
+    assert out._parents == (a, c)
+    out.sum().backward()
+    np.testing.assert_array_equal(a.grad, [3.0, 4.0])
+    assert b.grad is None and c.grad is None
+    with no_grad():
+        assert not node(a.data, (a,), lambda g: (g,)).requires_grad
 
 
 def test_clip_zero_grad_outside_range():
@@ -659,13 +682,7 @@ def info_nce(anchors, positives, negatives, temperature):
     """The closed-form InfoNCE that ``loss_contrastive`` runs per
     direction, as one node."""
     value, grads = _info_nce(anchors.data, positives.data, negatives.data, 1.0 / temperature)
-    out = _result(value, (anchors, positives, negatives))
-    if out.requires_grad:
-        def backward(g):
-            for t, g_t in zip((anchors, positives, negatives), grads(g)):
-                _accum(t, g_t)
-        out._backward = backward
-    return out
+    return node(value, (anchors, positives, negatives), grads)
 
 
 def _fused_cases(rng, dtype):
