@@ -248,11 +248,11 @@ def cmd_train(args) -> int:
     config = load_config(args.config, args.seed)
     manifest = load_manifest(args.data)
     _check_dataset_compat(manifest, config)
+    triples = _train_triples(args.data, manifest)
     out = Path(args.out)
     _write_run_record(out, "train", config, data=str(args.data),
                       resume=str(args.resume) if args.resume else None)
-    result = train(_train_triples(args.data, manifest), config.train,
-                   out_dir=out, resume=args.resume)
+    result = train(triples, config.train, out_dir=out, resume=args.resume)
     print(f"trained {result.steps} steps; checkpoint at {result.checkpoint_path}")
     return 0
 
@@ -430,6 +430,8 @@ def cmd_mine(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seeds < 1:   # no seed checks nothing, and would print PASS
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     report = verification.run_all(seeds=args.seeds)
     lines = report.summary_lines()
     print("\n".join(lines))
@@ -447,10 +449,10 @@ def cmd_ablate(args) -> int:
     config = load_config(args.config, args.seed)
     manifest = load_manifest(args.data)
     _check_dataset_compat(manifest, config)
-    out = Path(args.out)
-    _write_run_record(out, "ablate", config, data=str(args.data))
     triples = _train_triples(args.data, manifest)
     test_videos = _load_test_split(args.data, manifest)
+    out = Path(args.out)
+    _write_run_record(out, "ablate", config, data=str(args.data))
     results = []
     for preset in sorted(ABLATION_PRESETS):
         for seed in config.ablate_seeds:

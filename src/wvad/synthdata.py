@@ -9,23 +9,22 @@ fraction of the shift, standing in for transitional content. Normal videos
 may contain a distractor burst: the same delta applied to coordinates
 D/2 .. D/2+D/4, a disjoint subspace, so a scorer keyed to the anomaly
 direction is not fooled trivially while one keyed to overall energy is.
+Frame labels, kept for test videos only, mark every frame of every region
+snippet (edges included) as anomalous. Generation is deterministic:
+per-video generators come from spawning the config seed, so any video can
+be regenerated in isolation.
 
-Frame labels mark every frame of every region snippet (edges included) as
-anomalous; normal videos have all-zero frames and are only written for the
-test split.
-
-Feature file format (little-endian): magic ``WVFD``, u32 version=1, u32 T,
-u32 D, then T*D float32 row-major. The dataset directory holds
-``manifest.json``, ``features/<id>.wvfd`` and, for test videos,
-``labels/<id>.bin`` with one 0x00/0x01 byte per frame.
-
-Generation is deterministic: per-video generators come from spawning the
-config seed, so any video can be regenerated in isolation.
+Feature matrix format (little-endian): magic ``WVFD``, u32 version=1, u32
+rows, u32 D, then rows*D float32 row-major. A dataset (format 2) is
+``manifest.json``, one ``<split>.wvfd`` per non-empty split holding its
+videos' rows one after another in manifest order, and ``test.labels``
+holding the test videos' frames in the same order, one 0x00/0x01 byte each.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -37,9 +36,12 @@ from .schema import from_json
 
 FEATURE_MAGIC = b"WVFD"
 FEATURE_VERSION = 1
+FORMAT_VERSION = 2
 _MAX_DIM = 1 << 24   # refuse absurd header dims before allocating
 
 MANIFEST_NAME = "manifest.json"
+LABELS_NAME = "test.labels"
+SPLITS = ("train", "test")
 
 
 @dataclass
@@ -88,19 +90,21 @@ class SynthConfig:
 @dataclass
 class VideoRecord:
     id: str
-    split: str                    # "train" | "test"
+    split: str                    # "train" | "test"; a test video has frame labels
     video_label: int
     num_frames: int
-    feature_file: str
-    frame_label_file: str | None  # test split only
+    num_snippets: int             # its rows in the split's feature file
 
     def __post_init__(self):
-        if self.split not in ("train", "test"):
+        if self.split not in SPLITS:
             raise FormatError(f"split must be train or test, got {self.split!r}")
         if self.video_label not in (0, 1):
             raise FormatError(f"video_label must be 0 or 1, got {self.video_label!r}")
-        if self.num_frames < 1:
-            raise FormatError(f"num_frames must be >= 1, got {self.num_frames}")
+        if self.num_snippets < 1:
+            raise FormatError(f"num_snippets must be >= 1, got {self.num_snippets}")
+        if self.num_frames < self.num_snippets:
+            raise FormatError(f"num_frames must be >= num_snippets: video {self.id} has "
+                              f"{self.num_frames} frames for {self.num_snippets} snippets")
 
 
 @dataclass
@@ -111,10 +115,6 @@ class Manifest:
     config: SynthConfig | None = None
     videos: list[VideoRecord] = field(default_factory=list)
 
-    def __post_init__(self):
-        if self.format_version != 1:
-            raise FormatError(f"unsupported format_version {self.format_version}")
-
 
 @dataclass
 class LoadedVideo:
@@ -124,85 +124,91 @@ class LoadedVideo:
 
 
 # ---------------------------------------------------------------------
-# feature file format
+# file formats
 
 
 def write_features(features: np.ndarray, path):
-    """Write one video's T x D float32 feature matrix."""
+    """Write a rows x D float32 feature matrix."""
     features = np.asarray(features)
     if features.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {features.shape}")
     if not np.all(np.isfinite(features)):
         raise ValueError("features must be finite")
-    t, d = features.shape
-    header = FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, t, d)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(features, dtype="<f4").tobytes())
+        fh.write(FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, *features.shape))
+        fh.write(np.ascontiguousarray(features, dtype="<f4"))
 
 
-def _read_bytes(path) -> bytes:
-    """A file the manifest names; a missing one, or a directory, is a
-    malformed dataset. Read whole and unbuffered: no buffer object to build."""
+def _open(path):
+    """A dataset file; a missing one, or a directory, is a malformed dataset."""
     try:
-        with open(path, "rb", buffering=0) as fh:
-            return fh.read()
+        return open(path, "rb")
     except (FileNotFoundError, IsADirectoryError) as e:
         raise FormatError(f"{path}: {e.strerror.lower()}") from None
 
 
-def _read_features(path) -> tuple[bytes, int, int]:
-    """A feature file's bytes, T and D, after every check but the values'."""
-    buf = _read_bytes(path)
-    if len(buf) < 16:
-        raise FormatError(f"{path}: truncated header ({len(buf)} bytes, need 16)")
-    if buf[:4] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {buf[:4]!r} at offset 0")
-    version, t, d = struct.unpack_from("<III", buf, 4)
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at offset 4")
-    if not (1 <= t <= _MAX_DIM and 1 <= d <= _MAX_DIM):
-        raise FormatError(f"{path}: implausible shape {t}x{d} at offset 8")
-    expected = 16 + t * d * 4
-    if len(buf) != expected:
+def _where(videos, unit: int) -> str:
+    """`` in video <id>`` holding row or frame ``unit``, or `` after video <id>``."""
+    i = int(np.searchsorted(np.cumsum([n for _, n in videos]), unit, side="right"))
+    return f" in video {videos[i][0]}" if i < len(videos) else f" after video {videos[-1][0]}"
+
+
+def _read_rows(fh, path, shape, dtype, unit: int, videos, what: str) -> np.ndarray:
+    """The rest of ``fh`` as an array of ``shape``, a row or frame of ``unit``
+    bytes each; allocated only once the file is known to hold exactly that."""
+    offset, nbytes = fh.tell(), shape[0] * unit
+    size = os.fstat(fh.fileno()).st_size - offset
+    if size == nbytes:
+        out = np.empty(shape, dtype)
+        size = fh.readinto(out)
+    if size != nbytes:
+        end = offset + min(size, nbytes)
         raise FormatError(
-            f"{path}: payload is {len(buf) - 16} bytes at offset 16, expected {t * d * 4}")
-    return buf, t, d
+            f"{path}: {what} of {size} bytes at offset {offset}, expected {nbytes}; "
+            f"the first {'missing' if size < nbytes else 'extra'} byte is at offset "
+            f"{end}{_where(videos, (end - offset) // unit)}")
+    return out
 
 
-def _check_finite(flat: np.ndarray, path):
-    """Refuse a non-finite value, which ``write_features`` never writes."""
-    finite = np.isfinite(flat)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise FormatError(f"{path}: non-finite value {flat[bad]} at offset {16 + 4 * bad}")
+def load_features(path, videos) -> np.ndarray:
+    """Read the (rows, D) float32 feature rows of the (id, rows) ``videos``,
+    one after another, refusing a malformed header, a row count other than
+    their total, a payload of the wrong size and non-finite values."""
+    with _open(path) as fh:
+        header = fh.read(16)
+        if len(header) < 16:
+            raise FormatError(f"{path}: truncated header ({len(header)} bytes, need 16)")
+        if header[:4] != FEATURE_MAGIC:
+            raise FormatError(f"{path}: bad magic {header[:4]!r} at offset 0")
+        version, t, d = struct.unpack_from("<III", header, 4)
+        if version != FEATURE_VERSION:
+            raise FormatError(f"{path}: unsupported version {version} at offset 4")
+        if not (1 <= t <= _MAX_DIM and 1 <= d <= _MAX_DIM):
+            raise FormatError(f"{path}: implausible shape {t}x{d} at offset 8")
+        total = sum(n for _, n in videos)
+        if t != total:
+            raise FormatError(
+                f"{path}: {t} rows at offset 8, but the manifest's videos have {total}; "
+                f"the first {'missing' if t < total else 'extra'} row is row "
+                f"{min(t, total)}{_where(videos, min(t, total))}")
+        features = _read_rows(fh, path, (t, d), "<f4", 4 * d, videos, "payload")
+    # min and max carry any NaN or infinity, with no temporary of the block's size
+    if not np.isfinite([features.min(), features.max()]).all():
+        bad = int(np.argmin(np.isfinite(features.ravel())))
+        raise FormatError(f"{path}: non-finite value {features.flat[bad]} at offset "
+                          f"{16 + 4 * bad}{_where(videos, bad // d)}")
+    return features
 
 
-def _read_labels(path, num_frames: int) -> bytes:
-    raw = _read_bytes(path)
-    if len(raw) != num_frames:
-        raise FormatError(f"{path}: {len(raw)} label bytes, expected {num_frames}")
-    return raw
-
-
-def _check_labels(labels: np.ndarray, path):
+def load_frame_labels(path, videos) -> np.ndarray:
+    """Read the 0/1 frame labels of the (id, frames) ``videos``, one after another."""
+    with _open(path) as fh:
+        labels = _read_rows(fh, path, (sum(n for _, n in videos),), np.uint8, 1, videos, "labels")
     if labels.max(initial=0) > 1:
-        raise FormatError(f"{path}: labels must be 0x00/0x01")
-
-
-def load_features(path) -> np.ndarray:
-    """Read a feature file back as float32, validating the header and
-    refusing non-finite values."""
-    buf, t, d = _read_features(path)
-    flat = np.frombuffer(buf, dtype="<f4", count=t * d, offset=16)
-    _check_finite(flat, path)
-    return flat.reshape(t, d).astype(np.float32)
-
-
-def load_frame_labels(path, num_frames: int) -> np.ndarray:
-    labels = np.frombuffer(_read_labels(path, num_frames), dtype=np.uint8)
-    _check_labels(labels, path)
-    return labels.copy()
+        bad = int(np.argmax(labels > 1))
+        raise FormatError(f"{path}: label byte 0x{labels[bad]:02x} at offset "
+                          f"{bad}{_where(videos, bad)} is not 0x00/0x01")
+    return labels
 
 
 # ---------------------------------------------------------------------
@@ -253,36 +259,29 @@ def _video_plan(config: SynthConfig):
 def generate_dataset(config: SynthConfig, out_dir) -> dict:
     """Write a full dataset directory; returns the manifest dict."""
     root = Path(out_dir)
-    (root / "features").mkdir(parents=True, exist_ok=True)
-    (root / "labels").mkdir(exist_ok=True)
+    root.mkdir(parents=True, exist_ok=True)
     plan = _video_plan(config)
     seeds = np.random.SeedSequence(config.seed).spawn(len(plan) + 1)
-    rotation = None
-    if config.random_rotation:
-        q, _ = np.linalg.qr(
-            np.random.Generator(np.random.PCG64(seeds[-1])).normal(
-                size=(config.d_in, config.d_in)))
-        rotation = q
-    records = []
-    for (video_id, split, label), seed in zip(plan, seeds):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        features, snippet_labels = _make_video(rng, label, config, rotation)
-        feature_file = f"features/{video_id}.wvfd"
-        write_features(features, root / feature_file)
-        frame_label_file = None
-        if split == "test":
-            frame_labels = np.repeat(snippet_labels, config.frames_per_snippet)
-            frame_label_file = f"labels/{video_id}.bin"
-            (root / frame_label_file).write_bytes(frame_labels.tobytes())
-        records.append(VideoRecord(
-            id=video_id, split=split, video_label=label,
-            num_frames=config.num_frames, feature_file=feature_file,
-            frame_label_file=frame_label_file))
-    manifest = {
-        "format_version": 1,
-        "config": asdict(config),
-        "videos": [asdict(r) for r in records],
-    }
+    rotation = np.linalg.qr(np.random.Generator(np.random.PCG64(seeds[-1])).normal(
+        size=(config.d_in, config.d_in)))[0] if config.random_rotation else None
+    # the plan puts every train video before every test video
+    t = config.num_snippets
+    features = np.empty((len(plan) * t, config.d_in), dtype=np.float32)
+    labels = np.empty((len(plan), config.num_frames), dtype=np.uint8)
+    for i, ((_, _, label), seed) in enumerate(zip(plan, seeds)):
+        features[i * t:(i + 1) * t], snippet_labels = _make_video(
+            np.random.Generator(np.random.PCG64(seed)), label, config, rotation)
+        labels[i] = np.repeat(snippet_labels, config.frames_per_snippet)
+    n_train = config.n_normal_train + config.n_abnormal_train
+    for split, block in (("train", features[:n_train * t]), ("test", features[n_train * t:])):
+        if len(block):
+            write_features(block, root / f"{split}.wvfd")
+    if len(plan) > n_train:
+        (root / LABELS_NAME).write_bytes(labels[n_train:])
+    manifest = {"format_version": FORMAT_VERSION, "config": asdict(config), "videos": [
+        asdict(VideoRecord(id=video_id, split=split, video_label=label,
+                           num_frames=config.num_frames, num_snippets=t))
+        for video_id, split, label in plan]}
     (root / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return manifest
@@ -303,98 +302,42 @@ def load_manifest(root) -> Manifest:
                           f"at offset {e.start}") from None
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: invalid JSON: {e}") from e
+    version = manifest.get("format_version") if type(manifest) is dict else FORMAT_VERSION
+    if version != FORMAT_VERSION:   # before the videos, whose keys differ by version
+        raise FormatError(f"{path}: unsupported format_version {version!r}; re-run "
+                          f"`wvad synth` to write this dataset as format {FORMAT_VERSION}")
     return from_json(Manifest, manifest, str(path), FormatError)
-
-
-def _joiner(root: Path):
-    """``name -> str(root / name)``, a plain concatenation for a name that
-    pathlib would not normalise."""
-    prefix = str(root / "x")[:-1]
-
-    def join(name: str) -> str:
-        parts = name.split("/")
-        if name.startswith("/") or "" in parts or "." in parts:
-            return str(root / name)
-        return prefix + name
-    return join
 
 
 def load_split(root, split: str, *, frame_labels: bool = True,
                manifest: Manifest | None = None) -> list[LoadedVideo]:
-    """Load every video of one split: its features and, unless
-    ``frame_labels`` is false, the frame labels of the videos that have them.
-    ``manifest`` is the root's manifest if the caller has read it already.
+    """Load every video of one split: its features and, for the test split
+    unless ``frame_labels`` is false, its frame labels. ``manifest`` is the
+    root's manifest if the caller has read it already.
 
-    Each file is opened and read once, and its values are copied into one
-    float32 block for the split's features and one uint8 block for its
-    labels, whose videos hold views of them. Finiteness and the 0/1 labels
-    are checked once over the blocks. A malformed split raises the error of
-    its first malformed video, each video checked in manifest order:
-    features, frame count, then labels.
+    ``<split>.wvfd`` and ``test.labels`` are each opened once and read into
+    one block, of which every video holds views; an empty split opens no
+    file. A fault in the features is raised before one in the labels.
     """
-    if split not in ("train", "test"):
+    if split not in SPLITS:
         raise ValueError(f"split must be train or test, got {split!r}")
     root = Path(root)
-    join = _joiner(root)
     if manifest is None:
         manifest = load_manifest(root)
     records = [rec for rec in manifest.videos if rec.split == split]
-    with_labels = [frame_labels and rec.frame_label_file is not None for rec in records]
-    features = np.empty(0, dtype=np.float32)
-    labels = np.empty(sum(rec.num_frames for rec, has in zip(records, with_labels) if has),
-                      dtype=np.uint8)
-    copied = []         # (record, feature path, block offset, (T, D)) of each video read
-    label_spans = {}    # video index -> (label path, block offset, frames)
-    used = used_labels = 0
-    try:
-        for i, rec in enumerate(records):
-            path = join(rec.feature_file)
-            buf, t, d = _read_features(path)
-            end = used + t * d
-            if end > features.size:   # the first video, or one larger than it
-                grown = np.empty(max(end, 2 * features.size, len(records) * t * d),
-                                 dtype=np.float32)
-                grown[:used] = features[:used]
-                features = grown
-            features[used:end] = np.frombuffer(buf, dtype="<f4", count=t * d, offset=16)
-            copied.append((rec, path, used, (t, d)))
-            used = end
-            if rec.num_frames < t:
-                raise FormatError(
-                    f"{root / MANIFEST_NAME}: video {rec.id} has {rec.num_frames} frames, "
-                    f"fewer than its {t} snippets")
-            if with_labels[i]:
-                path = join(rec.frame_label_file)
-                n = rec.num_frames
-                labels[used_labels:used_labels + n] = np.frombuffer(
-                    _read_labels(path, n), dtype=np.uint8)
-                label_spans[i] = (path, used_labels, n)
-                used_labels += n
-    except (FormatError, OSError, ValueError):   # reading or checking a video's files
-        # an earlier video's values fail before this video's file does
-        _check_values(features[:used], labels[:used_labels], copied, label_spans)
-        raise
-    _check_values(features[:used], labels, copied, label_spans)
-    out = []
-    for i, (rec, _, start, (t, d)) in enumerate(copied):
-        video_labels = None
-        if i in label_spans:
-            _, begin, n = label_spans[i]
-            video_labels = labels[begin:begin + n]
-        out.append(LoadedVideo(record=rec, features=features[start:start + t * d].reshape(t, d),
-                               frame_labels=video_labels))
-    return out
+    if not records:
+        return []
+    rows = [(rec.id, rec.num_snippets) for rec in records]
+    features = _views(load_features(root / f"{split}.wvfd", rows), rows)
+    labels = [None] * len(records)
+    if frame_labels and split == "test":
+        frames = [(rec.id, rec.num_frames) for rec in records]
+        labels = _views(load_frame_labels(root / LABELS_NAME, frames), frames)
+    return [LoadedVideo(record=rec, features=video_features, frame_labels=video_labels)
+            for rec, video_features, video_labels in zip(records, features, labels)]
 
 
-def _check_values(features, labels, copied, label_spans):
-    """Check the copied features' finiteness and labels' values at once;
-    on a fault, raise the error of the first video that has one."""
-    # min and max carry any NaN or infinity, with no temporary of the block's size
-    if np.isfinite([features.min(initial=0), features.max(initial=0)]).all() \
-            and labels.max(initial=0) <= 1:
-        return
-    for i, (_, path, start, (t, d)) in enumerate(copied):
-        _check_finite(features[start:start + t * d], path)
-        if i in label_spans:
-            path, start, n = label_spans[i]
-            _check_labels(labels[start:start + n], path)
+def _views(block: np.ndarray, videos) -> list[np.ndarray]:
+    """``block`` cut into the consecutive rows of the (id, rows) ``videos``."""
+    ends = np.cumsum([n for _, n in videos]).tolist()
+    return [block[a:b] for a, b in zip([0] + ends, ends)]

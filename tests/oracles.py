@@ -29,10 +29,13 @@ its (B, T) masks.
 cumsum for AP. Both round the same exact rationals once, so the library's
 values must equal theirs with ``==``.
 
-``load_split_per_video`` and ``read_scores_csv_rows`` are the readers as
-they were before ``wvad.synthdata.load_split`` copied a split into one
-block with its value checks run once, and before ``wvad.cli``'s score-CSV
-reader worked column by column: one video, or one row, at a time, each
+``generate_per_video`` is the dataset generator's per-video loop: one
+spawned generator and one ``_make_video`` call per video, each video's
+features and frame labels kept apart. ``wvad.synthdata`` writes a split as
+one block, and ``load_split`` must give back each video's bits.
+
+``read_scores_csv_rows`` is the score-CSV reader as it was before
+``wvad.cli``'s reader worked column by column: one row at a time, each
 check in turn. On any input the library must return the same values or
 raise the same exception class with the same message.
 """
@@ -49,8 +52,7 @@ from wvad.cli import SCORE_COLUMNS
 from wvad.errors import ConfigError, FormatError, MetricError
 from wvad.metrics import _validate
 from wvad.mining import MinedSets
-from wvad.synthdata import MANIFEST_NAME, LoadedVideo, load_features, load_frame_labels, \
-    load_manifest
+from wvad.synthdata import SynthConfig, _make_video, _video_plan
 from wvad.tensor import (Tensor, _accum, _result, _unbroadcast, broadcast_to, concat,
                          gather_rows, softmax, topk_mean)
 
@@ -469,28 +471,31 @@ def average_precision(scores, labels) -> float:
 
 
 # ---------------------------------------------------------------------
-# readers, one video or one row at a time
+# the generator, one video at a time
 
 
-def load_split_per_video(root, split: str) -> list[LoadedVideo]:
-    """Load every video of one split, features (and test labels) included."""
-    if split not in ("train", "test"):
-        raise ValueError(f"split must be train or test, got {split!r}")
-    root = Path(root)
+def generate_per_video(config: SynthConfig) -> list[tuple[str, str, int, np.ndarray,
+                                                          np.ndarray | None]]:
+    """Every video's (id, split, label, features, frame labels) in plan
+    order; a train video's frame labels are None."""
+    plan = _video_plan(config)
+    seeds = np.random.SeedSequence(config.seed).spawn(len(plan) + 1)
+    rotation = None
+    if config.random_rotation:
+        rotation, _ = np.linalg.qr(np.random.Generator(np.random.PCG64(seeds[-1])).normal(
+            size=(config.d_in, config.d_in)))
     out = []
-    for rec in load_manifest(root).videos:
-        if rec.split != split:
-            continue
-        features = load_features(root / rec.feature_file)
-        if rec.num_frames < features.shape[0]:
-            raise FormatError(
-                f"{root / MANIFEST_NAME}: video {rec.id} has {rec.num_frames} frames, "
-                f"fewer than its {features.shape[0]} snippets")
-        frame_labels = None
-        if rec.frame_label_file is not None:
-            frame_labels = load_frame_labels(root / rec.frame_label_file, rec.num_frames)
-        out.append(LoadedVideo(record=rec, features=features, frame_labels=frame_labels))
+    for (video_id, split, label), seed in zip(plan, seeds):
+        features, snippet_labels = _make_video(np.random.Generator(np.random.PCG64(seed)),
+                                               label, config, rotation)
+        frame_labels = (np.repeat(snippet_labels, config.frames_per_snippet)
+                        if split == "test" else None)
+        out.append((video_id, split, label, features, frame_labels))
     return out
+
+
+# ---------------------------------------------------------------------
+# the score-CSV reader, one row at a time
 
 
 def _readable(rows, path):

@@ -504,15 +504,16 @@ def test_export_scores_on_empty_split_writes_header_only(trained_run, no_test_da
 def test_eval_rejects_non_finite_features(trained_run, tmp_path, capsys, bad):
     data = tmp_path / "data"
     generate_dataset(SynthConfig(**TINY_SYNTH), data)
-    victim = load_split(data, "test")[1].record.feature_file
-    raw = bytearray((data / victim).read_bytes())
-    raw[16 + 4 * 5:16 + 4 * 6] = np.array([bad], dtype="<f4").tobytes()
-    (data / victim).write_bytes(bytes(raw))
+    victim = load_split(data, "test")[1].record.id
+    at = 16 + 4 * (TINY_SYNTH["num_snippets"] * TINY_SYNTH["d_in"] + 5)   # its sixth value
+    raw = bytearray((data / "test.wvfd").read_bytes())
+    raw[at:at + 4] = np.array([bad], dtype="<f4").tobytes()
+    (data / "test.wvfd").write_bytes(bytes(raw))
     rc = cli.main(["eval", "--checkpoint", str(trained_run / "checkpoint.wvck"),
                    "--data", str(data)])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "non-finite" in err and victim in err
+    assert f"{data / 'test.wvfd'}: non-finite value {bad} at offset {at} in video {victim}" in err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
@@ -548,7 +549,8 @@ WRONG_MANIFESTS = {
     "root_list": ("eval", lambda m: [], "expected a JSON object"),
     "videos_int": ("eval", lambda m: {**m, "videos": 3}, "videos: "),
     "config_list": ("train", lambda m: {**m, "config": []}, "config: "),
-    "feature_file_null": ("eval", _set_video("feature_file", None, "test"), "].feature_file: "),
+    "feature_file_null": ("eval", _set_video("feature_file", None, "test"),
+                          "]: unknown keys ['feature_file']"),
     "num_frames_float": ("eval", _set_video("num_frames", 32.0, "test", 1), "].num_frames: "),
     "id_int": ("eval", _set_video("id", 0, "test"), "].id: "),
     "label_str_eval": ("eval", _set_video("video_label", "1", "test", 0), "].video_label: "),
@@ -584,13 +586,12 @@ def test_eval_rejects_fewer_frames_than_snippets(trained_run, tmp_path, capsys):
     manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
     victim = next(v for v in manifest["videos"] if v["split"] == "test")
     victim["num_frames"] = TINY_SYNTH["num_snippets"] // 2
-    (data / victim["frame_label_file"]).write_bytes(bytes(victim["num_frames"]))
     (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     rc = cli.main(["eval", "--checkpoint", str(trained_run / "checkpoint.wvck"),
                    "--data", str(data)])
     assert rc == 3
     err = capsys.readouterr().err
-    assert victim["id"] in err and "frames" in err
+    assert f"video {victim['id']} has 4 frames for 8 snippets" in err
 
 
 def test_mine_rejects_a_non_utf8_score_csv(tmp_path, capsys):
@@ -644,6 +645,14 @@ def test_gradcheck_command_reports_every_op(tmp_path, capsys):
     assert "full_objective" in printed
     assert "FAIL" not in printed
     assert (out / "gradcheck.txt").exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_gradcheck_refuses_fewer_than_one_seed(seeds, tmp_path, capsys):
+    rc = cli.main(["gradcheck", "--seeds", seeds, "--out", str(tmp_path / "g")])
+    assert rc == 2
+    assert f"--seeds must be >= 1, got {seeds}" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
 
 
 # ---------------------------------------------------------------------

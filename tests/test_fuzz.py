@@ -28,8 +28,7 @@ import pytest
 from wvad import cli
 from wvad.encoder import EncoderConfig, TransformerModel, load_checkpoint, save_checkpoint
 from wvad.errors import ConfigError, FormatError
-from wvad.synthdata import MANIFEST_NAME, SynthConfig, generate_dataset, load_features, \
-    load_split, write_features
+from wvad.synthdata import LABELS_NAME, MANIFEST_NAME, SynthConfig, generate_dataset, load_split
 from wvad.trainer import AdamState, _opt_state_bytes, _parse_opt_state
 
 MUTATIONS = 300
@@ -162,12 +161,17 @@ def test_checkpoint_and_optimiser_section(tmp_path):
     assert head + opt_part == []
 
 
-def test_feature_file(tmp_path):
-    good = tmp_path / "good.wvfd"
-    write_features(np.random.default_rng(2).normal(size=(8, 6)), good)
-    load_features(good)
-    assert fuzz(good.read_bytes(), (0, 16), tmp_path / "bad.wvfd", load_features,
-                SEED + 2) == []
+def test_feature_file(dataset):
+    path = dataset / "test.wvfd"
+    raw = path.read_bytes()
+    assert len(load_split(dataset, "test")) == 2
+    assert fuzz(raw, (0, 16), path, lambda _: load_split(dataset, "test"), SEED + 2) == []
+
+
+def test_labels_file(dataset):
+    path = dataset / LABELS_NAME
+    raw = path.read_bytes()
+    assert fuzz(raw, (0, len(raw)), path, lambda _: load_split(dataset, "test"), SEED + 6) == []
 
 
 def test_score_csv(tmp_path):
@@ -225,7 +229,7 @@ def test_manifest_value_swaps(dataset):
         load_split(dataset, "train")
 
     escaped, count = fuzz_values(doc, write, parse)
-    assert escaped == [] and count > 500
+    assert escaped == [] and count > 450
 
 
 def test_manifest(dataset):

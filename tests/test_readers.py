@@ -1,32 +1,38 @@
-"""The split loader and the score-CSV reader against their one-video and
-one-row forms in ``oracles``, on seeded malformed inputs, and what
-``export-scores`` and ``eval`` read from a dataset.
+"""The split loader against the per-video generator in ``oracles`` and on
+a table of malformed datasets, the score-CSV reader against its one-row
+form in ``oracles``, and what ``export-scores`` and ``eval`` read from a
+dataset.
 
-Each input must give the same values, or the same exception class and
-message, from both forms, so a malformed dataset still names the file the
-per-video loop named and a malformed score CSV the row the row loop named.
+A valid split must load bit for bit as the per-video generator made it. A
+malformed one must raise the exact ``FormatError`` its fault calls for,
+naming the file, the byte offset and the video that holds the fault. Each
+score-CSV input must give the same values, or the same exception class and
+message, from both forms, so a malformed file still names the row the row
+loop named.
 """
 
 import csv
 import io
 import json
-import shutil
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import load_split_per_video, read_scores_csv_rows
+from oracles import generate_per_video, read_scores_csv_rows
 
 from wvad import cli
 from wvad.encoder import EncoderConfig, TransformerModel, save_checkpoint
-from wvad.errors import ConfigError
-from wvad.synthdata import MANIFEST_NAME, SynthConfig, generate_dataset, load_split, \
-    write_features
+from wvad.errors import ConfigError, FormatError
+from wvad.synthdata import LABELS_NAME, MANIFEST_NAME, SPLITS, SynthConfig, generate_dataset, \
+    load_split
 
 SEED = 20261019
 SYNTH = dict(n_normal_train=3, n_abnormal_train=3, n_normal_test=5, n_abnormal_test=5,
              num_snippets=8, frames_per_snippet=2, d_in=4, seed=3)
+T, D, FRAMES = 8, 4, 16   # each video's rows and frames, the split files' columns
+TEST_IDS = [f"test-{kind}-{i:03d}" for kind in ("nrm", "abn") for i in range(5)]
 
 
 def outcome(read, *args, **kwargs):
@@ -41,11 +47,68 @@ def outcome(read, *args, **kwargs):
 # load_split
 
 
-def _edit_manifest(root, edit):
-    path = root / MANIFEST_NAME
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    edit(manifest)
-    path.write_text(json.dumps(manifest), encoding="utf-8")
+def assert_loads_as_generated(root, config):
+    """Both splits of ``root`` hold the per-video generator's videos, bit
+    for bit, in its order."""
+    generated = generate_per_video(config)
+    for split in SPLITS:
+        videos = load_split(root, split)
+        expected = [video for video in generated if video[1] == split]
+        assert len(videos) == len(expected)
+        for v, (video_id, _, label, features, frame_labels) in zip(videos, expected):
+            assert (v.record.id, v.record.split, v.record.video_label) == \
+                (video_id, split, label)
+            assert (v.record.num_snippets, v.record.num_frames) == \
+                (config.num_snippets, config.num_frames)
+            assert v.features.dtype == np.float32 and v.features.shape == features.shape
+            assert v.features.tobytes() == features.tobytes()
+            if frame_labels is None:
+                assert v.frame_labels is None
+            else:
+                assert v.frame_labels.dtype == np.uint8
+                assert v.frame_labels.tobytes() == frame_labels.tobytes()
+
+
+def random_config(rng) -> SynthConfig:
+    t = int(rng.integers(2, 10))
+    lo = int(rng.integers(1, t + 1))
+    return SynthConfig(
+        **{key: int(rng.integers(0, 4)) for key in ("n_normal_train", "n_abnormal_train",
+                                                    "n_normal_test", "n_abnormal_test")},
+        num_snippets=t, frames_per_snippet=int(rng.integers(1, 4)),
+        d_in=int(rng.integers(4, 9)), subtle_fraction=float(rng.random()),
+        edge_blend=bool(rng.random() < 0.5), distractor_prob=float(rng.random()),
+        region_len_range=(lo, int(rng.integers(lo, t + 1))),
+        random_rotation=bool(rng.random() < 0.3), seed=int(rng.integers(2 ** 31)))
+
+
+@pytest.mark.parametrize("case", range(60))
+def test_load_split_matches_the_per_video_loop(case, tmp_path):
+    """Seeded configs, empty splits included: each video loads as the
+    per-video generator made it, and an empty split has no file."""
+    config = random_config(np.random.default_rng([SEED, case]))
+    generate_dataset(config, tmp_path)
+    assert_loads_as_generated(tmp_path, config)
+    n_test = config.n_normal_test + config.n_abnormal_test
+    assert (tmp_path / "test.wvfd").exists() == (tmp_path / LABELS_NAME).exists() == (n_test > 0)
+    assert (tmp_path / "train.wvfd").exists() == (config.n_normal_train
+                                                  + config.n_abnormal_train > 0)
+
+
+def test_a_valid_split_loads_as_before(tmp_path):
+    generate_dataset(SynthConfig(**SYNTH), tmp_path)
+    assert_loads_as_generated(tmp_path, SynthConfig(**SYNTH))
+
+
+@pytest.mark.parametrize("config", [
+    SynthConfig(**SYNTH | dict(random_rotation=True)),
+    SynthConfig(),   # the reference dataset
+    SynthConfig(n_normal_train=0, n_abnormal_train=0, n_normal_test=300, n_abnormal_test=300,
+                seed=1007),   # the benchmark's score test set
+], ids=["small", "reference", "score_600"])
+def test_every_video_keeps_the_per_video_generators_bits(config, tmp_path):
+    generate_dataset(config, tmp_path)
+    assert_loads_as_generated(tmp_path, config)
 
 
 def _patch(path, at, data):
@@ -54,155 +117,231 @@ def _patch(path, at, data):
     path.write_bytes(bytes(raw))
 
 
-def _set_frames(root, vid, frames):
-    def edit(manifest):
-        next(v for v in manifest["videos"] if v["id"] == vid)["num_frames"] = frames
-    _edit_manifest(root, edit)
+def _value(value):
+    return np.array([value], "<f4").tobytes()
 
 
-def dataset_fault(name, root, rec, rng):
-    """Break one video's files (or its manifest record) in the way ``name`` says."""
-    feats = root / rec["feature_file"]
-    labels = root / rec["frame_label_file"] if rec["frame_label_file"] else None
-    t, d = SYNTH["num_snippets"], SYNTH["d_in"]
-    value_at = 16 + 4 * int(rng.integers(0, t * d))
-    if name in ("nan", "inf"):
-        _patch(feats, value_at, np.array([np.nan if name == "nan" else -np.inf], "<f4").tobytes())
-    elif name == "short_header":
-        feats.write_bytes(feats.read_bytes()[:int(rng.integers(0, 16))])
-    elif name == "magic":
-        _patch(feats, 0, b"WVFX")
-    elif name == "version":
-        _patch(feats, 4, struct.pack("<I", 2))
-    elif name == "shape":
-        _patch(feats, 8, struct.pack("<I", 0))
-    elif name == "payload":
-        raw = feats.read_bytes()
-        feats.write_bytes(raw[:-4] if rng.random() < 0.5 else raw + b"\x00")
-    elif name == "no_features":
-        feats.unlink()
-    elif name == "features_dir":
-        feats.unlink()
-        feats.mkdir()
-    elif name == "longer":   # another shape: the block grows past its first size
-        write_features(rng.normal(size=(t + 5, d)).astype(np.float32), feats)
-        _set_frames(root, rec["id"], 2 * (t + 5))
-    elif name == "few_frames":
-        _set_frames(root, rec["id"], t // 2)
-    elif labels is None:
-        return
-    elif name == "no_labels":
-        labels.unlink()
-    elif name == "label_count":
-        labels.write_bytes(labels.read_bytes()[:-1])
-    elif name == "label_byte":
-        _patch(labels, int(rng.integers(0, rec["num_frames"])), b"\x02")
+def _cut(path, size):
+    path.write_bytes(path.read_bytes()[:size])
 
 
-DATASET_FAULTS = ("nan", "inf", "short_header", "magic", "version", "shape", "payload",
-                  "no_features", "features_dir", "longer", "few_frames", "no_labels",
-                  "label_count", "label_byte")
-
-
-def assert_same_videos(got, expected):
-    assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        assert g.record == e.record
-        assert g.features.dtype == e.features.dtype == np.float32
-        np.testing.assert_array_equal(g.features, e.features)
-        if e.frame_labels is None:
-            assert g.frame_labels is None
+def _set_video(index, key, value):
+    def edit(root):
+        path = root / MANIFEST_NAME
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if index is None:
+            manifest[key] = value
         else:
-            assert g.frame_labels.dtype == np.uint8
-            np.testing.assert_array_equal(g.frame_labels, e.frame_labels)
+            manifest["videos"][index][key] = value
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+    return edit
 
 
-def assert_same_split(root, split):
-    got, expected = outcome(load_split, root, split), outcome(load_split_per_video, root, split)
-    if expected[0] == "ok" and got[0] == "ok":
-        assert_same_videos(got[1], expected[1])
-    else:
-        assert got == expected
-    return expected
+def _into_directory(path):
+    path.unlink()
+    path.mkdir()
 
 
-def broken_dataset(root, rng, faults):
-    """A fresh dataset under ``root`` with ``faults`` (name, video index) applied."""
+# (file broken, how, the message after the file's path); the test split's
+# file holds 80 rows of 4 float32 (1280 payload bytes), test.labels 160
+# bytes, and test video i holds rows 8i..8i+7 and label bytes 16i..16i+15
+FEATURE_FAULTS = {
+    "nan": ("test.wvfd", lambda p: _patch(p, 488, _value(np.nan)),
+            "non-finite value nan at offset 488 in video test-nrm-003"),
+    "-inf": ("train.wvfd", lambda p: _patch(p, 528, _value(-np.inf)),
+             "non-finite value -inf at offset 528 in video train-abn-001"),
+    "inf_first_value": ("test.wvfd", lambda p: _patch(p, 16, _value(np.inf)),
+                        "non-finite value inf at offset 16 in video test-nrm-000"),
+    "nan_last_of_a_video": ("test.wvfd", lambda p: _patch(p, 652, _value(np.nan)),
+                            "non-finite value nan at offset 652 in video test-nrm-004"),
+    "nan_first_of_a_video": ("test.wvfd", lambda p: _patch(p, 656, _value(np.nan)),
+                             "non-finite value nan at offset 656 in video test-abn-000"),
+    "nan_last_value": ("test.wvfd", lambda p: _patch(p, 1292, _value(np.nan)),
+                       "non-finite value nan at offset 1292 in video test-abn-004"),
+    "short_header": ("test.wvfd", lambda p: _cut(p, 10), "truncated header (10 bytes, need 16)"),
+    "empty": ("test.wvfd", lambda p: _cut(p, 0), "truncated header (0 bytes, need 16)"),
+    "magic": ("test.wvfd", lambda p: _patch(p, 0, b"WVFX"), "bad magic b'WVFX' at offset 0"),
+    "version": ("test.wvfd", lambda p: _patch(p, 4, struct.pack("<I", 2)),
+                "unsupported version 2 at offset 4"),
+    "zero_rows": ("test.wvfd", lambda p: _patch(p, 8, struct.pack("<I", 0)),
+                  "implausible shape 0x4 at offset 8"),
+    "zero_columns": ("test.wvfd", lambda p: _patch(p, 12, struct.pack("<I", 0)),
+                     "implausible shape 80x0 at offset 8"),
+    "columns_past_the_file": (   # refused before a 5 GB block is allocated
+        "test.wvfd", lambda p: _patch(p, 12, struct.pack("<I", 1 << 24)),
+        "payload of 1280 bytes at offset 16, expected 5368709120; "
+        "the first missing byte is at offset 1296 in video test-nrm-000"),
+    "payload_one_value_short": (
+        "test.wvfd", lambda p: _cut(p, 1292),
+        "payload of 1276 bytes at offset 16, expected 1280; "
+        "the first missing byte is at offset 1292 in video test-abn-004"),
+    "payload_one_value_long": (
+        "test.wvfd", lambda p: p.write_bytes(p.read_bytes() + _value(0.5)),
+        "payload of 1284 bytes at offset 16, expected 1280; "
+        "the first extra byte is at offset 1296 after video test-abn-004"),
+    "payload_of_four_videos": (
+        "test.wvfd", lambda p: _cut(p, 16 + 4 * D * T * 4),
+        "payload of 512 bytes at offset 16, expected 1280; "
+        "the first missing byte is at offset 528 in video test-nrm-004"),
+    "fewer_rows": ("test.wvfd", lambda p: _patch(p, 8, struct.pack("<I", 79)),
+                   "79 rows at offset 8, but the manifest's videos have 80; "
+                   "the first missing row is row 79 in video test-abn-004"),
+    "more_rows": ("test.wvfd", lambda p: _patch(p, 8, struct.pack("<I", 81)),
+                  "81 rows at offset 8, but the manifest's videos have 80; "
+                  "the first extra row is row 80 after video test-abn-004"),
+    "a_video_with_more_snippets": (
+        "test.wvfd", lambda p: _set_video(8, "num_snippets", 9)(p.parent),
+        "80 rows at offset 8, but the manifest's videos have 81; "
+        "the first missing row is row 80 in video test-abn-004"),
+    "missing": ("test.wvfd", Path.unlink, "no such file or directory"),
+    "a_directory": ("test.wvfd", _into_directory, "is a directory"),
+}
+MANIFEST_FAULTS = {
+    "fewer_frames_than_snippets": (_set_video(13, "num_frames", 7),
+                                   "videos[13]: num_frames must be >= num_snippets: "
+                                   "video test-abn-002 has 7 frames for 8 snippets"),
+    "no_snippets": (_set_video(2, "num_snippets", 0),
+                    "videos[2]: num_snippets must be >= 1, got 0"),
+    "version_1": (_set_video(None, "format_version", 1),
+                  "unsupported format_version 1; "
+                  "re-run `wvad synth` to write this dataset as format 2"),
+}
+LABEL_FAULTS = {
+    "missing": (Path.unlink, "no such file or directory"),
+    "a_directory": (_into_directory, "is a directory"),
+    "one_byte_short": (lambda p: _cut(p, 159),
+                       "labels of 159 bytes at offset 0, expected 160; "
+                       "the first missing byte is at offset 159 in video test-abn-004"),
+    "one_byte_long": (lambda p: p.write_bytes(p.read_bytes() + b"\x00"),
+                      "labels of 161 bytes at offset 0, expected 160; "
+                      "the first extra byte is at offset 160 after video test-abn-004"),
+    "byte_0x02": (lambda p: _patch(p, 37, b"\x02"),
+                  "label byte 0x02 at offset 37 in video test-nrm-002 is not 0x00/0x01"),
+    "byte_0xff_first_of_a_video": (lambda p: _patch(p, 80, b"\xff"),
+                                   "label byte 0xff at offset 80 in video test-abn-000 "
+                                   "is not 0x00/0x01"),
+}
+
+
+@pytest.fixture(scope="module")
+def intact(tmp_path_factory):
+    root = tmp_path_factory.mktemp("intact")
     generate_dataset(SynthConfig(**SYNTH), root)
-    videos = json.loads((root / MANIFEST_NAME).read_text(encoding="utf-8"))["videos"]
-    for name, index in faults:
-        dataset_fault(name, root, videos[index], rng)
     return root
 
 
-@pytest.mark.parametrize("case", range(60))
-def test_load_split_matches_the_per_video_loop(case, tmp_path):
-    rng = np.random.default_rng([SEED, case])
-    n_videos = sum(SYNTH[k] for k in ("n_normal_train", "n_abnormal_train",
-                                      "n_normal_test", "n_abnormal_test"))
-    victims = rng.choice(n_videos, size=int(rng.integers(0, 4)), replace=False)
-    faults = [(DATASET_FAULTS[int(rng.integers(len(DATASET_FAULTS)))], int(v)) for v in victims]
-    root = broken_dataset(tmp_path / "d", rng, faults)
-    for split in ("train", "test"):
-        assert_same_split(root, split)
+def fresh(root):
+    generate_dataset(SynthConfig(**SYNTH), root)
+    return root
 
 
-def test_several_faults_name_the_first_video(tmp_path):
-    """NaN in test video 3 and a short header in test video 7: video 3's file
-    is named, whichever fault the later video has."""
-    rng = np.random.default_rng(SEED)
-    first_test = SYNTH["n_normal_train"] + SYNTH["n_abnormal_train"]
-    for early, late in (("nan", "short_header"), ("short_header", "nan"),
-                        ("label_byte", "no_features"), ("few_frames", "label_byte")):
-        root = broken_dataset(tmp_path / f"{early}-{late}", rng,
-                              [(early, first_test + 3), (late, first_test + 7)])
-        kind, message = assert_same_split(root, "test")
-        assert kind is not None and "-003" in message
+@pytest.mark.parametrize("name", sorted(FEATURE_FAULTS))
+def test_a_feature_file_fault_names_the_file_offset_and_video(name, tmp_path):
+    file, apply, message = FEATURE_FAULTS[name]
+    root = fresh(tmp_path)
+    apply(root / file)
+    split = file.removesuffix(".wvfd")
+    expected = (FormatError, f"{root / file}: {message}")
+    assert outcome(load_split, root, split) == expected
+    assert outcome(load_split, root, split, frame_labels=False) == expected
+    other = "train" if split == "test" else "test"   # the other split loads
+    assert outcome(load_split, root, other)[0] == "ok"
 
 
-def test_a_valid_split_loads_as_before(tmp_path):
-    root = broken_dataset(tmp_path / "d", np.random.default_rng(SEED), [])
-    for split in ("train", "test"):
-        assert assert_same_split(root, split)[0] == "ok"
+@pytest.mark.parametrize("name", sorted(MANIFEST_FAULTS))
+def test_a_manifest_fault_names_the_video(name, tmp_path):
+    edit, message = MANIFEST_FAULTS[name]
+    root = fresh(tmp_path)
+    edit(root)
+    for split in SPLITS:
+        assert outcome(load_split, root, split) == \
+            (FormatError, f"{root / MANIFEST_NAME}: {message}")
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_FAULTS))
+def test_a_label_fault_names_the_offset_and_video_and_spares_features(name, intact,
+                                                                      tmp_path):
+    apply, message = LABEL_FAULTS[name]
+    root = fresh(tmp_path)
+    apply(root / LABELS_NAME)
+    assert outcome(load_split, root, "test") == \
+        (FormatError, f"{root / LABELS_NAME}: {message}")
+    assert_same_features(load_split(root, "test", frame_labels=False),
+                         load_split(intact, "test"))
+    assert_same_features(load_split(root, "train"), load_split(intact, "train"))
+
+
+def assert_same_features(got, expected):
+    """The same videos and features; ``got`` has no frame labels."""
+    assert [v.record for v in got] == [v.record for v in expected]
+    for g, e in zip(got, expected):
+        assert g.frame_labels is None and g.features.tobytes() == e.features.tobytes()
 
 
 @pytest.mark.parametrize("case", range(20))
-def test_a_features_only_load_ignores_every_label_fault(case, tmp_path):
-    """Without frame labels a split loads as the per-video loop loads it
-    once the manifest names no label file."""
+def test_a_features_only_load_ignores_every_label_fault(case, intact, tmp_path):
+    """A seeded label fault: a cut or grown file or 1-3 bad bytes. A load
+    with labels names the first fault; one without loads as the intact
+    dataset does."""
     rng = np.random.default_rng([SEED, 100 + case])
-    victims = 6 + rng.choice(10, size=int(rng.integers(1, 4)), replace=False)
-    faults = [(DATASET_FAULTS[int(rng.integers(len(DATASET_FAULTS)))], int(v)) for v in victims]
-    root = broken_dataset(tmp_path / "d", rng, faults)
-    got = outcome(load_split, root, "test", frame_labels=False)
-
-    def drop_labels(manifest):
-        for video in manifest["videos"]:
-            video["frame_label_file"] = None
-    _edit_manifest(root, drop_labels)
-    expected = outcome(load_split_per_video, root, "test")
-    if expected[0] == "ok" and got[0] == "ok":
-        for g, e in zip(got[1], expected[1]):
-            assert g.frame_labels is None and g.record.frame_label_file is not None
-            g.record.frame_label_file = None
-        assert_same_videos(got[1], expected[1])
+    root = fresh(tmp_path)
+    path = root / LABELS_NAME
+    kind = ("cut", "grow", "bytes")[case % 3]
+    if kind == "cut":
+        size = int(rng.integers(0, 160))
+        _cut(path, size)
+        message = (f"labels of {size} bytes at offset 0, expected 160; the first missing "
+                   f"byte is at offset {size} in video {TEST_IDS[size // FRAMES]}")
+    elif kind == "grow":
+        extra = int(rng.integers(1, 40))
+        path.write_bytes(path.read_bytes() + bytes(extra))
+        message = (f"labels of {160 + extra} bytes at offset 0, expected 160; the first "
+                   "extra byte is at offset 160 after video test-abn-004")
     else:
-        assert got == expected
+        offsets = rng.choice(160, size=int(rng.integers(1, 4)), replace=False)
+        values = rng.integers(2, 256, size=len(offsets))
+        for at, value in zip(offsets, values):
+            _patch(path, int(at), bytes([int(value)]))
+        first = int(np.argmin(offsets))
+        at = int(offsets[first])
+        message = (f"label byte 0x{int(values[first]):02x} at offset {at} in video "
+                   f"{TEST_IDS[at // FRAMES]} is not 0x00/0x01")
+    assert outcome(load_split, root, "test") == (FormatError, f"{path}: {message}")
+    assert_same_features(load_split(root, "test", frame_labels=False),
+                         load_split(intact, "test"))
+
+
+def test_several_faults_name_the_first_video(tmp_path):
+    """Faults in one file name the one at the lowest offset; a feature
+    fault comes before any label fault."""
+    cases = [  # (feature file patches, label patches, the file and message)
+        ([(488, np.nan), (1100, -np.inf)], [],
+         ("test.wvfd", "non-finite value nan at offset 488 in video test-nrm-003")),
+        ([(1100, np.nan), (488, np.inf)], [],
+         ("test.wvfd", "non-finite value inf at offset 488 in video test-nrm-003")),
+        ([(1100, np.nan)], [(37, 2)],
+         ("test.wvfd", "non-finite value nan at offset 1100 in video test-abn-003")),
+        ([], [(150, 3), (37, 2)],
+         (LABELS_NAME, "label byte 0x02 at offset 37 in video test-nrm-002 is not 0x00/0x01")),
+    ]
+    for i, (values, labels, (file, message)) in enumerate(cases):
+        root = fresh(tmp_path / str(i))
+        for at, value in values:
+            _patch(root / "test.wvfd", at, _value(value))
+        for at, value in labels:
+            _patch(root / LABELS_NAME, at, bytes([value]))
+        assert outcome(load_split, root, "test") == (FormatError, f"{root / file}: {message}")
 
 
 def test_unnormalised_paths_are_named_as_pathlib_names_them(tmp_path, monkeypatch):
-    """Names that pathlib normalises load as ``root / name`` loads them, and
-    an error names the file as ``root / name`` does."""
-    root = broken_dataset(tmp_path / "d", np.random.default_rng(SEED), [])
-    spellings = ("./features/{}", "features/./{}", "features//{}", "features/{}x")   # last: missing
-
-    def respell(manifest):
-        for video, spelling in zip(manifest["videos"][6:], spellings):
-            video["feature_file"] = spelling.format(f"{video['id']}.wvfd")
-    _edit_manifest(root, respell)
+    """However the dataset root is spelled, a fault names its file as
+    ``Path(root) / name`` does."""
+    root = fresh(tmp_path / "d")
+    (root / "test.wvfd").unlink()
     monkeypatch.chdir(root)
     for spelling in (root, f"{root}/", f"{root}/.", ".", "./", "../d"):
-        assert "x: no such file" in assert_same_split(spelling, "test")[1]
+        assert outcome(load_split, spelling, "test") == \
+            (FormatError, f"{Path(spelling) / 'test.wvfd'}: no such file or directory")
 
 
 # ---------------------------------------------------------------------
@@ -395,23 +534,28 @@ def opened_under(root, action):
 
 
 def test_export_scores_reads_no_frame_label(checkpoint, tmp_path, capsys):
-    data = broken_dataset(tmp_path / "d", np.random.default_rng(SEED), [])
+    data = fresh(tmp_path / "d")
     score = ["export-scores", "--checkpoint", str(checkpoint), "--data", str(data)]
     assert cli.main([*score, "--out", str(tmp_path / "intact")]) == 0
-    shutil.rmtree(data / "labels")
+    (data / LABELS_NAME).unlink()
     assert cli.main([*score, "--out", str(tmp_path / "no_labels")]) == 0
     assert ((tmp_path / "no_labels" / "scores.csv").read_bytes()
             == (tmp_path / "intact" / "scores.csv").read_bytes())
     assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)]) == 3
-    assert "labels/" in capsys.readouterr().err
+    assert f"{data / LABELS_NAME}: no such file" in capsys.readouterr().err
 
 
 def test_each_file_is_opened_once(checkpoint, tmp_path):
-    data = broken_dataset(tmp_path / "d", np.random.default_rng(SEED), [])
-    n = SYNTH["n_normal_test"] + SYNTH["n_abnormal_test"]
-    assert opened_under(data, lambda: load_split(data, "test")) == 1 + 2 * n
-    assert opened_under(data, lambda: load_split(data, "test", frame_labels=False)) == 1 + n
-    for command, expected in (("eval", 1 + 2 * n), ("export-scores", 1 + n)):
-        argv = [command, "--checkpoint", str(checkpoint), "--data", str(data),
-                "--out", str(tmp_path / command)]
-        assert opened_under(data, lambda: cli.main(argv)) == expected
+    """The manifest, the split's feature file and, for eval, test.labels:
+    three files or two, whatever the split's video count."""
+    for n_test in (10, 70):
+        data = tmp_path / f"d{n_test}"
+        generate_dataset(SynthConfig(**SYNTH | dict(n_normal_test=n_test // 2,
+                                                    n_abnormal_test=n_test - n_test // 2)), data)
+        assert opened_under(data, lambda: load_split(data, "test")) == 3
+        assert opened_under(data, lambda: load_split(data, "test", frame_labels=False)) == 2
+        assert opened_under(data, lambda: load_split(data, "train")) == 2
+        for command, expected in (("eval", 3), ("export-scores", 2)):
+            argv = [command, "--checkpoint", str(checkpoint), "--data", str(data),
+                    "--out", str(tmp_path / f"{command}{n_test}")]
+            assert opened_under(data, lambda: cli.main(argv)) == expected

@@ -22,7 +22,8 @@ from wvad import cli
 from wvad.encoder import EncoderConfig, LinearModel, TransformerModel, save_checkpoint
 from wvad.metrics import snippet_to_frame_scores
 from wvad.mining import MiningConfig, mine_batch
-from wvad.synthdata import LoadedVideo, SynthConfig, VideoRecord, generate_dataset, load_split
+from wvad.synthdata import LABELS_NAME, LoadedVideo, SynthConfig, VideoRecord, generate_dataset, \
+    load_split
 from wvad.tensor import no_grad
 
 CHUNK = cli.SCORE_CHUNK
@@ -44,8 +45,8 @@ def random_videos(n: int, seed: int = 0) -> list[LoadedVideo]:
     rng = np.random.default_rng(seed)
     return [LoadedVideo(
         record=VideoRecord(id=f"v{i}", split="test", video_label=i % 2,
-                           num_frames=config.num_snippets, feature_file="",
-                           frame_label_file=None),
+                           num_frames=config.num_snippets,
+                           num_snippets=config.num_snippets),
         features=rng.normal(size=(config.num_snippets, config.d_in)).astype(np.float32),
         frame_labels=None) for i in range(n)]
 
@@ -162,10 +163,11 @@ def ragged_dataset(tmp_path_factory):
     manifest_path = root / "manifest.json"
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     rng = np.random.default_rng(21)
+    labels = []
     for video, frames in zip(manifest["videos"], [37, 8, 64, 40, 37, 13]):
         video["num_frames"] = frames
-        labels = (rng.random(frames) < 0.4).astype(np.uint8)
-        (root / video["frame_label_file"]).write_bytes(labels.tobytes())
+        labels.append((rng.random(frames) < 0.4).astype(np.uint8))
+    (root / LABELS_NAME).write_bytes(np.concatenate(labels).tobytes())
     manifest["videos"][-1]["id"] = QUOTED_ID
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     return root

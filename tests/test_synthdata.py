@@ -7,7 +7,6 @@ at the easy shift setting, a trained model has signal to work with.
 
 import json
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +14,8 @@ import pytest
 from wvad.errors import ConfigError, FormatError
 from wvad.metrics import roc_auc
 from wvad.synthdata import (
+    LABELS_NAME,
+    MANIFEST_NAME,
     SynthConfig,
     VideoRecord,
     generate_dataset,
@@ -66,7 +67,7 @@ def test_feature_round_trip_exact(tmp_path):
     f = rng.normal(size=(32, 32)).astype(np.float32)
     path = tmp_path / "x.wvfd"
     write_features(f, path)
-    back = load_features(path)
+    back = load_features(path, [("x", 32)])
     assert back.dtype == np.float32
     assert back.tobytes() == f.tobytes()
 
@@ -75,7 +76,7 @@ def test_feature_round_trip_zero_and_minimal(tmp_path):
     for f in (np.zeros((4, 4), dtype=np.float32), np.array([[3.5]], dtype=np.float32)):
         path = tmp_path / "m.wvfd"
         write_features(f, path)
-        np.testing.assert_array_equal(load_features(path), f)
+        np.testing.assert_array_equal(load_features(path, [("x", len(f))]), f)
 
 
 def test_feature_rejects_nonfinite_and_bad_rank(tmp_path):
@@ -89,14 +90,14 @@ def test_feature_bad_magic(tmp_path):
     path = tmp_path / "bad.wvfd"
     path.write_bytes(b"XXXX" + struct.pack("<III", 1, 1, 1) + b"\x00" * 4)
     with pytest.raises(FormatError, match="magic"):
-        load_features(path)
+        load_features(path, [("x", 1)])
 
 
 def test_feature_truncated_payload(tmp_path):
     path = tmp_path / "short.wvfd"
     path.write_bytes(b"WVFD" + struct.pack("<III", 1, 32, 32) + b"\x00" * 100)
     with pytest.raises(FormatError, match="payload"):
-        load_features(path)
+        load_features(path, [("x", 32)])
 
 
 def test_feature_trailing_garbage_rejected(tmp_path):
@@ -104,32 +105,40 @@ def test_feature_trailing_garbage_rejected(tmp_path):
     write_features(np.zeros((2, 2), dtype=np.float32), path)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError):
-        load_features(path)
+        load_features(path, [("x", 2)])
 
 
 def test_feature_bad_version(tmp_path):
     path = tmp_path / "v9.wvfd"
     path.write_bytes(b"WVFD" + struct.pack("<III", 9, 1, 1) + b"\x00" * 4)
     with pytest.raises(FormatError, match="version"):
-        load_features(path)
+        load_features(path, [("x", 1)])
 
 
 def test_feature_implausible_shape_refused_before_allocation(tmp_path):
     path = tmp_path / "huge.wvfd"
     path.write_bytes(b"WVFD" + struct.pack("<III", 1, 1 << 30, 1 << 30))
     with pytest.raises(FormatError, match="shape"):
-        load_features(path)
+        load_features(path, [("x", 1)])
 
 
 def test_frame_labels_validation(tmp_path):
     path = tmp_path / "l.bin"
     path.write_bytes(bytes([0, 1, 1, 0]))
-    np.testing.assert_array_equal(load_frame_labels(path, 4), [0, 1, 1, 0])
-    with pytest.raises(FormatError):
-        load_frame_labels(path, 5)
+    np.testing.assert_array_equal(load_frame_labels(path, [("a", 1), ("b", 3)]), [0, 1, 1, 0])
+    with pytest.raises(FormatError, match="in video b$"):
+        load_frame_labels(path, [("a", 1), ("b", 4)])
     path.write_bytes(bytes([0, 2, 1, 0]))
-    with pytest.raises(FormatError):
-        load_frame_labels(path, 4)
+    with pytest.raises(FormatError, match="offset 1 in video b is not"):
+        load_frame_labels(path, [("a", 1), ("b", 3)])
+
+
+def test_feature_rows_must_be_the_videos_total(tmp_path):
+    path = tmp_path / "x.wvfd"
+    write_features(np.zeros((5, 2), dtype=np.float32), path)
+    assert load_features(path, [("a", 2), ("b", 3)]).shape == (5, 2)
+    with pytest.raises(FormatError, match="the first missing row is row 5 in video b$"):
+        load_features(path, [("a", 2), ("b", 4)])
 
 
 # ---------------------------------------------------------------------
@@ -157,6 +166,23 @@ def test_same_seed_byte_identical_datasets(tmp_path):
         assert (a_dir / rel).read_bytes() == (b_dir / rel).read_bytes(), rel
 
 
+@pytest.mark.parametrize("n", [1, 40])
+def test_a_dataset_is_the_manifest_and_one_file_per_split(n, tmp_path):
+    """Whatever the video count: the manifest, one feature file per
+    non-empty split and the test labels; no directory."""
+    generate_dataset(small_config(n_normal_train=n, n_abnormal_train=n, n_normal_test=n,
+                                  n_abnormal_test=0), tmp_path / "both")
+    generate_dataset(small_config(n_normal_train=0, n_abnormal_train=0, n_normal_test=n,
+                                  n_abnormal_test=n), tmp_path / "test_only")
+    generate_dataset(small_config(n_normal_train=n, n_normal_test=0, n_abnormal_test=0),
+                     tmp_path / "train_only")
+    for name, files in (("both", {"train.wvfd", "test.wvfd"}),
+                        ("test_only", {"test.wvfd"}), ("train_only", {"train.wvfd"})):
+        if "test.wvfd" in files:
+            files.add(LABELS_NAME)
+        assert {p.name for p in (tmp_path / name).iterdir()} == {MANIFEST_NAME, *files}
+
+
 def test_different_seeds_differ(tmp_path):
     generate_dataset(small_config(seed=1), tmp_path / "a")
     generate_dataset(small_config(seed=2), tmp_path / "b")
@@ -172,11 +198,8 @@ def test_manifest_records_are_consistent(tmp_path):
     assert len(records) == 4 + 4 + 3 + 3
     for rec in records:
         assert rec.num_frames == cfg.num_frames
-        assert (tmp_path / rec.feature_file).exists()
-        if rec.split == "test":
-            assert rec.frame_label_file is not None
-        else:
-            assert rec.frame_label_file is None
+        assert rec.num_snippets == cfg.num_snippets
+    assert [rec.split for rec in records] == ["train"] * 8 + ["test"] * 6
 
 
 def test_normal_test_videos_have_no_positive_frames(tmp_path):
@@ -232,31 +255,48 @@ def test_malformed_manifest_json(tmp_path):
 
 
 def test_manifest_bad_version(tmp_path):
-    (tmp_path / "manifest.json").write_text(json.dumps({"format_version": 2, "videos": []}))
-    with pytest.raises(FormatError):
+    (tmp_path / "manifest.json").write_text(json.dumps({"format_version": 3, "videos": []}))
+    with pytest.raises(FormatError, match="unsupported format_version 3"):
+        load_manifest(tmp_path)
+
+
+def test_a_format_1_manifest_asks_for_a_new_synth(tmp_path):
+    """A dataset with a file per video, as format 1 wrote it."""
+    record = dict(id="v", split="test", video_label=1, num_frames=4,
+                  feature_file="features/v.wvfd", frame_label_file="labels/v.bin")
+    (tmp_path / "manifest.json").write_text(json.dumps({"format_version": 1,
+                                                        "videos": [record]}))
+    with pytest.raises(FormatError, match=r"format_version 1; re-run `wvad synth`"):
         load_manifest(tmp_path)
 
 
 def test_manifest_bad_record(tmp_path):
-    doc = {"format_version": 1, "videos": [{"id": "x", "unexpected": True}]}
+    doc = {"format_version": 2, "videos": [{"id": "x", "unexpected": True}]}
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(FormatError):
         load_manifest(tmp_path)
 
 
-GOOD_RECORD = dict(id="v", split="test", video_label=1, num_frames=4,
-                   feature_file="features/v.wvfd", frame_label_file="labels/v.bin")
+GOOD_RECORD = dict(id="v", split="test", video_label=1, num_frames=4, num_snippets=2)
 
 
 @pytest.mark.parametrize("key, value", [("split", "validation"), ("video_label", 2),
-                                        ("video_label", -1), ("num_frames", 0)])
+                                        ("video_label", -1), ("num_frames", 0),
+                                        ("num_snippets", 0)])
 def test_video_record_values_are_checked(key, value):
     with pytest.raises(FormatError, match=f"^{key} must be"):
         VideoRecord(**{**GOOD_RECORD, key: value})
 
 
+def test_a_video_needs_a_frame_per_snippet():
+    VideoRecord(**{**GOOD_RECORD, "num_frames": 2})
+    with pytest.raises(FormatError, match="^num_frames must be >= num_snippets: "
+                                          "video v has 1 frames for 2 snippets$"):
+        VideoRecord(**{**GOOD_RECORD, "num_frames": 1})
+
+
 def test_manifest_record_errors_name_the_record_and_key(tmp_path):
-    doc = {"format_version": 1, "videos": [GOOD_RECORD, {**GOOD_RECORD, "num_frames": 32.0}]}
+    doc = {"format_version": 2, "videos": [GOOD_RECORD, {**GOOD_RECORD, "num_frames": 32.0}]}
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(FormatError, match=r"manifest\.json: videos\[1\]\.num_frames: "
                                           r"expected int, got 32\.0$"):

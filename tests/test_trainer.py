@@ -4,19 +4,26 @@ determinism, bitwise checkpoint resume, and failure diagnostics."""
 import builtins
 import dataclasses
 import errno
+import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import wvad
 import wvad.encoder as encoder_mod
 import wvad.trainer as trainer_mod
 from wvad.encoder import EncoderConfig, save_checkpoint
 from wvad.errors import ConfigError, FormatError, TrainingError
 from wvad.losses import LossBreakdown, LossConfig
 from wvad.mining import MiningConfig
+from wvad.synthdata import SynthConfig, generate_dataset
 from wvad.tensor import Tensor, topological_order
 from wvad.trainer import AdamState, BalancedSampler, TrainConfig, adam_step, train, train_step
 
@@ -323,6 +330,27 @@ def test_train_same_seed_bitwise_identical(tmp_path):
     train(videos, micro_config(epochs=3), out_dir=out_b)
     assert (out_a / "log.csv").read_bytes() == (out_b / "log.csv").read_bytes()
     assert (out_a / "checkpoint.wvck").read_bytes() == (out_b / "checkpoint.wvck").read_bytes()
+
+
+def test_one_and_two_blas_threads_write_the_same_bytes(tmp_path):
+    """``wvad train`` in a process with one BLAS thread and in one with two:
+    the checkpoint and log.csv bytes agree. The batch (32 videos of 33
+    tokens at width 32) is large enough for the BLAS to split its products."""
+    generate_dataset(SynthConfig(n_normal_train=16, n_abnormal_train=16, n_normal_test=0,
+                                 n_abnormal_test=0), tmp_path / "data")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {"epochs": 3}}), encoding="utf-8")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(wvad.__file__).parents[1]),
+                   **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "MKL_NUM_THREADS"), threads))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "wvad.cli", "train", "--config", str(config),
+                        "--data", str(tmp_path / "data"), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs.append([(out / name).read_bytes() for name in ("checkpoint.wvck", "log.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_train_seed_changes_trajectory():
