@@ -23,12 +23,11 @@ returns them untouched.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -149,11 +148,11 @@ class EncodedVideo:
     of each video is the cls token, rows 1..T the snippets."""
 
     tokens: Tensor
+    # rows 1..T, one slice shared by the snippet head and the features
+    snippet_features: Tensor = field(init=False)
 
-    @functools.cached_property
-    def snippet_features(self) -> Tensor:
-        """Rows 1..T, one slice shared by the snippet head and the features."""
-        return self.tokens[..., 1:, :]
+    def __post_init__(self):
+        self.snippet_features = self.tokens[..., 1:, :]
 
 
 @dataclass
@@ -287,14 +286,16 @@ def _embed(f: Tensor, w: Tensor, b: Tensor, cls_token: Tensor) -> Tensor:
     broadcast over the batch and concatenated), so it is bitwise that form.
     """
     x = f.data @ w.data + b.data
-    batch, _, d = x.shape
-    cls = np.broadcast_to(cls_token.data.reshape(1, 1, d), (batch, 1, d))
+    batch, n, d = x.shape
+    tokens = np.empty((batch, n + 1, d), dtype=np.promote_types(x.dtype, cls_token.data.dtype))
+    tokens[:, 0] = cls_token.data
+    tokens[:, 1:] = x
 
     def backward(g):
         g_cls = g[:, 0].sum(axis=0) if cls_token.requires_grad else None
         return (*affine_grads(f.data, w, b, g[:, 1:], f.requires_grad), g_cls)
 
-    return node(np.concatenate([cls, x], axis=1), (f, w, b, cls_token), backward)
+    return node(tokens, (f, w, b, cls_token), backward)
 
 
 def _sigmoid_head(x: Tensor, w: Tensor, b: Tensor, row: int | None = None) -> Tensor:

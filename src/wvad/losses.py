@@ -34,7 +34,7 @@ import numpy as np
 from .encoder import ScoredBatch
 from .errors import ConfigError, TrainingError
 from .mining import MinedSets
-from .tensor import Tensor, node, unit_rows, unit_rows_backward
+from .tensor import Tensor, array_mean, node, unit_rows, unit_rows_backward
 
 _CLAMP = 1e-7
 
@@ -92,13 +92,13 @@ def loss_video(video_scores: Tensor, labels) -> Tensor:
     v, dtype = video_scores.data, video_scores.data.dtype
     # the probability given to the true label: v if abnormal, 1 - v if normal
     sign = (2 * y - 1).astype(dtype)
-    p = np.clip(v, _CLAMP, 1.0 - _CLAMP) * sign + (1 - y).astype(dtype)
+    p = np.minimum(np.maximum(v, _CLAMP), 1.0 - _CLAMP) * sign + (1 - y).astype(dtype)
 
     def backward(g):
         inside = (v > _CLAMP) & (v < 1.0 - _CLAMP)
         return ((-g / y.size) / p * sign * inside,)
 
-    return node(-np.log(p).mean(), (video_scores,), backward)
+    return node(-array_mean(np.log(p)), (video_scores,), backward)
 
 
 def loss_snippet_topk(scores: Tensor, labels, k: int, pair_mode: str = "matched") -> Tensor:
@@ -122,11 +122,11 @@ def loss_snippet_topk(scores: Tensor, labels, k: int, pair_mode: str = "matched"
         raise ConfigError(f"pair_mode must be one of {_PAIR_MODES}, got {pair_mode!r}")
     if not 1 <= k <= x.shape[1]:
         raise ValueError(f"k must be in [1, {x.shape[1]}], got {k}")
-    abnormal, normal = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
-    top = np.argsort(-x, axis=1, kind="stable")[:, :k]
+    abnormal, normal = (y == 1).nonzero()[0], (y == 0).nonzero()[0]
+    top = (-x).argsort(axis=1, kind="stable")[:, :k]
     values = x[np.arange(x.shape[0])[:, None], top]
-    abn, nrm = values[abnormal].mean(axis=1), values[normal].mean(axis=1)
-    one = np.asarray(1.0, dtype=x.dtype)
+    abn, nrm = array_mean(values[abnormal], 1), array_mean(values[normal], 1)
+    one = x.dtype.type(1)
     if pair_mode == "all_pairs":
         margin = one - abn.reshape(-1, 1) + nrm.reshape(1, -1)
     else:
@@ -145,7 +145,7 @@ def loss_snippet_topk(scores: Tensor, labels, k: int, pair_mode: str = "matched"
         z[normal[:, None], top[normal]] = (g_nrm / k)[:, None]
         return (z,)
 
-    return node(np.maximum(margin, 0.0).sum(), (scores,), backward)
+    return node(np.add.reduce(np.maximum(margin, 0.0), axis=None), (scores,), backward)
 
 
 def loss_regularisation(scores: Tensor, smooth_weight: float, sparse_weight: float) -> Tensor:
@@ -157,8 +157,7 @@ def loss_regularisation(scores: Tensor, smooth_weight: float, sparse_weight: flo
     n = x.shape[1]
     if n < 2:
         raise ValueError(f"need at least 2 snippets, got {n}")
-    smooth, sparse, count = (np.asarray(c, dtype=x.dtype)
-                             for c in (smooth_weight, sparse_weight, float(n)))
+    smooth, sparse, count = map(x.dtype.type, (smooth_weight, sparse_weight, n))
     diffs = x[:, 1:] - x[:, :-1]
 
     def backward(g):
@@ -169,8 +168,9 @@ def loss_regularisation(scores: Tensor, smooth_weight: float, sparse_weight: flo
         z[:, :-1] -= g_diffs
         return (z,)
 
-    return node(((diffs * diffs).sum() * smooth + x.sum() * sparse) / count, (scores,),
-                backward)
+    value = (np.add.reduce(diffs * diffs, axis=None) * smooth
+             + np.add.reduce(x, axis=None) * sparse) / count
+    return node(value, (scores,), backward)
 
 
 def _info_nce(a: np.ndarray, p: np.ndarray, n: np.ndarray, inv_temperature: float):
@@ -181,23 +181,23 @@ def _info_nce(a: np.ndarray, p: np.ndarray, n: np.ndarray, inv_temperature: floa
     Returns the value and a function from its gradient to the three row
     sets' gradients: the log-sum-exp backward in closed form.
     """
-    s_ap = (a @ p.T) * inv_temperature                  # (A, P)
-    e_an = np.exp((a @ n.T) * inv_temperature)          # (A, N)
+    s_ap = a @ p.T                                      # (A, P)
+    s_ap *= inv_temperature
+    e_an = a @ n.T                                      # (A, N)
+    e_an *= inv_temperature
+    np.exp(e_an, out=e_an)
     e_ap = np.exp(s_ap)
-    denom = e_ap + e_an.sum(axis=1, keepdims=True)     # (A, P)
+    denom = e_ap + np.add.reduce(e_an, axis=1, keepdims=True)     # (A, P)
 
     def grads(g):
         inv_denom = 1.0 / denom
         g_ap = (e_ap * inv_denom - 1.0) * (g * inv_temperature)
-        g_an = e_an * (inv_denom.sum(axis=1, keepdims=True) * (g * inv_temperature))
+        g_an = e_an * (np.add.reduce(inv_denom, axis=1, keepdims=True) * (g * inv_temperature))
         return g_ap @ p + g_an @ n, g_ap.T @ a, g_an.T @ a
 
-    return -(s_ap - np.log(denom)).sum(), grads
-
-
-# (anchors, positives, negatives) of the two directions, as indices into
-# ``MinedSets.masks()`` (HA, EA, HN, EN)
-_DIRECTIONS = ((0, 1, 3), (2, 3, 1))
+    log_ratio = np.log(denom)
+    np.subtract(s_ap, log_ratio, out=log_ratio)
+    return -np.add.reduce(log_ratio, axis=None), grads
 
 
 def loss_contrastive(mined: MinedSets, features: Tensor, temperature: float) -> Tensor:
@@ -206,34 +206,25 @@ def loss_contrastive(mined: MinedSets, features: Tensor, temperature: float) -> 
     set is empty adds nothing, and with neither the term is 0.
 
     Each set's rows are taken in (video id, t) order, the order of the
-    sets' sorted views. The rows of every set a direction uses are gathered
-    and L2-normalised together, once, and the backward scatters their
-    gradients back with one ``np.add.at``: mined sets are disjoint except
-    where scores tie, when hard and easy normal can share a snippet.
+    sets' sorted views; ``mined.gather_plan`` holds them, worked out once
+    per batch. The rows of every set a direction uses are gathered and
+    L2-normalised together, once, and the backward scatters their
+    gradients back with one ``np.add.at``, which also adds up a row that
+    two hand-built sets share.
     """
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
-    masks = mined.masks()
-    sizes = [np.count_nonzero(m) for m in masks]
-    directions = [d for d in _DIRECTIONS if all(sizes[i] for i in d)]
-    if not directions:
+    plan = mined.gather_plan
+    if not plan.directions:
         return Tensor(np.zeros((), dtype=features.data.dtype))
     batch, t_len, dim = features.data.shape
-    if masks[0].shape != (batch, t_len):
-        raise ValueError(f"mined masks {masks[0].shape} vs features {features.data.shape}")
-    used = sorted({i for d in directions for i in d})
-    order = np.array(sorted(range(batch), key=mined.video_ids.__getitem__))
-    # every used set's rows, set after set, each in (video id, t) order
-    chosen = np.array([masks[i] for i in used])[:, order]
-    row_of = (order[:, None] * t_len + np.arange(t_len)).ravel()
-    rows = row_of[np.flatnonzero(chosen) % row_of.size]
-    block, end = {}, 0
-    for i in used:
-        block[i], end = slice(end, end + sizes[i]), end + sizes[i]
+    if mined.ha.shape != (batch, t_len):
+        raise ValueError(f"mined masks {mined.ha.shape} vs features {features.data.shape}")
+    rows, blocks = plan.rows, plan.blocks
     unit, norm = unit_rows(features.data.reshape(-1, dim)[rows])
     value, parts = None, []
-    for d in directions:
-        term, grads = _info_nce(*(unit[block[i]] for i in d), 1.0 / temperature)
+    for d in plan.directions:
+        term, grads = _info_nce(*(unit[blocks[i]] for i in d), 1.0 / temperature)
         value = term if value is None else value + term
         parts.append((d, grads))
 
@@ -241,7 +232,7 @@ def loss_contrastive(mined: MinedSets, features: Tensor, temperature: float) -> 
         g_unit = np.zeros_like(unit)
         for d, grads in parts:
             for i, g_set in zip(d, grads(g)):
-                g_unit[block[i]] += g_set
+                g_unit[blocks[i]] += g_set
         z = np.zeros((batch * t_len, dim), dtype=unit.dtype)
         np.add.at(z, rows, unit_rows_backward(g_unit, unit, norm))
         return (z.reshape(features.data.shape),)
@@ -251,11 +242,13 @@ def loss_contrastive(mined: MinedSets, features: Tensor, temperature: float) -> 
 
 def _weighted_sum(terms: list[tuple[Tensor, float]]) -> Tensor:
     """sum_i w_i * term_i over scalar terms as one node, added in the order
-    given as ``term * w`` tape ops would add them."""
-    weights = [np.asarray(w, dtype=t.data.dtype) for t, w in terms]
+    given as ``term * w`` tape ops would add them. The sum runs on numpy
+    scalars of the terms' dtype, whose arithmetic rounds as the ufuncs on
+    0-d arrays do, without their dispatch."""
+    weights = [t.data.dtype.type(w) for t, w in terms]
     value = None
     for (t, _), w in zip(terms, weights):
-        value = t.data * w if value is None else value + t.data * w
+        value = t.data[()] * w if value is None else value + t.data[()] * w
     return node(value, [t for t, _ in terms], lambda g: [g * w for w in weights])
 
 

@@ -11,14 +11,19 @@ abnormal, and pick top-k/bottom-k snippets for the remaining sets. The four
   hard abnormal  boundary snippets + missed zeros (abnormal videos)
   easy abnormal  top-k scored snippets of abnormal videos, minus hard ones
   hard normal    top-k scored snippets of normal videos
-  easy normal    bottom-k scored snippets of normal videos
+  easy normal    the k lowest-scored snippets of normal videos that are not
+                 hard normal
 
 All selections are deterministic: ties break toward the lowest index, and
-the (video_id, t) views of the sets are sorted.
+the (video_id, t) views of the sets are sorted. The four sets are disjoint:
+easy normal takes the k lowest-scored snippets that are not hard normal, so
+a flat normal video (all scores tied) gives each set its own snippets, and
+a video shorter than the two counts together gets fewer easy ones.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,12 +54,28 @@ class MiningConfig:
             raise ConfigError("selection counts must be >= 1")
 
 
+# (anchors, positives, negatives) of the two contrastive directions, as
+# indices into ``MinedSets.masks()`` (HA, EA, HN, EN)
+DIRECTIONS = ((0, 1, 3), (2, 3, 1))
+
+
+@dataclass(frozen=True)
+class GatherPlan:
+    """Where the contrastive objective reads one batch's mined rows."""
+
+    directions: tuple[tuple[int, int, int], ...]   # those whose three sets are non-empty
+    rows: np.ndarray            # flat (B*T) rows of every used set, set after set,
+                                # each in (video id, t) order
+    blocks: tuple[slice | None, ...]    # each set's block of ``rows``, None if unused
+
+
 @dataclass(frozen=True, eq=False)
 class MinedSets:
     """The four mined sets of one batch as (B, T) boolean masks.
 
     Row i of every mask belongs to ``video_ids[i]``; rows of a batch whose
-    videos differ in length are padded with False up to the longest.
+    videos differ in length are padded with False up to the longest. The
+    masks are made read-only, so ``gather_plan`` can be computed once.
     """
 
     video_ids: tuple[str, ...]
@@ -63,8 +84,30 @@ class MinedSets:
     hn: np.ndarray
     en: np.ndarray
 
+    def __post_init__(self):
+        for mask in self.masks():
+            mask.flags.writeable = False
+
     def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.ha, self.ea, self.hn, self.en
+
+    @functools.cached_property
+    def gather_plan(self) -> GatherPlan:
+        """The live directions and the rows of the sets they use."""
+        masks = self.masks()
+        sizes = [np.count_nonzero(m) for m in masks]
+        directions = tuple(d for d in DIRECTIONS if all(sizes[i] for i in d))
+        used = sorted({i for d in directions for i in d})
+        batch, t_len = masks[0].shape
+        order = np.array(sorted(range(batch), key=self.video_ids.__getitem__), dtype=np.intp)
+        chosen = np.array([masks[i] for i in used]).reshape(len(used), batch, t_len)[:, order]
+        row_of = (order[:, None] * t_len + np.arange(t_len)).ravel()
+        rows = row_of[np.flatnonzero(chosen) % row_of.size]
+        rows.flags.writeable = False
+        blocks, end = [None] * len(masks), 0
+        for i in used:
+            blocks[i], end = slice(end, end + sizes[i]), end + sizes[i]
+        return GatherPlan(directions, rows, tuple(blocks))
 
     def counts(self) -> dict[str, int]:
         return {key: int(m.sum()) for key, m in zip(("HA", "EA", "HN", "EN"), self.masks())}
@@ -156,7 +199,13 @@ def _mine_rows(scores: np.ndarray, abnormal: np.ndarray,
     ha = (edges | missed) & abn
     ea = _top_k(top, config.k_easy) & ~ha & abn
     hn = _top_k(top, config.k_hard_normal) & ~abn
-    en = _top_k(bottom, config.k_easy) & ~abn
+    # the k lowest-scored snippets that are not hard normal: count, in
+    # ascending score order, only the snippets hard normal left
+    free = ~np.take_along_axis(hn, bottom, axis=1)
+    taken = free & (np.cumsum(free, axis=1) <= config.k_easy)
+    en = np.zeros_like(hn)
+    np.put_along_axis(en, bottom, taken, axis=1)
+    en &= ~abn
     return ha, ea, hn, en
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -451,6 +450,17 @@ def _axis_count(shape: tuple[int, ...], axis) -> int:
     return n
 
 
+def array_mean(x: np.ndarray, axis=None, keepdims: bool = False):
+    """``x.mean(axis, keepdims=keepdims)`` of a float array by the two calls
+    numpy's ``_methods._mean`` makes, one ``np.add.reduce`` and one division
+    by the count, so the same bits without its Python wrapper."""
+    total = np.add.reduce(x, axis=axis, keepdims=keepdims)
+    count = np.intp(x.size if axis is None else _axis_count(x.shape, axis))
+    if isinstance(total, np.ndarray):
+        return np.true_divide(total, count, out=total, casting="unsafe")
+    return total.dtype.type(total / count)
+
+
 def _basic_index(idx) -> bool:
     parts = idx if isinstance(idx, tuple) else (idx,)
     return all(isinstance(p, (int, np.integer, slice)) or p is None or p is Ellipsis
@@ -472,7 +482,9 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """
     e = np.exp(-np.abs(x))
     one = e.dtype.type(1)
-    return np.where(x >= 0, one, e) / (one + e)
+    val = np.where(x >= 0, one, e)
+    val /= one + e
+    return val
 
 
 # ---------------------------------------------------------------------
@@ -555,9 +567,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     dx = (dx_hat - mean(dx_hat) - x_hat * mean(dx_hat * x_hat)) / s.
     """
     xd = x.data
-    d = xd - xd.mean(axis=-1, keepdims=True)
-    std = np.sqrt((d * d).mean(axis=-1, keepdims=True) + eps)
-    xhat = d / std
+    xhat = xd - array_mean(xd, -1, keepdims=True)
+    std = array_mean(xhat * xhat, -1, keepdims=True)
+    std += eps
+    np.sqrt(std, out=std)
+    xhat /= std
     out = _result(xhat * gamma.data + beta.data, (x, gamma, beta))
     if out.requires_grad:
         width = xd.shape[-1]
@@ -586,9 +600,15 @@ def gelu(x: Tensor) -> Tensor:
     """Smooth GELU (tanh approximation), one node."""
     xd = x.data
     xx = xd * xd
-    th = np.tanh((xd + (xx * xd) * 0.044715) * _GELU_C)
+    th = xx * xd
+    th *= 0.044715
+    th += xd
+    th *= _GELU_C
+    th = np.tanh(th)
     th1 = th + 1.0
-    out = _result(xd * th1 * 0.5, (x,))
+    y = xd * th1
+    y *= 0.5
+    out = _result(y, (x,))
     if out.requires_grad:
         def backward(g):
             # 0.5 * (1 + th + x * (1 - th^2) * c * (1 + 3 * 0.044715 * x^2)), in place
@@ -693,10 +713,11 @@ def dws_conv1d(x: Tensor, depth_kernel: Tensor, point_kernel: Tensor,
         raise ValueError(f"cannot pass {skip} rows of {xd.shape} through a "
                          f"{point_kernel.data.shape} point kernel")
     half = width // 2
-    padded = xd[..., skip + np.clip(np.arange(-half, n + half), 0, n - 1), :]
+    edge = np.minimum(np.maximum(np.arange(skip - half, skip + n + half), skip), skip + n - 1)
+    padded = xd[..., edge, :]
     acc = padded[..., 0:n, :] * k[:, 0]
     for j in range(1, width):
-        acc = acc + padded[..., j:j + n, :] * k[:, j]
+        acc += padded[..., j:j + n, :] * k[:, j]
     y = acc @ point_kernel.data
     if bias is not None:
         y = y + bias.data
@@ -777,12 +798,16 @@ def multi_head_self_attention(
         np.matmul(xd, w.data, out=qkv[..., i * d:(i + 1) * d])
     qkv += np.concatenate([bq.data, bk.data, bv.data])
     qkv = qkv.reshape(*lead, n, 3, heads, dh)
-    q, k, v = (qkv[..., i, :, :].transpose(to_heads) for i in range(3))
-    s = (q @ np.swapaxes(k, -1, -2)) * scale
-    # the row max over one key-major copy: a max is exact in any order, and
-    # numpy's reduction over a short last axis is several times slower
-    e = np.exp(s - np.ascontiguousarray(np.moveaxis(s, -1, 0)).max(axis=0)[..., None])
-    attn = e / e.sum(axis=-1, keepdims=True)
+    q, k, v = [qkv[..., i, :, :].transpose(to_heads) for i in range(3)]
+    # scale, shift, exp and normalise in place on one (..., n, n) buffer;
+    # the row max is over one key-major copy: a max is exact in any order,
+    # and numpy's reduction over a short last axis is several times slower
+    attn = q @ k.swapaxes(-1, -2)
+    attn *= scale
+    attn -= np.maximum.reduce(np.ascontiguousarray(attn.transpose(r + 2, *range(r + 2))),
+                              axis=0)[..., None]
+    np.exp(attn, out=attn)
+    attn /= np.add.reduce(attn, axis=-1, keepdims=True)
     o = attn @ v
     merged = o.transpose(to_heads).reshape(*lead, n, d)
     out = _result(merged @ wo.data + bo.data, (x, wq, bq, wk, bk, wv, bv, wo, bo))
@@ -794,14 +819,14 @@ def multi_head_self_attention(
             # dS from the scaled dO, as one contiguous copy: the strided
             # head views make numpy's small batched products much slower
             g_os = np.multiply(g_o, scale, order="C")
-            g_s = g_os @ np.ascontiguousarray(np.swapaxes(v, -1, -2))
+            g_s = g_os @ np.ascontiguousarray(v.swapaxes(-1, -2))
             g_s -= np.einsum("...ij,...ij->...i", g_os, o)[..., None]
             g_s *= attn
             g_qkv = np.empty(qkv.shape, dtype=g_s.dtype)
             g_q, g_k, g_v = (g_qkv[..., i, :, :].transpose(to_heads) for i in range(3))
             np.matmul(g_s, k, out=g_q)
-            np.matmul(np.swapaxes(g_s, -1, -2), q, out=g_k)
-            np.matmul(np.swapaxes(attn, -1, -2), g_o, out=g_v)
+            np.matmul(g_s.swapaxes(-1, -2), q, out=g_k)
+            np.matmul(attn.swapaxes(-1, -2), g_o, out=g_v)
             g_qkv = g_qkv.reshape(-1, 3 * d)
             g_w = xd.reshape(-1, d).T @ g_qkv
             g_b = _column_sums(g_qkv)
@@ -826,107 +851,3 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         return x
     keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
     return x * Tensor(keep / (1.0 - rate))
-
-
-# ---------------------------------------------------------------------
-# finite-difference verification
-
-
-@dataclass
-class GradCheckEntry:
-    name: str
-    max_rel_err: float
-    worst_index: int
-    analytic: float
-    numeric: float
-    note: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return math.isfinite(self.max_rel_err)
-
-
-@dataclass
-class GradCheckReport:
-    """Per-parameter comparison of tape gradients vs central differences."""
-
-    entries: list[GradCheckEntry] = field(default_factory=list)
-    h: float = 1e-5
-    tol: float = 1e-4
-
-    @property
-    def max_rel_err(self) -> float:
-        return max((e.max_rel_err for e in self.entries), default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed and e.max_rel_err <= self.tol for e in self.entries)
-
-    def failures(self) -> list[GradCheckEntry]:
-        return [e for e in self.entries if not (e.passed and e.max_rel_err <= self.tol)]
-
-    def summary(self) -> str:
-        lines = []
-        for e in self.entries:
-            status = "ok" if e.passed and e.max_rel_err <= self.tol else "FAIL"
-            extra = f" ({e.note})" if e.note else ""
-            lines.append(f"{e.name}: max_rel_err={e.max_rel_err:.3e} {status}{extra}")
-        return "\n".join(lines)
-
-
-def grad_check(
-    f: Callable[[], Tensor],
-    params: Iterable[tuple[str, Tensor]] | dict,
-    h: float = 1e-5,
-    tol: float = 1e-4,
-) -> GradCheckReport:
-    """Compare the tape gradient of ``f()`` against central finite differences.
-
-    ``f`` must rebuild the graph on every call and return a scalar; ``params``
-    are the float64 leaves to perturb. The relative error for one element is
-    |analytic - numeric| / max(1, |analytic|, |numeric|), so near-zero
-    gradients are judged on absolute error. A non-finite objective at a
-    perturbed point marks the parameter as failed with its location.
-    """
-    named = list(params.items()) if isinstance(params, dict) else list(params)
-    for name, p in named:
-        if p.data.dtype != np.float64:
-            raise ValueError(f"grad_check requires float64 parameters ({name} is {p.data.dtype})")
-    for _, p in named:
-        p.zero_grad()
-    loss = f()
-    if loss.data.size != 1:
-        raise ValueError("grad_check objective must be scalar")
-    loss.backward()
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in named
-    }
-    report = GradCheckReport(h=h, tol=tol)
-    for name, p in named:
-        ana = analytic[name]
-        worst = GradCheckEntry(name=name, max_rel_err=0.0, worst_index=-1,
-                               analytic=0.0, numeric=0.0)
-        for flat_i, index in enumerate(np.ndindex(p.data.shape)):
-            orig = p.data[index]
-            p.data[index] = orig + h
-            with no_grad():
-                f_plus = float(f().data)
-            p.data[index] = orig - h
-            with no_grad():
-                f_minus = float(f().data)
-            p.data[index] = orig
-            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                worst = GradCheckEntry(
-                    name=name, max_rel_err=math.inf, worst_index=flat_i,
-                    analytic=float(ana[index]), numeric=math.nan,
-                    note=f"non-finite objective at {name}[{flat_i}]")
-                break
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            a_val = float(ana[index])
-            rel = abs(a_val - numeric) / max(1.0, abs(a_val), abs(numeric))
-            if rel > worst.max_rel_err:
-                worst = GradCheckEntry(name=name, max_rel_err=rel, worst_index=flat_i,
-                                       analytic=a_val, numeric=numeric)
-        report.entries.append(worst)
-    return report

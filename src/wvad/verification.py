@@ -1,16 +1,20 @@
 """Finite-difference verification: every differentiable op, then the full
 training objective end to end, each checked across several seeds.
 
-Each case builds float64 leaf parameters and a scalar closure; the closure
-is rebuilt per evaluation so central differences see a fresh graph. Inputs
-are kept away from kinks (relu at 0, clip boundaries, top-k ties) so the
-two-sided difference is a valid derivative estimate at tolerance 1e-4.
+``grad_check`` compares one scalar closure's tape gradient with central
+differences; every perturbed evaluation runs untaped. Each case builds
+float64 leaf parameters and a scalar closure; the closure is rebuilt per
+evaluation so central differences see a fresh graph. Inputs are kept away
+from kinks (relu at 0, clip boundaries, top-k ties) so the two-sided
+difference is a valid derivative estimate at tolerance 1e-4.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -18,8 +22,8 @@ from .encoder import EncoderConfig, TransformerModel
 from .losses import LossConfig, loss_total
 from .mining import MinedSets
 from .tensor import (Tensor, broadcast_to, concat, dropout, dws_conv1d, gather_rows,
-                     gelu, grad_check, l2_normalize, layer_norm,
-                     multi_head_self_attention, softmax, topk_mean)
+                     gelu, l2_normalize, layer_norm, multi_head_self_attention, no_grad,
+                     softmax, topk_mean)
 
 
 @dataclass
@@ -52,6 +56,105 @@ class VerificationReport:
         lines.append(f"gradcheck total: {'PASS' if self.passed else 'FAIL'} "
                      f"in {self.elapsed_s:.1f}s (h={self.h:g}, tol={self.tol:g})")
         return lines
+
+
+@dataclass
+class GradCheckEntry:
+    name: str
+    max_rel_err: float
+    worst_index: int
+    analytic: float
+    numeric: float
+    note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return math.isfinite(self.max_rel_err)
+
+
+@dataclass
+class GradCheckReport:
+    """Per-parameter comparison of tape gradients vs central differences."""
+
+    entries: list[GradCheckEntry] = field(default_factory=list)
+    h: float = 1e-5
+    tol: float = 1e-4
+
+    @property
+    def max_rel_err(self) -> float:
+        return max((e.max_rel_err for e in self.entries), default=0.0)
+
+    @property
+    def passed(self) -> bool:
+        return all(e.passed and e.max_rel_err <= self.tol for e in self.entries)
+
+    def failures(self) -> list[GradCheckEntry]:
+        return [e for e in self.entries if not (e.passed and e.max_rel_err <= self.tol)]
+
+    def summary(self) -> str:
+        lines = []
+        for e in self.entries:
+            status = "ok" if e.passed and e.max_rel_err <= self.tol else "FAIL"
+            extra = f" ({e.note})" if e.note else ""
+            lines.append(f"{e.name}: max_rel_err={e.max_rel_err:.3e} {status}{extra}")
+        return "\n".join(lines)
+
+
+def grad_check(
+    f: Callable[[], Tensor],
+    params: Iterable[tuple[str, Tensor]] | dict,
+    h: float = 1e-5,
+    tol: float = 1e-4,
+) -> GradCheckReport:
+    """Compare the tape gradient of ``f()`` against central finite differences.
+
+    ``f`` must rebuild the graph on every call and return a scalar; ``params``
+    are the float64 leaves to perturb. The relative error for one element is
+    |analytic - numeric| / max(1, |analytic|, |numeric|), so near-zero
+    gradients are judged on absolute error. A non-finite objective at a
+    perturbed point marks the parameter as failed with its location.
+    """
+    named = list(params.items()) if isinstance(params, dict) else list(params)
+    for name, p in named:
+        if p.data.dtype != np.float64:
+            raise ValueError(f"grad_check requires float64 parameters ({name} is {p.data.dtype})")
+    for _, p in named:
+        p.zero_grad()
+    loss = f()
+    if loss.data.size != 1:
+        raise ValueError("grad_check objective must be scalar")
+    loss.backward()
+    analytic = {
+        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+        for name, p in named
+    }
+    report = GradCheckReport(h=h, tol=tol)
+    for name, p in named:
+        ana = analytic[name]
+        worst = GradCheckEntry(name=name, max_rel_err=0.0, worst_index=-1,
+                               analytic=0.0, numeric=0.0)
+        with no_grad():
+            for flat_i, index in enumerate(np.ndindex(p.data.shape)):
+                orig = p.data[index]
+                p.data[index] = orig + h
+                f_plus = float(f().data)
+                p.data[index] = orig - h
+                f_minus = float(f().data)
+                p.data[index] = orig
+                if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
+                    worst = GradCheckEntry(
+                        name=name, max_rel_err=math.inf, worst_index=flat_i,
+                        analytic=float(ana[index]), numeric=math.nan,
+                        note=f"non-finite objective at {name}[{flat_i}]")
+                    break
+                numeric = (f_plus - f_minus) / (2.0 * h)
+                a_val = float(ana[index])
+                rel = abs(a_val - numeric) / max(1.0, abs(a_val), abs(numeric))
+                if rel > worst.max_rel_err:
+                    worst = GradCheckEntry(name=name, max_rel_err=rel, worst_index=flat_i,
+                                           analytic=a_val, numeric=numeric)
+        report.entries.append(worst)
+    return report
 
 
 def _away_from(x, point, margin):

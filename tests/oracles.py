@@ -410,8 +410,11 @@ def mine_batch_per_video(videos, cfg):
             ea.extend((video_id, t)
                       for t in sorted(set(_top(scores, cfg.k_easy)) - set(hard)))
         elif label == 0:
-            hn.extend((video_id, t) for t in sorted(_top(scores, cfg.k_hard_normal)))
-            en.extend((video_id, t) for t in sorted(_top(scores, cfg.k_easy, False)))
+            hard = _top(scores, cfg.k_hard_normal)
+            _top(scores, cfg.k_easy, False)    # the same bound on k_easy
+            easy = [t for t in _top(scores, len(scores), False) if t not in hard]
+            hn.extend((video_id, t) for t in sorted(hard))
+            en.extend((video_id, t) for t in sorted(easy[:cfg.k_easy]))
         else:
             raise ValueError(f"label must be 0 or 1, got {label} for {video_id}")
     return tuple(sorted(ha)), tuple(sorted(ea)), tuple(sorted(hn)), tuple(sorted(en))

@@ -97,8 +97,10 @@ def bf_mine_batch(videos, cfg: MiningConfig):
             ea.extend((vid, t)
                       for t in sorted(set(bf_top_k(scores, cfg.k_easy, True)) - set(hard)))
         else:
-            hn.extend((vid, t) for t in sorted(bf_top_k(scores, cfg.k_hard_normal, True)))
-            en.extend((vid, t) for t in sorted(bf_top_k(scores, cfg.k_easy, False)))
+            hard = bf_top_k(scores, cfg.k_hard_normal, True)
+            easy = [t for t in bf_top_k(scores, len(scores), False) if t not in hard]
+            hn.extend((vid, t) for t in sorted(hard))
+            en.extend((vid, t) for t in sorted(easy[:cfg.k_easy]))
     return (tuple(sorted(ha)), tuple(sorted(ea)),
             tuple(sorted(hn)), tuple(sorted(en)))
 

@@ -26,7 +26,8 @@ from wvad.encoder import (
     video_score,
 )
 from wvad.errors import ConfigError, FormatError
-from wvad.tensor import Tensor, grad_check
+from wvad.tensor import Tensor
+from wvad.verification import grad_check
 
 
 def make_model(seed=0, dtype=np.float32, **kw):
@@ -379,6 +380,12 @@ def _node_cases(rng, dtype):
         batch, t_len, d_in, d = shape
         cases["input_projection" + suffix] = (
             arrays((batch, t_len, d_in), (d_in, d), (d,), (d,)), _embed, oracles.embed)
+    # the gradient suite's objective: B 2, T 4 snippets after the cls token, d_model 4
+    heads = arrays((2, 5, 4), (4,), ())
+    cases["snippet_head_gradcheck"] = (heads, snippet, oracles.snippet_scores)
+    cases["video_head_gradcheck"] = (heads, video, oracles.video_score)
+    cases["input_projection_gradcheck"] = (arrays((2, 4, 3), (3, 4), (4,), (4,)), _embed,
+                                           oracles.embed)
     features = arrays((32, 32, 32), (32,), ())
     cases["linear_model_scores"] = (
         features, linear_model("scores"), lambda f, w, b: oracles.linear(f, w, b).sigmoid())
@@ -397,6 +404,15 @@ def test_fused_head_and_projection_are_bitwise_the_composed_forms(name):
     want = composed(*(Tensor(a) for a in args)).data
     got = fused(*(Tensor(a) for a in args)).data
     assert got.dtype == want.dtype == np.float32
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", [n for n in NODE_CASES if n.endswith("_gradcheck")])
+def test_fused_head_and_projection_are_the_composed_forms_in_float64(name):
+    args, fused, composed = _node_cases(np.random.default_rng(63), np.float64)[name]
+    want = composed(*(Tensor(a) for a in args)).data
+    got = fused(*(Tensor(a) for a in args)).data
+    assert got.dtype == want.dtype == np.float64
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

@@ -23,8 +23,10 @@ from wvad.losses import (
     loss_video,
 )
 from oracles import mined_sets
-from wvad.mining import MiningConfig, mine_batch
-from wvad.tensor import Tensor, grad_check, l2_normalize, unit_rows
+from wvad.encoder import EncoderConfig, TransformerModel
+from wvad.mining import MinedSets, MiningConfig, mine_batch
+from wvad.tensor import Tensor, l2_normalize, unit_rows
+from wvad.verification import grad_check
 
 
 def t64(data):
@@ -432,7 +434,8 @@ def _objective_cases():
         "warm_up": (4, 4, 16, LossConfig(), None),
         "empty_sets": (4, 4, 16, LossConfig(), "empty"),
         "hard_normal_direction_only": (3, 2, 16, LossConfig(), "one_direction"),
-        "shared_normal_rows": (2, 3, 16, weighted, "ties"),
+        "tied_normal_rows": (2, 3, 16, weighted, "ties"),
+        "shared_rows": (3, 2, 16, weighted, "shared"),
         "zero_weights": (3, 3, 16, LossConfig(w_contrast=0, w_snippet=0, w_video=0, w_reg=0),
                          "mined"),
     }
@@ -448,7 +451,7 @@ def _objective_batch(name, dtype):
     rng = np.random.default_rng([50, OBJECTIVE_CASES.index(name)])
     labels = rng.permutation(np.array([1] * n_abn + [0] * n_nrm))
     scores = rng.uniform(0.05, 0.95, size=(labels.size, t_len))
-    if kind == "ties":   # flat normal rows: their top and bottom snippets coincide
+    if kind == "ties":   # flat normal rows: their top and bottom snippets tie
         scores[labels == 0] = 0.25
     video_scores = rng.uniform(0.05, 0.95, size=labels.size)
     features = rng.normal(size=(labels.size, t_len, 32))
@@ -464,6 +467,11 @@ def _objective_batch(name, dtype):
         n0, n1 = (ids[i] for i in np.flatnonzero(labels == 0)[:2])
         mined = mined_sets(ids, t_len, ea=[(a, 2), (a, 7)], hn=[(n0, 1), (n1, 4)],
                            en=[(n0, 9), (n1, 0), (n1, 5)])
+    elif kind == "shared":   # hand-built sets that share rows, which mining never gives
+        a0, a1 = (ids[i] for i in np.flatnonzero(labels == 1)[:2])
+        n0, n1 = (ids[i] for i in np.flatnonzero(labels == 0)[:2])
+        mined = mined_sets(ids, t_len, ha=[(a0, 3), (a1, 0)], ea=[(a0, 3), (a1, 5)],
+                           hn=[(n0, 1), (n1, 4)], en=[(n0, 1), (n1, 2), (n1, 4)])
     batch = ScoredBatch(labels=labels,
                         scores=Tensor(scores.astype(dtype), requires_grad=True),
                         video_scores=Tensor(video_scores.astype(dtype), requires_grad=True),
@@ -477,8 +485,10 @@ def test_the_objective_cases_reach_every_set_kind():
     assert not any(counts["empty_sets"].counts().values())
     one = counts["hard_normal_direction_only"]
     assert one.counts()["HA"] == 0 and all(one.counts()[k] for k in ("EA", "HN", "EN"))
-    ties = counts["shared_normal_rows"]
-    assert (ties.hn & ties.en).any()
+    ties = counts["tied_normal_rows"]
+    assert not (ties.hn & ties.en).any() and ties.counts()["EN"] == 3 * 3
+    shared = counts["shared_rows"]
+    assert (shared.ha & shared.ea).any() and (shared.hn & shared.en).any()
 
 
 @pytest.mark.parametrize("name", OBJECTIVE_CASES)
@@ -548,6 +558,63 @@ def test_all_zero_weights_leave_no_graph():
     assert not total.requires_grad and not total._parents
 
 
+def _objective_bits(name, mined):
+    """loss_total's and loss_contrastive's value and leaf-gradient bytes on
+    the case's batch, with ``mined`` in place of the case's own sets."""
+    objectives = [lambda b, c: loss_total(b, mined, c)[0]]
+    if mined is not None:
+        objectives.append(lambda b, c: loss_contrastive(mined, b.features, c.temperature))
+    bits = []
+    for objective in objectives:
+        batch, _, config = _objective_batch(name, np.float64)
+        value = objective(batch, config)
+        if value.requires_grad:
+            value.backward()
+        bits.append(value.data.tobytes())
+        bits.extend(None if leaf.grad is None else leaf.grad.tobytes()
+                    for leaf in (batch.scores, batch.video_scores, batch.features))
+    return bits
+
+
+@pytest.mark.parametrize("name", OBJECTIVE_CASES)
+def test_a_mined_batch_reused_gives_the_bits_of_a_fresh_one(name):
+    """The gather plan is worked out on the first call and kept: later
+    calls on the same ``MinedSets`` give the value and the gradients of a
+    fresh one, bit for bit."""
+    _, mined, _ = _objective_batch(name, np.float64)
+    fresh = None if mined is None else MinedSets(mined.video_ids,
+                                                 *(m.copy() for m in mined.masks()))
+    want = _objective_bits(name, fresh)
+    for _ in range(3):
+        assert _objective_bits(name, mined) == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fused_terms_are_bitwise_the_composed_forms_at_gradcheck_shapes(seed):
+    """The gradient suite's objective: float64, B 2, T 4, d_model 4, 2
+    heads, one snippet in each mined set."""
+    config = EncoderConfig(num_snippets=4, d_in=3, d_model=4, heads=2, depth=1)
+    model = TransformerModel.init(config, seed=seed, dtype=np.float64)
+    batch = model.forward(np.random.default_rng([54, seed]).normal(size=(2, 4, 3)))
+    batch.labels = labels = np.array([0, 1])
+    mined = mined_sets(("nrm", "abn"), 4, ha=[("abn", 1)], ea=[("abn", 3)], hn=[("nrm", 0)],
+                       en=[("nrm", 2)])
+    cfg = LossConfig(k=2)
+    pairs = [
+        (loss_video(batch.video_scores, labels), oracles.loss_video(batch.video_scores, labels)),
+        (loss_snippet_topk(batch.scores, labels, cfg.k),
+         oracles.loss_snippet_topk(batch.scores[1:], batch.scores[:1], cfg.k)),
+        (loss_regularisation(batch.scores, cfg.smooth_weight, cfg.sparse_weight),
+         oracles.loss_regularisation(batch.scores, cfg.smooth_weight, cfg.sparse_weight)),
+        (loss_contrastive(mined, batch.features, cfg.temperature),
+         oracles.loss_contrastive(mined, batch.features, cfg.temperature)),
+        (loss_total(batch, mined, cfg)[0], oracles.loss_total(batch, mined, cfg)[0]),
+    ]
+    for got, want in pairs:
+        assert got.data.dtype == want.data.dtype == np.float64
+        assert got.data.tobytes() == want.data.tobytes()
+
+
 def test_unit_rows_of_the_gathered_sets_are_each_sets_own_bits():
     """The contrastive node normalises every set's rows in one call; each
     row's bits are those of normalising its set alone."""
@@ -559,10 +626,10 @@ def test_unit_rows_of_the_gathered_sets_are_each_sets_own_bits():
         assert together.tobytes() == apart.tobytes()
 
 
-def test_mined_sets_are_disjoint_unless_scores_tie():
-    """The contrastive backward writes each gathered row back once when the
-    sets are disjoint: they are on untied scores, and hard and easy normal
-    share snippets when a normal video's scores tie."""
+def test_mined_sets_are_disjoint_even_where_scores_tie():
+    """Mining never puts one snippet in two sets: not on untied scores, and
+    not for a flat normal video, whose easy normal snippets are the lowest
+    scored of those hard normal left."""
     for seed in range(20):
         rng = np.random.default_rng([52, seed])
         labels = rng.integers(0, 2, size=12)
@@ -575,7 +642,14 @@ def test_mined_sets_are_disjoint_unless_scores_tie():
                 assert not (masks[i] & masks[j]).any(), (seed, i, j)
     flat = mine_batch([("n", 0, np.full(16, 0.5)), ("a", 1, np.linspace(0, 1, 16))],
                       MiningConfig())
-    assert (flat.hn & flat.en).any()
+    assert flat.hard_normal == (("n", 0), ("n", 1), ("n", 2))
+    assert flat.easy_normal == (("n", 3), ("n", 4), ("n", 5))
+    short = mine_batch([("n", 0, np.full(4, 0.5)), ("a", 1, np.linspace(0, 1, 16))],
+                       MiningConfig())
+    assert short.easy_normal == (("n", 3),)
+    for m in (flat, short):
+        masks = m.masks()
+        assert not any((masks[i] & masks[j]).any() for i in range(4) for j in range(i + 1, 4))
 
 
 def test_contrastive_fd_with_shared_rows_and_one_direction():

@@ -257,7 +257,11 @@ def test_easy_examples():
     # erosion width 1 and a 4/4 window leave no hard snippets: easy is the top 2
     quiet = MiningConfig(erosion_width=1, region_window=4, region_min_count=4, k_easy=2)
     assert ts(mine_one(scores, 1, quiet).easy_abnormal) == [0, 1]
-    assert ts(mine_one(scores, 0, quiet).easy_normal) == [2, 3]
+    # a normal video's easy snippets skip its hard ones: 3 is in its top 3
+    assert ts(mine_one(scores, 0, quiet).easy_normal) == [2]
+    two_hard = MiningConfig(erosion_width=1, region_window=4, region_min_count=4, k_easy=2,
+                            k_hard_normal=2)
+    assert ts(mine_one(scores, 0, two_hard).easy_normal) == [2, 3]
     # two isolated spikes are both edges, so easy is the top 3 minus them
     spiky = mine_one([0.9, 0.1, 0.8, 0.2, 0.1], 1, MiningConfig(k_easy=3))
     assert ts(spiky.hard_abnormal) == [0, 2]
@@ -341,6 +345,23 @@ def test_mine_batch_routes_by_label():
     assert mined.easy_abnormal == (("abn-0", 2),)
     assert mined.hard_normal == (("nrm-0", 0), ("nrm-0", 4))
     assert mined.easy_normal == (("nrm-0", 1), ("nrm-0", 2))
+
+
+def test_mined_masks_and_gather_plan_are_read_only():
+    """The contrastive gather plan is worked out once per ``MinedSets``, so
+    neither a mask nor the plan's rows can be written after construction."""
+    mined = mine_batch(_batch(), MiningConfig(region_window=5, region_min_count=4))
+    for mask in mined.masks():
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = not mask[0, 0]
+    rows = mined.gather_plan.rows
+    assert rows.size and mined.gather_plan is mined.gather_plan
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0] = 0
+    hand = np.zeros((4, 2, 5), dtype=bool)
+    built = MinedSets(("a", "n"), *hand)
+    with pytest.raises(ValueError, match="read-only"):
+        built.en[1, 0] = True
 
 
 def test_mine_batch_hard_easy_disjoint_within_video():

@@ -10,13 +10,13 @@ from wvad.errors import ConfigError
 from wvad.losses import _info_nce
 from wvad.tensor import (
     Tensor,
+    array_mean,
     broadcast_to,
     concat,
     dropout,
     dws_conv1d,
     gather_rows,
     gelu,
-    grad_check,
     l2_normalize,
     layer_norm,
     linear,
@@ -28,6 +28,7 @@ from wvad.tensor import (
     topk_mean,
     topological_order,
 )
+from wvad.verification import grad_check
 
 
 def t64(data, requires_grad=True):
@@ -767,6 +768,67 @@ def _assert_same_grads(got, want):
 def test_fused_gradient_matches_the_composed_form(name):
     args, fused, composed = _fused_cases(np.random.default_rng(91), np.float64)[name]
     _assert_same_grads(_leaf_grads(fused, args), _leaf_grads(composed, args))
+
+
+def _gradcheck_shape_cases(rng):
+    """name -> (arrays, fused op, composed op) at the shapes the gradient
+    suite's objective runs them: float64, B 2, T 4 snippets after the cls
+    token, d_model 4, 2 heads, one row in each mined set."""
+    def arrays(*shapes):
+        return [rng.normal(size=s) / 2.0 for s in shapes]
+
+    return {
+        "attention": (arrays((2, 5, 4), *[(4, 4), (4,)] * 4),
+                      lambda *t: multi_head_self_attention(*t, heads=2),
+                      lambda *t: oracles.multi_head_self_attention(*t, heads=2)),
+        "layer_norm": (arrays((2, 5, 4), (4,), (4,)), layer_norm, oracles.layer_norm),
+        "gelu": (arrays((2, 5, 8)), gelu, oracles.gelu),
+        "linear_up": (arrays((2, 5, 4), (4, 8), (8,)), linear, oracles.linear),
+        "linear_down": (arrays((2, 5, 8), (8, 4), (4,)), linear, oracles.linear),
+        "token_conv": (arrays((2, 5, 4), (4, 3), (4, 4), (4,)),
+                       lambda *a: dws_conv1d(*a, skip=1),
+                       lambda *a: oracles.dws_conv1d(*a, skip=1)),
+        "info_nce": (arrays((1, 4), (1, 4), (1, 4)), lambda a, p, n: info_nce(a, p, n, 0.07),
+                     lambda a, p, n: oracles.info_nce(a, p, n, 0.07)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_gradcheck_shape_cases(np.random.default_rng(0))))
+def test_fused_ops_are_the_composed_forms_at_gradcheck_shapes(name):
+    args, fused, composed = _gradcheck_shape_cases(np.random.default_rng(98))[name]
+    want = composed(*(Tensor(a) for a in args)).data
+    got = fused(*(Tensor(a) for a in args)).data
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    _assert_same_grads(_leaf_grads(fused, args), _leaf_grads(composed, args))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_array_mean_is_numpys_mean_bit_for_bit(dtype):
+    """Rows short and long (numpy sums 8 lanes at a time from 8 values on),
+    every axis form, with and without keepdims, down to a 0-d result."""
+    rng = np.random.default_rng(99)
+    for shape in ((5,), (2, 5, 4), (3, 9), (4, 130), (2, 3, 200)):
+        x = (rng.normal(size=shape) * 10.0).astype(dtype)
+        for axis in (None, 0, -1, tuple(range(x.ndim))):
+            for keepdims in (False, True):
+                got = array_mean(x, axis, keepdims)
+                want = x.mean(axis=axis, keepdims=keepdims)
+                assert type(got) is type(want) and got.dtype == want.dtype == dtype
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_the_two_sided_expression_bit_for_bit(dtype):
+    rng = np.random.default_rng(100)
+    for x in (np.asarray(-3.5, dtype=dtype), (rng.normal(size=(2, 5)) * 30.0).astype(dtype),
+              np.array([-800.0, -0.0, 0.0, 800.0], dtype=dtype)):
+        e = np.exp(-np.abs(x))
+        one = e.dtype.type(1)
+        want = np.where(x >= 0, one, e) / (one + e)
+        got = stable_sigmoid(x)
+        assert got.dtype == want.dtype and np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # the rewritten backward rules against the rules they replaced

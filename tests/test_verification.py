@@ -1,6 +1,9 @@
 """Checks on the gradient verification suite itself: coverage, pass/fail
 plumbing, and a deliberately wrong gradient as negative control."""
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 
 from wvad.tensor import Tensor
@@ -56,3 +59,18 @@ def test_objective_check_row():
     assert row.passed
     assert row.name == "full_objective"
     assert row.seeds == 2
+
+
+def test_run_all_rows_repeat_within_one_process():
+    """Nothing a pass computes (the mined batch's gather plan included) is
+    carried into the next: two passes give the same rows."""
+    assert run_all(seeds=2).rows == run_all(seeds=2).rows
+
+
+def test_bench_spec_lists_the_suites_rows_in_order():
+    """The benchmark's gradcheck workload checks each pass against
+    ``VERIFICATION_CASES`` in ``bench/spec.py``; a change to the suite's
+    rows fails here before it fails the benchmark. The file is read, not
+    imported, so no bytecode is written next to it."""
+    spec = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "spec.py"))
+    assert list(spec["VERIFICATION_CASES"]) == [row.name for row in run_all(seeds=1).rows]
