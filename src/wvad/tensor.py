@@ -1,8 +1,8 @@
 """Minimal reverse-mode autodiff over dense numpy arrays.
 
-Define-by-run: every operation records its inputs and a local backward rule on
-the result, and ``Tensor.backward()`` replays the recorded graph in reverse
-topological order. float64 is the verification dtype (all gradient checks run
+Define-by-run: every operation is one ``node``, which records its inputs and
+a local backward rule returning one gradient per input, and
+``Tensor.backward()`` replays the recorded graph in reverse topological order. float64 is the verification dtype (all gradient checks run
 in it); float32 is allowed for training. Binary ops wrap plain numbers as
 constants in the other operand's dtype so the dtype never silently promotes.
 
@@ -71,12 +71,6 @@ class Tensor:
     def T(self) -> "Tensor":
         return self.transpose()
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -109,70 +103,41 @@ class Tensor:
 
     def __add__(self, other):
         other = self._wrap(other)
-        out = _result(self.data + other.data, (self, other))
-        if out.requires_grad:
-            def backward(g):
-                if self.requires_grad:
-                    _accum(self, _unbroadcast(g, self.data.shape))
-                if other.requires_grad:
-                    _accum(other, _unbroadcast(g, other.data.shape))
-            out._backward = backward
-        return out
+        return node(self.data + other.data, (self, other), lambda g: (
+            _unbroadcast(g, self.data.shape) if self.requires_grad else None,
+            _unbroadcast(g, other.data.shape) if other.requires_grad else None))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._wrap(other)
-        out = _result(self.data - other.data, (self, other))
-        if out.requires_grad:
-            def backward(g):
-                if self.requires_grad:
-                    _accum(self, _unbroadcast(g, self.data.shape))
-                if other.requires_grad:
-                    _accum(other, _unbroadcast(-g, other.data.shape))
-            out._backward = backward
-        return out
+        return node(self.data - other.data, (self, other), lambda g: (
+            _unbroadcast(g, self.data.shape) if self.requires_grad else None,
+            _unbroadcast(-g, other.data.shape) if other.requires_grad else None))
 
     def __rsub__(self, other):
         return self._wrap(other) - self
 
     def __mul__(self, other):
         other = self._wrap(other)
-        out = _result(self.data * other.data, (self, other))
-        if out.requires_grad:
-            def backward(g):
-                if self.requires_grad:
-                    _accum(self, _unbroadcast(g * other.data, self.data.shape))
-                if other.requires_grad:
-                    _accum(other, _unbroadcast(g * self.data, other.data.shape))
-            out._backward = backward
-        return out
+        return node(self.data * other.data, (self, other), lambda g: (
+            _unbroadcast(g * other.data, self.data.shape) if self.requires_grad else None,
+            _unbroadcast(g * self.data, other.data.shape) if other.requires_grad else None))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._wrap(other)
-        out = _result(self.data / other.data, (self, other))
-        if out.requires_grad:
-            def backward(g):
-                if self.requires_grad:
-                    _accum(self, _unbroadcast(g / other.data, self.data.shape))
-                if other.requires_grad:
-                    _accum(other, _unbroadcast(-g * self.data / (other.data * other.data),
-                                               other.data.shape))
-            out._backward = backward
-        return out
+        return node(self.data / other.data, (self, other), lambda g: (
+            _unbroadcast(g / other.data, self.data.shape) if self.requires_grad else None,
+            _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape)
+            if other.requires_grad else None))
 
     def __rtruediv__(self, other):
         return self._wrap(other) / self
 
     def __neg__(self):
-        out = _result(-self.data, (self,))
-        if out.requires_grad:
-            def backward(g):
-                _accum(self, -g)
-            out._backward = backward
-        return out
+        return node(-self.data, (self,), lambda g: (-g,))
 
     def __matmul__(self, other):
         """Matrix product with numpy semantics for these operand forms:
@@ -187,152 +152,97 @@ class Tensor:
         if a.ndim == 0 or b.ndim == 0 or (
                 b.ndim > 2 and (a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2])):
             raise ValueError(f"unsupported matmul operands {a.shape} @ {b.shape}")
-        out = _result(a @ b, (self, other))
-        if out.requires_grad:
-            def backward(g):
-                if self.requires_grad:
-                    if b.ndim == 1:        # (..., k) @ (k,) -> (...)
-                        _accum(self, np.multiply.outer(g, b))
-                    elif a.ndim == 1:      # (k,) @ (k, m) -> (m,)
-                        _accum(self, b @ g)
-                    elif b.ndim == 2:      # one GEMM over the rows of the stack
-                        _accum(self, (g.reshape(-1, b.shape[1]) @ b.T).reshape(a.shape))
-                    else:
-                        _accum(self, g @ np.swapaxes(b, -1, -2))
-                if other.requires_grad:
-                    if b.ndim > 2:         # batched: one product per leading index
-                        _accum(other, np.swapaxes(a, -1, -2) @ g)
-                    elif a.ndim == 1:
-                        _accum(other, np.multiply.outer(a, g))
-                    elif b.ndim == 1:      # sum over every row of the stack
-                        _accum(other, a.reshape(-1, a.shape[-1]).T @ g.reshape(-1))
-                    else:
-                        _accum(other, a.reshape(-1, a.shape[-1]).T
-                               @ g.reshape(-1, g.shape[-1]))
-            out._backward = backward
-        return out
+
+        def backward(g):
+            ga = gb = None
+            if self.requires_grad:
+                if b.ndim == 1:        # (..., k) @ (k,) -> (...)
+                    ga = np.multiply.outer(g, b)
+                elif a.ndim == 1:      # (k,) @ (k, m) -> (m,)
+                    ga = b @ g
+                elif b.ndim == 2:      # one GEMM over the rows of the stack
+                    ga = (g.reshape(-1, b.shape[1]) @ b.T).reshape(a.shape)
+                else:
+                    ga = g @ np.swapaxes(b, -1, -2)
+            if other.requires_grad:
+                if b.ndim > 2:         # batched: one product per leading index
+                    gb = np.swapaxes(a, -1, -2) @ g
+                elif a.ndim == 1:
+                    gb = np.multiply.outer(a, g)
+                elif b.ndim == 1:      # sum over every row of the stack
+                    gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1)
+                else:
+                    gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            return ga, gb
+
+        return node(a @ b, (self, other), backward)
 
     # -- shape ops -----------------------------------------------------
 
     def __getitem__(self, idx):
-        out = _result(self.data[idx], (self,))
-        if out.requires_grad:
-            def backward(g):
-                z = np.zeros_like(self.data)
-                if _basic_index(idx):
-                    z[idx] += g
-                else:
-                    np.add.at(z, idx, g)
-                _accum(self, z)
-            out._backward = backward
-        return out
+        def backward(g):
+            z = np.zeros_like(self.data)
+            if _basic_index(idx):
+                z[idx] += g
+            else:
+                np.add.at(z, idx, g)
+            return (z,)
+
+        return node(self.data[idx], (self,), backward)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = _result(self.data.reshape(shape), (self,))
-        if out.requires_grad:
-            def backward(g):
-                _accum(self, g.reshape(self.data.shape))
-            out._backward = backward
-        return out
+        return node(self.data.reshape(shape), (self,),
+                    lambda g: (g.reshape(self.data.shape),))
 
     def transpose(self, *axes) -> "Tensor":
         """Permute axes (numpy semantics); no axes reverses them."""
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         axes = axes or None
-        out = _result(self.data.transpose(axes), (self,))
-        if out.requires_grad:
-            inverse = None if axes is None else tuple(np.argsort(axes))
-            def backward(g):
-                _accum(self, g.transpose(inverse))
-            out._backward = backward
-        return out
+        return node(self.data.transpose(axes), (self,), lambda g: (
+            g.transpose(None if axes is None else tuple(np.argsort(axes))),))
 
     # -- reductions ----------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = _result(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-        if out.requires_grad:
-            def backward(g):
-                _accum(self, _spread(g, self.data.shape, axis, keepdims))
-            out._backward = backward
-        return out
+        return node(self.data.sum(axis=axis, keepdims=keepdims), (self,),
+                    lambda g: (_spread(g, self.data.shape, axis, keepdims),))
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else _axis_count(self.data.shape, axis)
-        out = _result(self.data.mean(axis=axis, keepdims=keepdims), (self,))
-        if out.requires_grad:
-            def backward(g):
-                _accum(self, _spread(g, self.data.shape, axis, keepdims) / count)
-            out._backward = backward
-        return out
+        return node(self.data.mean(axis=axis, keepdims=keepdims), (self,), lambda g: (
+            _spread(g, self.data.shape, axis, keepdims)
+            / (self.data.size if axis is None else _axis_count(self.data.shape, axis)),))
 
     # -- elementwise ---------------------------------------------------
 
     def exp(self) -> "Tensor":
         val = np.exp(self.data)
-        out = _result(val, (self,))
-        if out.requires_grad:
-            def backward(g):
-                _accum(self, g * val)
-            out._backward = backward
-        return out
+        return node(val, (self,), lambda g: (g * val,))
 
     def log(self) -> "Tensor":
-        out = _result(np.log(self.data), (self,))
-        if out.requires_grad:
-            def backward(g):
-                _accum(self, g / self.data)
-            out._backward = backward
-        return out
+        return node(np.log(self.data), (self,), lambda g: (g / self.data,))
 
     def sqrt(self) -> "Tensor":
         val = np.sqrt(self.data)
-        out = _result(val, (self,))
-        if out.requires_grad:
-            def backward(g):
-                _accum(self, g * (0.5 / val))
-            out._backward = backward
-        return out
+        return node(val, (self,), lambda g: (g * (0.5 / val),))
 
     def tanh(self) -> "Tensor":
         val = np.tanh(self.data)
-        out = _result(val, (self,))
-        if out.requires_grad:
-            def backward(g):
-                _accum(self, g * (1.0 - val * val))
-            out._backward = backward
-        return out
+        return node(val, (self,), lambda g: (g * (1.0 - val * val),))
 
     def sigmoid(self) -> "Tensor":
         val = stable_sigmoid(self.data)
-        out = _result(val, (self,))
-        if out.requires_grad:
-            def backward(g):
-                _accum(self, g * val * (1.0 - val))
-            out._backward = backward
-        return out
+        return node(val, (self,), lambda g: (g * val * (1.0 - val),))
 
     def relu(self) -> "Tensor":
-        out = _result(np.maximum(self.data, 0.0), (self,))
-        if out.requires_grad:
-            mask = self.data > 0
-            def backward(g):
-                _accum(self, g * mask)
-            out._backward = backward
-        return out
+        return node(np.maximum(self.data, 0.0), (self,), lambda g: (g * (self.data > 0),))
 
     def clip(self, lo: float, hi: float) -> "Tensor":
         """Clamp values to [lo, hi]; gradient is zero where the clamp binds."""
-        out = _result(np.clip(self.data, lo, hi), (self,))
-        if out.requires_grad:
-            mask = (self.data > lo) & (self.data < hi)
-            def backward(g):
-                _accum(self, g * mask)
-            out._backward = backward
-        return out
+        return node(np.clip(self.data, lo, hi), (self,),
+                    lambda g: (g * ((self.data > lo) & (self.data < hi)),))
 
     def _wrap(self, other) -> "Tensor":
         if isinstance(other, Tensor):
@@ -368,16 +278,6 @@ def topological_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _result(data: np.ndarray, inputs: tuple[Tensor, ...]) -> Tensor:
-    out = Tensor(data)
-    if _GRAD_ENABLED:
-        parents = tuple(t for t in inputs if t.requires_grad)
-        if parents:
-            out.requires_grad = True
-            out._parents = parents
-    return out
-
-
 def _accum(t: Tensor, g: np.ndarray):
     """Add ``g`` to ``t.grad``, copying only when it must (copy-on-write).
 
@@ -403,12 +303,17 @@ def node(value: np.ndarray, parents: Sequence[Tensor],
          backward: Callable[[np.ndarray], Iterable[np.ndarray | None]]) -> Tensor:
     """One tape node: ``value`` computed from ``parents``, with
     ``backward(g)`` giving one gradient per parent, in order (None for a
-    parent it leaves alone). Parents that need no gradient get none. Fused
-    nodes in other modules are built with this alone.
+    parent it leaves alone). Parents that need no gradient get none, and
+    nothing is recorded under ``no_grad`` or when no parent needs one.
+    Every op on the tape is built with this alone.
     """
-    out = _result(value, tuple(parents))
-    if out.requires_grad:
-        out._backward = lambda g: _accum_each(parents, backward(g))
+    out = Tensor(value)
+    if _GRAD_ENABLED:
+        live = tuple(t for t in parents if t.requires_grad)
+        if live:
+            out.requires_grad = True
+            out._parents = live
+            out._backward = lambda g: _accum_each(parents, backward(g))
     return out
 
 
@@ -494,16 +399,12 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate along ``axis``."""
     ts = list(tensors)
-    out = _result(np.concatenate([t.data for t in ts], axis=axis), tuple(ts))
-    if out.requires_grad:
-        ax = axis % out.data.ndim
-        bounds = np.cumsum([t.data.shape[ax] for t in ts])[:-1]
-        def backward(g):
-            for t, piece in zip(ts, np.split(g, bounds, axis=ax)):
-                if t.requires_grad:
-                    _accum(t, piece)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        ax = axis % g.ndim
+        return np.split(g, np.cumsum([t.data.shape[ax] for t in ts])[:-1], axis=ax)
+
+    return node(np.concatenate([t.data for t in ts], axis=axis), ts, backward)
 
 
 def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -549,14 +450,13 @@ def topk_mean(scores: Tensor, k: int, axis: int | None = None) -> Tensor:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     idx = np.take(np.argsort(-x, axis=axis, kind="stable"), np.arange(k), axis=axis)
-    out = _result(np.take_along_axis(x, idx, axis=axis).mean(axis=axis), (scores,))
-    if out.requires_grad:
-        def backward(g):
-            z = np.zeros_like(x)
-            np.put_along_axis(z, idx, np.expand_dims(g / k, axis), axis=axis)
-            _accum(scores, z)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        z = np.zeros_like(x)
+        np.put_along_axis(z, idx, np.expand_dims(g / k, axis), axis=axis)
+        return (z,)
+
+    return node(np.take_along_axis(x, idx, axis=axis).mean(axis=axis), (scores,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -572,25 +472,24 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     std += eps
     np.sqrt(std, out=std)
     xhat /= std
-    out = _result(xhat * gamma.data + beta.data, (x, gamma, beta))
-    if out.requires_grad:
-        width = xd.shape[-1]
-        def backward(g):
-            if x.requires_grad:
-                # the two row means as einsum sums over the short last axis, in place
-                gx = g * gamma.data
-                proj = xhat * (np.einsum("...i,...i->...", gx, xhat)[..., None] / width)
-                gx -= np.einsum("...i->...", gx)[..., None] / width
-                gx -= proj
-                gx /= std
-                _accum(x, gx)
-            if gamma.requires_grad:
-                _accum(gamma, _column_sums((g * xhat).reshape(-1, width))
-                       .reshape(gamma.data.shape))
-            if beta.requires_grad:
-                _accum(beta, _column_sums(g.reshape(-1, width)).reshape(beta.data.shape))
-        out._backward = backward
-    return out
+    width = xd.shape[-1]
+
+    def backward(g):
+        gx = None
+        if x.requires_grad:
+            # the two row means as einsum sums over the short last axis, in place
+            gx = g * gamma.data
+            proj = xhat * (np.einsum("...i,...i->...", gx, xhat)[..., None] / width)
+            gx -= np.einsum("...i->...", gx)[..., None] / width
+            gx -= proj
+            gx /= std
+        return (gx,
+                _column_sums((g * xhat).reshape(-1, width)).reshape(gamma.data.shape)
+                if gamma.requires_grad else None,
+                _column_sums(g.reshape(-1, width)).reshape(beta.data.shape)
+                if beta.requires_grad else None)
+
+    return node(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -608,20 +507,19 @@ def gelu(x: Tensor) -> Tensor:
     th1 = th + 1.0
     y = xd * th1
     y *= 0.5
-    out = _result(y, (x,))
-    if out.requires_grad:
-        def backward(g):
-            # 0.5 * (1 + th + x * (1 - th^2) * c * (1 + 3 * 0.044715 * x^2)), in place
-            d = th * th
-            np.subtract(1.0, d, out=d)
-            d *= xd
-            d *= xx * (3.0 * 0.044715 * _GELU_C) + _GELU_C
-            d += th1
-            d *= g
-            d *= 0.5
-            _accum(x, d)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        # 0.5 * (1 + th + x * (1 - th^2) * c * (1 + 3 * 0.044715 * x^2)), in place
+        d = th * th
+        np.subtract(1.0, d, out=d)
+        d *= xd
+        d *= xx * (3.0 * 0.044715 * _GELU_C) + _GELU_C
+        d += th1
+        d *= g
+        d *= 0.5
+        return (d,)
+
+    return node(y, (x,), backward)
 
 
 def unit_rows(xd: np.ndarray, eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -723,37 +621,36 @@ def dws_conv1d(x: Tensor, depth_kernel: Tensor, point_kernel: Tensor,
         y = y + bias.data
     if skip:
         y = np.concatenate([xd[..., :skip, :], y], axis=-2)
-    out = _result(y, (x, depth_kernel, point_kernel) + (() if bias is None else (bias,)))
-    if out.requires_grad:
-        def backward(g):
-            g_acc, *g_point = affine_grads(acc, point_kernel, bias, g[..., skip:, :],
-                                           x.requires_grad or depth_kernel.requires_grad)
-            _accum_each((point_kernel, bias), g_point)
-            if depth_kernel.requires_grad:
-                rows = padded.reshape(-1, n + 2 * half, channels)
-                windows = sliding_window_view(rows, n, axis=1)        # (B, W, C, n)
-                _accum(depth_kernel, np.einsum("btc,bjct->cj",
-                                               g_acc.reshape(-1, n, channels), windows))
-            if x.requires_grad:
-                # tap j = half + s read input row t + s for output row t: its
-                # product lands there, and the rows that read the padding
-                # fold onto the edge row as a short sum
-                gx = np.empty_like(xd)
-                if skip:
-                    gx[..., :skip, :] = g[..., :skip, :]
-                g_in = gx[..., skip:, :]
-                np.multiply(g_acc, k[:, half], out=g_in)
-                for s in range(-half, half + 1):
-                    lo, hi = min(n, max(0, -s)), max(0, min(n, n - s))
-                    if s and lo < hi:
-                        g_in[..., lo + s:hi + s, :] += g_acc[..., lo:hi, :] * k[:, half + s]
-                    if s < 0:
-                        g_in[..., 0, :] += g_acc[..., :lo, :].sum(axis=-2) * k[:, half + s]
-                    elif s > 0:
-                        g_in[..., n - 1, :] += g_acc[..., hi:, :].sum(axis=-2) * k[:, half + s]
-                _accum(x, gx)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        g_acc, *g_point = affine_grads(acc, point_kernel, bias, g[..., skip:, :],
+                                       x.requires_grad or depth_kernel.requires_grad)
+        g_depth = gx = None
+        if depth_kernel.requires_grad:
+            rows = padded.reshape(-1, n + 2 * half, channels)
+            windows = sliding_window_view(rows, n, axis=1)        # (B, W, C, n)
+            g_depth = np.einsum("btc,bjct->cj", g_acc.reshape(-1, n, channels), windows)
+        if x.requires_grad:
+            # tap j = half + s read input row t + s for output row t: its
+            # product lands there, and the rows that read the padding
+            # fold onto the edge row as a short sum
+            gx = np.empty_like(xd)
+            if skip:
+                gx[..., :skip, :] = g[..., :skip, :]
+            g_in = gx[..., skip:, :]
+            np.multiply(g_acc, k[:, half], out=g_in)
+            for s in range(-half, half + 1):
+                lo, hi = min(n, max(0, -s)), max(0, min(n, n - s))
+                if s and lo < hi:
+                    g_in[..., lo + s:hi + s, :] += g_acc[..., lo:hi, :] * k[:, half + s]
+                if s < 0:
+                    g_in[..., 0, :] += g_acc[..., :lo, :].sum(axis=-2) * k[:, half + s]
+                elif s > 0:
+                    g_in[..., n - 1, :] += g_acc[..., hi:, :].sum(axis=-2) * k[:, half + s]
+        return (gx, g_depth, *g_point)
+
+    return node(y, (x, depth_kernel, point_kernel) + (() if bias is None else (bias,)),
+                backward)
 
 
 def multi_head_self_attention(
@@ -810,37 +707,32 @@ def multi_head_self_attention(
     attn /= np.add.reduce(attn, axis=-1, keepdims=True)
     o = attn @ v
     merged = o.transpose(to_heads).reshape(*lead, n, d)
-    out = _result(merged @ wo.data + bo.data, (x, wq, bq, wk, bk, wv, bv, wo, bo))
-    if out.requires_grad:
-        def backward(g):
-            g_o, *g_out = affine_grads(merged, wo, bo, g, True)
-            _accum_each((wo, bo), g_out)
-            g_o = g_o.reshape(*lead, n, heads, dh).transpose(to_heads)
-            # dS from the scaled dO, as one contiguous copy: the strided
-            # head views make numpy's small batched products much slower
-            g_os = np.multiply(g_o, scale, order="C")
-            g_s = g_os @ np.ascontiguousarray(v.swapaxes(-1, -2))
-            g_s -= np.einsum("...ij,...ij->...i", g_os, o)[..., None]
-            g_s *= attn
-            g_qkv = np.empty(qkv.shape, dtype=g_s.dtype)
-            g_q, g_k, g_v = (g_qkv[..., i, :, :].transpose(to_heads) for i in range(3))
-            np.matmul(g_s, k, out=g_q)
-            np.matmul(g_s.swapaxes(-1, -2), q, out=g_k)
-            np.matmul(attn.swapaxes(-1, -2), g_o, out=g_v)
-            g_qkv = g_qkv.reshape(-1, 3 * d)
-            g_w = xd.reshape(-1, d).T @ g_qkv
-            g_b = _column_sums(g_qkv)
-            for i, (w, b) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
-                cols = slice(i * d, (i + 1) * d)
-                if w.requires_grad:
-                    _accum(w, g_w[:, cols])
-                if b.requires_grad:
-                    _accum(b, g_b[cols])
-            if x.requires_grad:
-                w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-                _accum(x, (g_qkv @ w_qkv.T).reshape(xd.shape))
-        out._backward = backward
-    return out
+
+    def backward(g):
+        g_o, *g_out = affine_grads(merged, wo, bo, g, True)
+        g_o = g_o.reshape(*lead, n, heads, dh).transpose(to_heads)
+        # dS from the scaled dO, as one contiguous copy: the strided
+        # head views make numpy's small batched products much slower
+        g_os = np.multiply(g_o, scale, order="C")
+        g_s = g_os @ np.ascontiguousarray(v.swapaxes(-1, -2))
+        g_s -= np.einsum("...ij,...ij->...i", g_os, o)[..., None]
+        g_s *= attn
+        g_qkv = np.empty(qkv.shape, dtype=g_s.dtype)
+        g_q, g_k, g_v = (g_qkv[..., i, :, :].transpose(to_heads) for i in range(3))
+        np.matmul(g_s, k, out=g_q)
+        np.matmul(g_s.swapaxes(-1, -2), q, out=g_k)
+        np.matmul(attn.swapaxes(-1, -2), g_o, out=g_v)
+        g_qkv = g_qkv.reshape(-1, 3 * d)
+        g_w = xd.reshape(-1, d).T @ g_qkv
+        g_b = _column_sums(g_qkv)
+        gx = None
+        if x.requires_grad:
+            w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+            gx = (g_qkv @ w_qkv.T).reshape(xd.shape)
+        q_, k_, v_ = (slice(i * d, (i + 1) * d) for i in range(3))
+        return gx, g_w[:, q_], g_b[q_], g_w[:, k_], g_b[k_], g_w[:, v_], g_b[v_], *g_out
+
+    return node(merged @ wo.data + bo.data, (x, wq, bq, wk, bk, wv, bv, wo, bo), backward)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

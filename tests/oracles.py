@@ -53,8 +53,8 @@ from wvad.errors import ConfigError, FormatError, MetricError
 from wvad.metrics import _validate
 from wvad.mining import MinedSets
 from wvad.synthdata import SynthConfig, _make_video, _video_plan
-from wvad.tensor import (Tensor, _accum, _result, _unbroadcast, broadcast_to, concat,
-                         gather_rows, softmax, topk_mean)
+from wvad.tensor import (Tensor, _unbroadcast, broadcast_to, concat, gather_rows, node,
+                         softmax, topk_mean)
 
 
 # ---------------------------------------------------------------------
@@ -83,15 +83,14 @@ def pad_edge(x, half):
     """Replicate padding along axis -2 as one index op."""
     n = x.data.shape[-2]
     idx = np.clip(np.arange(-half, n + half), 0, n - 1)
-    out = _result(x.data[..., idx, :], (x,))
-    if out.requires_grad:
-        def backward(g):
-            z = g[..., half:half + n, :].copy()
-            z[..., 0, :] += g[..., :half, :].sum(axis=-2)
-            z[..., -1, :] += g[..., half + n:, :].sum(axis=-2)
-            _accum(x, z)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        z = g[..., half:half + n, :].copy()
+        z[..., 0, :] += g[..., :half, :].sum(axis=-2)
+        z[..., -1, :] += g[..., half + n:, :].sum(axis=-2)
+        return (z,)
+
+    return node(x.data[..., idx, :], (x,), backward)
 
 
 def linear(x, w, b):
@@ -250,19 +249,18 @@ def layer_norm_rule(x, gamma, beta, eps=1e-5):
     d = xd - xd.mean(axis=-1, keepdims=True)
     std = np.sqrt((d * d).mean(axis=-1, keepdims=True) + eps)
     xhat = d / std
-    out = _result(xhat * gamma.data + beta.data, (x, gamma, beta))
-    if out.requires_grad:
-        def backward(g):
-            if x.requires_grad:
-                gx = g * gamma.data
-                _accum(x, (gx - gx.mean(axis=-1, keepdims=True)
-                           - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) / std)
-            if gamma.requires_grad:
-                _accum(gamma, _unbroadcast(g * xhat, gamma.data.shape))
-            if beta.requires_grad:
-                _accum(beta, _unbroadcast(g, beta.data.shape))
-        out._backward = backward
-    return out
+
+    def backward(g):
+        gx = None
+        if x.requires_grad:
+            gx = g * gamma.data
+            gx = (gx - gx.mean(axis=-1, keepdims=True)
+                  - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) / std
+        return (gx,
+                _unbroadcast(g * xhat, gamma.data.shape) if gamma.requires_grad else None,
+                _unbroadcast(g, beta.data.shape) if beta.requires_grad else None)
+
+    return node(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
 
 
 def depthwise_conv_rule(x, kernel):
@@ -275,24 +273,23 @@ def depthwise_conv_rule(x, kernel):
     acc = padded[..., 0:n, :] * k[:, 0]
     for j in range(1, width):
         acc = acc + padded[..., j:j + n, :] * k[:, j]
-    out = _result(acc, (x, kernel))
-    if out.requires_grad:
-        def backward(g):
-            if kernel.requires_grad:
-                gk = np.empty_like(k)
-                for j in range(width):
-                    gk[:, j] = _unbroadcast(g * padded[..., j:j + n, :], k[:, j].shape)
-                _accum(kernel, gk)
-            if x.requires_grad:
-                gp = np.zeros_like(padded)
-                for j in range(width):
-                    gp[..., j:j + n, :] += g * k[:, j]
-                gx = gp[..., half:half + n, :]
-                gx[..., 0, :] += gp[..., :half, :].sum(axis=-2)
-                gx[..., -1, :] += gp[..., half + n:, :].sum(axis=-2)
-                _accum(x, gx)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        gx = gk = None
+        if kernel.requires_grad:
+            gk = np.empty_like(k)
+            for j in range(width):
+                gk[:, j] = _unbroadcast(g * padded[..., j:j + n, :], k[:, j].shape)
+        if x.requires_grad:
+            gp = np.zeros_like(padded)
+            for j in range(width):
+                gp[..., j:j + n, :] += g * k[:, j]
+            gx = gp[..., half:half + n, :]
+            gx[..., 0, :] += gp[..., :half, :].sum(axis=-2)
+            gx[..., -1, :] += gp[..., half + n:, :].sum(axis=-2)
+        return gx, gk
+
+    return node(acc, (x, kernel), backward)
 
 
 def attention_rule(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
@@ -314,35 +311,29 @@ def attention_rule(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
     merged = (attn @ v).transpose(to_heads).reshape(*lead, n, d)
-    out = _result(merged @ wo.data + bo.data, (x, wq, bq, wk, bk, wv, bv, wo, bo))
-    if out.requires_grad:
-        def backward(g):
-            if wo.requires_grad:
-                _accum(wo, merged.reshape(-1, d).T @ g.reshape(-1, d))
-            if bo.requires_grad:
-                _accum(bo, _unbroadcast(g, bo.data.shape))
-            g_heads = (g @ wo.data.T).reshape(*lead, n, heads, dh).transpose(to_heads)
-            g_attn = g_heads @ np.swapaxes(v, -1, -2)
-            g_s = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True))
-            g_s *= scale
-            g_qkv = np.empty(qkv.shape, dtype=g_s.dtype)
-            g_qkv[..., 0, :, :] = (g_s @ k).transpose(to_heads)
-            g_qkv[..., 1, :, :] = (np.swapaxes(g_s, -1, -2) @ q).transpose(to_heads)
-            g_qkv[..., 2, :, :] = (np.swapaxes(attn, -1, -2) @ g_heads).transpose(to_heads)
-            g_qkv = g_qkv.reshape(-1, 3 * d)
-            g_w = xd.reshape(-1, d).T @ g_qkv
-            g_b = g_qkv.sum(axis=0)
-            for i, (w, b) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
-                cols = slice(i * d, (i + 1) * d)
-                if w.requires_grad:
-                    _accum(w, g_w[:, cols])
-                if b.requires_grad:
-                    _accum(b, g_b[cols])
-            if x.requires_grad:
-                w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-                _accum(x, (g_qkv @ w_qkv.T).reshape(xd.shape))
-        out._backward = backward
-    return out
+
+    def backward(g):
+        g_wo = merged.reshape(-1, d).T @ g.reshape(-1, d) if wo.requires_grad else None
+        g_bo = _unbroadcast(g, bo.data.shape) if bo.requires_grad else None
+        g_heads = (g @ wo.data.T).reshape(*lead, n, heads, dh).transpose(to_heads)
+        g_attn = g_heads @ np.swapaxes(v, -1, -2)
+        g_s = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True))
+        g_s *= scale
+        g_qkv = np.empty(qkv.shape, dtype=g_s.dtype)
+        g_qkv[..., 0, :, :] = (g_s @ k).transpose(to_heads)
+        g_qkv[..., 1, :, :] = (np.swapaxes(g_s, -1, -2) @ q).transpose(to_heads)
+        g_qkv[..., 2, :, :] = (np.swapaxes(attn, -1, -2) @ g_heads).transpose(to_heads)
+        g_qkv = g_qkv.reshape(-1, 3 * d)
+        g_w = xd.reshape(-1, d).T @ g_qkv
+        g_b = g_qkv.sum(axis=0)
+        gx = None
+        if x.requires_grad:
+            w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+            gx = (g_qkv @ w_qkv.T).reshape(xd.shape)
+        q_, k_, v_ = (slice(i * d, (i + 1) * d) for i in range(3))
+        return gx, g_w[:, q_], g_b[q_], g_w[:, k_], g_b[k_], g_w[:, v_], g_b[v_], g_wo, g_bo
+
+    return node(merged @ wo.data + bo.data, (x, wq, bq, wk, bk, wv, bv, wo, bo), backward)
 
 
 def dws_conv1d_rule(x, depth_kernel, point_kernel, bias=None, skip=0):

@@ -1,6 +1,8 @@
 """Unit and finite-difference tests for the autodiff engine."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,9 +121,54 @@ def test_no_grad_blocks_recording():
     assert y._backward is None
 
 
-def test_detach_breaks_graph():
+_TAPE_PLUMBING = {"_result", "_accum", "_accum_each"}
+
+
+def _with_enclosing_function(tree):
+    """Every AST node with the name of the innermost ``def`` around it."""
+    stack = [(tree, None)]
+    while stack:
+        n, fn = stack.pop()
+        yield n, fn
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = n.name
+        stack.extend((child, fn) for child in ast.iter_child_nodes(n))
+
+
+def _sets_backward(n) -> bool:
+    """Does ``n`` assign some object's ``_backward`` a value other than None?"""
+    if not isinstance(n, (ast.Assign, ast.AnnAssign)):
+        return False
+    if isinstance(n.value, ast.Constant) and n.value.value is None:
+        return False     # Tensor.__init__ starts every tensor without a rule
+    targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+    return any(isinstance(t, ast.Attribute) and t.attr == "_backward"
+               for target in targets for t in ast.walk(target))
+
+
+def test_every_tape_node_is_built_by_tensor_node():
+    """Only ``tensor.node`` gives a tensor its backward rule, and only
+    ``tensor.py`` reaches the gradient plumbing, so no op in ``src/`` or
+    the tests can wire the tape a second way."""
+    root = Path(__file__).resolve().parent.parent
+    setters, reaches = set(), set()
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]):
+        where = path.relative_to(root).as_posix()
+        for n, fn in _with_enclosing_function(ast.parse(path.read_text(encoding="utf-8"))):
+            if _sets_backward(n):
+                setters.add((where, fn))
+            if where != "src/wvad/tensor.py" and (
+                    isinstance(n, ast.ImportFrom)
+                    and any(a.name in _TAPE_PLUMBING for a in n.names)
+                    or isinstance(n, ast.Attribute) and n.attr in _TAPE_PLUMBING):
+                reaches.add((where, n.lineno))
+    assert setters == {("src/wvad/tensor.py", "node")}
+    assert not reaches, sorted(reaches)
+
+
+def test_tensor_of_data_breaks_graph():
     x = t64([1.0, -2.0])
-    y = x.detach()
+    y = Tensor(x.data)
     assert not y.requires_grad
     np.testing.assert_array_equal(y.data, x.data)
 
@@ -987,13 +1034,8 @@ def test_grad_check_catches_wrong_gradient():
     x = t64(2.0)
 
     def bad_square(t):
-        out = Tensor(t.data * t.data)
-        out.requires_grad = True
-        out._parents = (t,)
-        def backward(g):
-            t.grad = np.array(g * 3.0 * t.data)   # wrong: claims d(x^2)/dx = 3x
-        out._backward = backward
-        return out
+        # wrong: claims d(x^2)/dx = 3x
+        return node(t.data * t.data, (t,), lambda g: (g * 3.0 * t.data,))
 
     report = grad_check(lambda: bad_square(x), [("x", x)])
     assert not report.passed
