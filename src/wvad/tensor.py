@@ -84,8 +84,11 @@ class Tensor:
 
         ``self`` must be a scalar. Nodes are visited in exact reverse
         topological order; each parent receives one accumulated gradient.
-        Interior gradients left by an earlier pass over the same graph are
-        cleared first, so only leaves accumulate across calls.
+        Only leaves keep ``.grad``: an interior node's gradient is dropped
+        as soon as its rule has passed it on, so a pass holds only the
+        gradients still waiting for their rule. Interior gradients that a
+        pass which raised left behind are cleared first, so only leaves
+        accumulate across calls.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.data.shape}")
@@ -98,6 +101,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- arithmetic ----------------------------------------------------
 
@@ -498,23 +502,24 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Smooth GELU (tanh approximation), one node."""
     xd = x.data
-    xx = xd * xd
-    th = xx * xd
+    th = xd * xd
+    th *= xd
     th *= 0.044715
     th += xd
     th *= _GELU_C
     th = np.tanh(th)
-    th1 = th + 1.0
-    y = xd * th1
+    y = xd * (th + 1.0)
     y *= 0.5
 
     def backward(g):
-        # 0.5 * (1 + th + x * (1 - th^2) * c * (1 + 3 * 0.044715 * x^2)), in place
+        # 0.5 * (1 + th + x * (1 - th^2) * c * (1 + 3 * 0.044715 * x^2)), in
+        # place; x^2 and 1 + th are recomputed by the forward's expressions
+        # rather than kept on the tape
         d = th * th
         np.subtract(1.0, d, out=d)
         d *= xd
-        d *= xx * (3.0 * 0.044715 * _GELU_C) + _GELU_C
-        d += th1
+        d *= (xd * xd) * (3.0 * 0.044715 * _GELU_C) + _GELU_C
+        d += th + 1.0
         d *= g
         d *= 0.5
         return (d,)
@@ -592,7 +597,7 @@ def dws_conv1d(x: Tensor, depth_kernel: Tensor, point_kernel: Tensor,
     rows; ``tests/oracles.py``), so it is bitwise that form. In the
     backward the padding rows' gradient folds back onto the two edge rows,
     and the kernel gradient is one einsum over a sliding window of the
-    padded rows.
+    padded rows, gathered again there rather than kept on the tape.
     """
     xd, k = x.data, depth_kernel.data
     if xd.ndim not in (2, 3) or k.ndim != 2 or point_kernel.data.ndim != 2:
@@ -627,7 +632,7 @@ def dws_conv1d(x: Tensor, depth_kernel: Tensor, point_kernel: Tensor,
                                        x.requires_grad or depth_kernel.requires_grad)
         g_depth = gx = None
         if depth_kernel.requires_grad:
-            rows = padded.reshape(-1, n + 2 * half, channels)
+            rows = xd[..., edge, :].reshape(-1, n + 2 * half, channels)
             windows = sliding_window_view(rows, n, axis=1)        # (B, W, C, n)
             g_depth = np.einsum("btc,bjct->cj", g_acc.reshape(-1, n, channels), windows)
         if x.requires_grad:

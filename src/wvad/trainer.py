@@ -18,6 +18,7 @@ import csv
 import ctypes
 import functools
 import json
+import os
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -255,23 +256,25 @@ def _build_model(config: TrainConfig):
     return TransformerModel.init(config.encoder, config.seed)
 
 
-def _log_lines_through(path: Path, step: int) -> list[str]:
-    """The rows of an existing log.csv up to ``step``, verbatim.
+def _log_bytes_through(path: Path, step: int) -> int:
+    """The length of an existing log.csv's header and rows up to ``step``,
+    in bytes; 0 if there is no log or it is empty.
 
     A run resumed into its own directory keeps what it logged before the
     checkpoint and drops the rows of the interrupted epoch, whose steps it
     is about to run again. A torn last row ends the kept part.
     """
     try:
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().splitlines(keepends=True)
     except FileNotFoundError:
-        return []
+        return 0
     if not lines:
-        return []
+        return 0
     if lines[0] != ",".join(LOG_COLUMNS) + "\n":
         raise FormatError(f"{path}: columns {lines[0].strip()!r} are not "
                           f"{','.join(LOG_COLUMNS)}; cannot resume into this log")
-    kept = []
+    kept = 1
     for i, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if not line.endswith("\n") or len(fields) != len(LOG_COLUMNS):
@@ -282,8 +285,8 @@ def _log_lines_through(path: Path, step: int) -> list[str]:
             raise FormatError(f"{path}:{i}: bad step {fields[0]!r}") from None
         if row_step > step:
             break
-        kept.append(line)
-    return kept
+        kept = i
+    return len("".join(lines[:kept]).encode("utf-8"))
 
 
 # glibc mallopt parameters
@@ -349,11 +352,15 @@ def train(videos: Sequence[VideoTriple], config: TrainConfig,
         out_path.mkdir(parents=True, exist_ok=True)
         ckpt_path = out_path / "checkpoint.wvck"
         log_path = out_path / "log.csv"
-        kept = _log_lines_through(log_path, step) if resume is not None else []
-        log_fh = open(log_path, "w", newline="", encoding="utf-8")
+        kept = _log_bytes_through(log_path, step) if resume is not None else 0
+        if kept:
+            # the kept rows are never rewritten, so a resume that dies
+            # before its first checkpoint still leaves them on disk
+            os.truncate(log_path, kept)
+        log_fh = open(log_path, "a" if kept else "w", newline="", encoding="utf-8")
         writer = csv.writer(log_fh, lineterminator="\n")
-        writer.writerow(LOG_COLUMNS)
-        log_fh.writelines(kept)
+        if not kept:
+            writer.writerow(LOG_COLUMNS)
 
     log: list[LogRow] = []
     try:

@@ -101,6 +101,16 @@ def test_video_loss_clamp_keeps_gradient_finite():
     assert np.all(np.isfinite(s.grad))
 
 
+def test_video_loss_passes_no_gradient_where_the_upper_clamp_binds():
+    """A float32 sigmoid reaches exactly 1.0 (arm d drives abnormal scores
+    there); the clamp then binds, whatever the label, and the score gets
+    exactly 0. A score just inside the clamp still gets a gradient."""
+    s = Tensor(np.array([1.0, 1.0, 0.5], dtype=np.float32), requires_grad=True)
+    loss_video(s, [1, 0, 1]).backward()
+    assert s.grad[0] == 0.0 and s.grad[1] == 0.0
+    assert s.grad[2] != 0.0
+
+
 def test_video_loss_fd():
     for seed in range(5):
         rng = np.random.default_rng(700 + seed)
@@ -134,6 +144,16 @@ def test_hinge_zero_beyond_margin_positive_inside():
     nrm = [0.0, 0.0, 0.0, 0.0]
     assert float(hinge([[1.0, 1.0, 1.0, 0.0]], [nrm], 3).data) == 0.0
     assert float(hinge([[0.9, 0.8, 0.7, 0.0]], [nrm], 3).data) > 0.0
+
+
+@pytest.mark.parametrize("pair_mode", ["matched", "all_pairs"])
+def test_hinge_passes_no_gradient_at_a_non_positive_margin(pair_mode):
+    """Abnormal top-k mean 1 against normal 0 is margin 0, and 1 against
+    -0.5 is margin -0.5: neither pair back-propagates anything."""
+    for nrm in (0.0, -0.5):
+        scores = rows(np.ones(4), np.full(4, nrm))
+        loss_snippet_topk(scores, [1, 0], 2, pair_mode).backward()
+        assert np.all(scores.grad == 0.0), scores.grad
 
 
 def test_hinge_bounded_by_two():

@@ -91,6 +91,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         MiningConfig(threshold=0.0)
     with pytest.raises(ConfigError):
+        MiningConfig(threshold=1.0)
+    with pytest.raises(ConfigError):
         MiningConfig(erosion_width=2)
     with pytest.raises(ConfigError):
         MiningConfig(region_min_count=6, region_window=5)
@@ -457,6 +459,19 @@ def test_first_unminable_video_raises_the_oracle_error(batch):
     with pytest.raises(ValueError) as got:
         mine_batch(batch, cfg)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("label, length, config, message", [
+    # as long as the window, too short for k_easy: the k_easy limit is named
+    (1, 5, MiningConfig(region_window=5, k_easy=6), "k must be in [1, 5], got 6"),
+    # as long as k_hard_normal, too short for k_easy: likewise
+    (0, 3, MiningConfig(k_hard_normal=3, k_easy=4), "k must be in [1, 3], got 4"),
+])
+def test_an_unminable_video_at_one_limit_names_the_other(label, length, config, message):
+    batch = [("v", label, np.linspace(0.0, 1.0, length))]
+    with pytest.raises(ValueError) as got:
+        mine_batch(batch, config)
+    assert str(got.value) == message
 
 
 def test_empty_batch_mines_nothing():

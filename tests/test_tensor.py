@@ -93,6 +93,50 @@ def test_backward_twice_accumulates_into_leaves_only():
     assert x.grad == pytest.approx(14.0)
 
 
+def test_only_leaves_keep_a_gradient_after_backward():
+    a, w = t64([1.0, -2.0, 3.0]), t64([0.5, 0.25, 2.0])
+    y = gelu(a * w)
+    loss = (y * y + y).sum()
+    loss.backward()
+    graph = topological_order(loss)
+    assert [n for n in graph if n._parents and n.grad is not None] == []
+    assert all(n.grad is not None for n in (a, w))
+
+
+def _raising_once(x: Tensor) -> Tensor:
+    """``x`` unchanged, through a node whose backward raises on its first
+    call only."""
+    calls = []
+
+    def backward(g):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("rule failed")
+        return (g,)
+
+    return node(x.data.copy(), (x,), backward)
+
+
+def test_a_backward_that_raised_leaves_nothing_a_later_pass_adds_into():
+    """The rule raises after its sibling branch has already given ``h`` a
+    gradient; a second pass over the same graph, with the leaves zeroed as
+    ``train_step`` zeroes them, gives a clean pass's leaf gradients."""
+    def graph(faulty):
+        w = t64([1.5, -0.5, 2.0])
+        h = w * 3.0
+        return w, h, ((h * h) + (_raising_once(h) if faulty else h)).sum()
+
+    w, h, loss = graph(True)
+    with pytest.raises(RuntimeError, match="rule failed"):
+        loss.backward()
+    assert h.grad is not None
+    w.zero_grad()
+    loss.backward()
+    clean_w, _, clean = graph(False)
+    clean.backward()
+    np.testing.assert_array_equal(w.grad, clean_w.grad)
+
+
 def test_reuse_accumulates_gradient():
     # y = x*x + x, dy/dx = 2x + 1
     x = t64(3.0)
