@@ -12,9 +12,8 @@ import argparse
 import csv
 import dataclasses
 import io
-import itertools
 import json
-import operator
+import math
 import sys
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .encoder import EncoderConfig, load_checkpoint
 from .errors import ConfigError, FormatError, MetricError, TrainingError
 from .losses import LossConfig
 from .metrics import EvalRecord, evaluate, snippet_to_frame_scores
-from .mining import MiningConfig, mine_batch
+from .mining import MiningConfig, length_error, mine_batch
 from .schema import from_json
 from .synthdata import Manifest, SynthConfig, generate_dataset, load_manifest, load_split
 from .tensor import no_grad
@@ -50,10 +49,6 @@ FRAME_COLUMNS = ("video_id", "frame", "score", "label")
 # with the split
 SCORE_CHUNK = 32
 
-# score-CSV rows turned into columns at a time: only one chunk's row lists
-# and field strings are held, the rest as ints and float64 values
-SCORES_CSV_CHUNK = 512
-
 
 @dataclasses.dataclass
 class ResolvedConfig:
@@ -62,11 +57,11 @@ class ResolvedConfig:
     ablate_seeds: list[int]
 
     def as_dict(self) -> dict:
-        return {
-            "synth": dataclasses.asdict(self.synth),
-            "train": dataclasses.asdict(self.train),
-            "ablate": {"seeds": list(self.ablate_seeds)},
-        }
+        """The config file's sections, so that ``load_config`` reads it back."""
+        train = dataclasses.asdict(self.train)
+        sections = {key: train.pop(key) for key in ("encoder", "loss", "mining")}
+        return {"synth": dataclasses.asdict(self.synth), "train": train, **sections,
+                "ablate": {"seeds": list(self.ablate_seeds)}}
 
 
 @dataclasses.dataclass
@@ -126,13 +121,20 @@ def _write_run_record(out_dir: Path, command: str, config: ResolvedConfig | None
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _check_dataset_compat(manifest: Manifest, config: ResolvedConfig):
+def _check_dataset_compat(manifest: Manifest, config: ResolvedConfig, mines: bool):
+    """Refuse an encoder shape the dataset does not have, and when the run
+    ``mines``, a mining limit longer than a train video."""
     ds = manifest.config
     t, d = (ds.num_snippets, ds.d_in) if ds is not None else (None, None)
     enc = config.train.encoder
     if (t, d) != (enc.num_snippets, enc.d_in):
         raise ConfigError(f"dataset is T={t}, D={d} but the encoder expects "
                           f"T={enc.num_snippets}, D={enc.d_in}; fix the config")
+    for v in manifest.videos:
+        if mines and v.split == "train":
+            error = length_error(v.id, v.num_snippets, v.video_label == 1, config.train.mining)
+            if error is not None:
+                raise ConfigError(f"the mining config does not fit the dataset: {error}")
 
 
 def _train_triples(data_dir,
@@ -247,7 +249,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config, args.seed)
     manifest = load_manifest(args.data)
-    _check_dataset_compat(manifest, config)
+    _check_dataset_compat(manifest, config, mines=config.train.loss.w_contrast > 0)
     triples = _train_triples(args.data, manifest)
     out = Path(args.out)
     _write_run_record(out, "train", config, data=str(args.data),
@@ -283,40 +285,16 @@ def cmd_export_scores(args) -> int:
     return 0
 
 
-def _score_chunk(chunk, fields, width):
-    """A chunk of score-CSV rows as columns: the ids, and the t, score and
-    label values up to the chunk's first field that does not convert, with
-    the raw score texts and that field's error."""
-    columns = list(zip(*chunk))
-    if len(columns) < width:   # a short row: its missing fields read as None
-        columns = list(zip(*(row + [None] * (width - len(row)) for row in chunk)))
-    vids, t_texts, score_texts, label_texts = fields(columns)
-    m, misfit, converted = len(chunk), None, []
-    for convert, texts in ((int, t_texts), (float, score_texts), (int, label_texts)):
-        values = []
-        try:
-            values.extend(map(convert, texts))   # keeps the values before a misfit
-        except (TypeError, ValueError) as e:
-            if len(values) < m:
-                m, misfit = len(values), f"malformed row: {e}"
-        converted.append(values)
-    ts, scores, labels = (values[:m] for values in converted)
-    return vids[:m], ts, np.array(scores, dtype=np.float64), labels, score_texts, misfit
-
-
 def _read_scores_csv(path) -> list[tuple[str, int, np.ndarray]]:
     """A score CSV's videos in order of first appearance: id, label and the
     scores in snippet order.
 
-    Rows are converted to columns SCORES_CSV_CHUNK at a time, up to the
-    first field that does not convert, and each check then runs once over
-    its columns, on the rows before the first row an earlier check failed.
-    So a malformed file reports its first malformed row (rows that are not
-    blank are numbered from 2), and that row's first failure in this order:
+    Rows that are not blank are numbered from 2 and checked as they are
+    read, so the first bad row fails, with its first failure in this order:
     t, score and label convert, the score is finite, the id and label are
-    valid, the label is the video's first, (video, t) is new. A row that
-    csv cannot read at all ends the reading and fails after the rows before
-    it. Then each video's snippet indices must be 0..T-1.
+    valid, the label is the video's first, (video, t) is new. A row csv
+    cannot read fails with the next number. Then each video's snippet
+    indices must be 0..T-1.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -335,77 +313,36 @@ def _read_scores_csv(path) -> list[tuple[str, int, np.ndarray]]:
     # found by name, read as csv.DictReader would: a repeated name reads its
     # last column, and a short row's missing fields read as None (malformed)
     column = {name: i for i, name in enumerate(header)}
-    fields = operator.itemgetter(*(column[name] for name in SCORE_COLUMNS))
-    rows = filter(None, reader)
-    run_ids, run_lengths, ts, labels, scores = [], [], [], [], []
-    n, error, non_finite, unreadable = 0, None, None, None
-    while error is None and unreadable is None:
-        chunk = []
-        try:
-            chunk.extend(itertools.islice(rows, SCORES_CSV_CHUNK))   # keeps the rows read
-        except csv.Error as e:
-            unreadable = e
-        if not chunk:
-            break
-        vids, t_values, score_values, label_values, score_texts, error = \
-            _score_chunk(chunk, fields, len(header))
-        finite = np.isfinite(score_values)
-        if non_finite is None and not finite.all():
-            k = int(np.argmin(finite))
-            non_finite = (n + k, f"non-finite score {score_texts[k]!r}")
-        if vids:   # ids by runs of equal ids
-            changes = np.fromiter(map(operator.ne, vids, vids[1:]), bool, len(vids) - 1)
-            starts = [0, *(np.flatnonzero(changes) + 1).tolist()]
-            run_ids += [vids[i] for i in starts]
-            run_lengths += np.diff(starts, append=len(vids)).tolist()
-        ts += t_values
-        labels += label_values
-        scores.append(score_values)
-        n += len(vids)
-    bad = n   # the first failing row so far: a misfit's, or past the last
-    if non_finite is not None:
-        bad, error = non_finite
-    code_of = {}   # the videos in order of first appearance
-    run_codes = [code_of.setdefault(vid, len(code_of)) for vid in run_ids]
-    codes = np.repeat(np.array(run_codes, dtype=np.intp), run_lengths)
-    valid = codes[:bad] != code_of.get(None, -1)
-    if not set(labels[:bad]) <= {0, 1}:
-        valid &= np.fromiter(map((0, 1).__contains__, labels[:bad]), bool, bad)
-    if not valid.all():
-        bad, error = int(np.argmin(valid)), "bad video id or label"
-    first_rows = np.cumsum([0] + run_lengths)[np.unique(run_codes, return_index=True)[1]]
-    label_of = np.array(labels[:bad], dtype=np.int8)
-    conflict = label_of != label_of[first_rows[codes[:bad]]]
-    if conflict.any():
-        bad = int(np.argmax(conflict))
-        error = f"conflicting labels for video {list(code_of)[codes[bad]]}"
-    # t's distinct values coded, so that any int compares exactly
-    t_index = dict(zip(dict.fromkeys(ts), itertools.count()))
-    t_codes = np.fromiter(map(t_index.__getitem__, ts), np.intp, len(ts))
-    first_seen = np.unique(codes[:bad] * len(t_index) + t_codes[:bad], return_index=True)[1]
-    repeated = np.ones(bad, dtype=bool)
-    repeated[first_seen] = False
-    if repeated.any():
-        bad = int(np.argmax(repeated))
-        error = f"duplicate snippet index {ts[bad]} for {list(code_of)[codes[bad]]}"
-    if error is not None:
-        raise ConfigError(f"{path}:{bad + 2}: {error}")
-    if unreadable is not None:   # a row csv cannot read, such as an over-long field
-        raise ConfigError(f"{path}:{n + 2}: unreadable row: {unreadable}") from unreadable
-    if not n:
-        return []
-    # with no index repeated, 0..T-1 is every index in range; clipped to fit int64
-    t = np.fromiter(map(max, map(min, t_index, itertools.repeat(n)), itertools.repeat(-1)),
-                    np.intp, len(t_index))[t_codes]
-    counts = np.bincount(codes)
-    stray = (t < 0) | (t >= counts[codes])
-    if stray.any():
-        raise ConfigError(f"{path}: video {list(code_of)[codes[stray].min()]} "
-                          "snippet indices are not 0..T-1")
-    ends = np.cumsum(counts)
-    ordered = np.empty(n, dtype=np.float64)
-    ordered[ends[codes] - counts[codes] + t] = np.concatenate(scores)
-    return list(zip(code_of, label_of[first_rows].tolist(), np.split(ordered, ends[:-1])))
+    i_vid, i_t, i_score, i_label = (column[name] for name in SCORE_COLUMNS)
+    width = len(header)
+    videos: dict[str, tuple[int, dict[int, float]]] = {}   # id: label, {t: score}
+    i = 1
+    try:
+        for i, row in enumerate(filter(None, reader), start=2):
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            try:
+                t, score, label = int(row[i_t]), float(row[i_score]), int(row[i_label])
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"{path}:{i}: malformed row: {e}") from e
+            if not math.isfinite(score):
+                raise ConfigError(f"{path}:{i}: non-finite score {row[i_score]!r}")
+            vid = row[i_vid]
+            if vid is None or label not in (0, 1):
+                raise ConfigError(f"{path}:{i}: bad video id or label")
+            first, scores = videos.setdefault(vid, (label, {}))
+            if first != label:
+                raise ConfigError(f"{path}:{i}: conflicting labels for video {vid}")
+            if t in scores:
+                raise ConfigError(f"{path}:{i}: duplicate snippet index {t} for {vid}")
+            scores[t] = score
+    except csv.Error as e:   # a row csv cannot read, such as an over-long field
+        raise ConfigError(f"{path}:{i + 1}: unreadable row: {e}") from e
+    for vid, (_, scores) in videos.items():
+        if scores.keys() != set(range(len(scores))):
+            raise ConfigError(f"{path}: video {vid} snippet indices are not 0..T-1")
+    return [(vid, label, np.array([scores[t] for t in range(len(scores))], dtype=np.float64))
+            for vid, (label, scores) in videos.items()]
 
 
 def cmd_mine(args) -> int:
@@ -448,7 +385,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_ablate(args) -> int:
     config = load_config(args.config, args.seed)
     manifest = load_manifest(args.data)
-    _check_dataset_compat(manifest, config)
+    _check_dataset_compat(manifest, config, mines=True)   # arm d mines
     triples = _train_triples(args.data, manifest)
     test_videos = _load_test_split(args.data, manifest)
     out = Path(args.out)
@@ -485,49 +422,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weakly supervised video anomaly detection workflows")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def command(name, func, summary, out_required=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", required=out_required, default=None,
                        help="output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    common(p)
-    p.set_defaults(func=cmd_synth)
+    command("synth", cmd_synth, "generate a synthetic dataset")
 
-    p = sub.add_parser("train", help="train a model")
-    common(p)
+    p = command("train", cmd_train, "train a model")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
-    common(p, out_required=False)
+    p = command("eval", cmd_eval, "evaluate a checkpoint on the test split",
+                out_required=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("export-scores", help="write per-snippet scores as CSV")
-    common(p)
+    p = command("export-scores", cmd_export_scores, "write per-snippet scores as CSV")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "test"), default="test")
-    p.set_defaults(func=cmd_export_scores)
 
-    p = sub.add_parser("mine", help="mine hard/easy snippet sets from a score CSV")
-    common(p)
+    p = command("mine", cmd_mine, "mine hard/easy snippet sets from a score CSV")
     p.add_argument("--scores", required=True, help="input score CSV")
-    p.set_defaults(func=cmd_mine)
 
-    p = sub.add_parser("gradcheck", help="run the gradient verification suite")
-    common(p, out_required=False)
+    p = command("gradcheck", cmd_gradcheck, "run the gradient verification suite",
+                out_required=False)
     p.add_argument("--seeds", type=int, default=10)
-    p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("ablate", help="train and score the four loss ablations")
-    common(p)
+    p = command("ablate", cmd_ablate, "train and score the four loss ablations")
     p.add_argument("--data", required=True)
-    p.set_defaults(func=cmd_ablate)
 
     return parser
 

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -105,13 +105,13 @@ class BlockParams:
     ff_w2: Tensor
     ff_b2: Tensor
 
-    _ORDER = ("conv_depth", "conv_point", "conv_bias",
-              "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-              "ln_gamma", "ln_beta", "ff_w1", "ff_b1", "ff_w2", "ff_b2")
-
     def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         for name in self._ORDER:
             yield f"{prefix}.{name}", getattr(self, name)
+
+
+# a block's parameters in checkpoint order: the fields' declared order
+BlockParams._ORDER = tuple(f.name for f in fields(BlockParams))
 
 
 @dataclass

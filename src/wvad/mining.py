@@ -209,26 +209,30 @@ def _mine_rows(scores: np.ndarray, abnormal: np.ndarray,
     return ha, ea, hn, en
 
 
+def length_error(video_id: str, n: int, abnormal: bool, config: MiningConfig) -> str | None:
+    """Why a video of ``n`` snippets cannot be mined, or None: an abnormal
+    video needs ``region_window`` and ``k_easy`` snippets, a normal one
+    ``k_hard_normal`` and ``k_easy``."""
+    if abnormal and n < config.region_window:
+        return f"video {video_id}: window {config.region_window} longer than sequence {n}"
+    for k in (config.k_easy,) if abnormal else (config.k_hard_normal, config.k_easy):
+        if n < k:
+            return f"video {video_id}: k must be in [1, {n}], got {k}"
+    return None
+
+
 def _first_error(videos, labels: np.ndarray, lengths: np.ndarray,
                  config: MiningConfig) -> str | None:
     """The error the first unminable video of the batch raises, if any."""
     abnormal, normal = labels == 1, labels == 0
-    bad = ~(abnormal | normal)
-    bad |= abnormal & ((lengths < config.region_window) | (lengths < config.k_easy))
-    bad |= normal & ((lengths < config.k_hard_normal) | (lengths < config.k_easy))
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad))
-    n = int(lengths[i])
-    if abnormal[i]:
-        if n < config.region_window:
-            return f"window {config.region_window} longer than sequence {n}"
-        return f"k must be in [1, {n}], got {config.k_easy}"
-    if normal[i]:
-        k = config.k_hard_normal if n < config.k_hard_normal else config.k_easy
-        return f"k must be in [1, {n}], got {k}"
-    video_id, label, _ = videos[i]
-    return f"label must be 0 or 1, got {label} for {video_id}"
+    for (video_id, label, _), is_abnormal, is_normal, n in zip(
+            videos, abnormal.tolist(), normal.tolist(), lengths.tolist()):
+        if not (is_abnormal or is_normal):
+            return f"label must be 0 or 1, got {label} for {video_id}"
+        error = length_error(video_id, n, is_abnormal, config)
+        if error is not None:
+            return error
+    return None
 
 
 def mine_batch(videos: Sequence[tuple[str, int, np.ndarray]],

@@ -2,8 +2,9 @@
 
 Define-by-run: every operation is one ``node``, which records its inputs and
 a local backward rule returning one gradient per input, and
-``Tensor.backward()`` replays the recorded graph in reverse topological order. float64 is the verification dtype (all gradient checks run
-in it); float32 is allowed for training. Binary ops wrap plain numbers as
+``Tensor.backward()`` replays the recorded graph in reverse topological
+order. float64 is the verification dtype (all gradient checks run in it);
+float32 is allowed for training. Binary ops wrap plain numbers as
 constants in the other operand's dtype so the dtype never silently promotes.
 
 Single-threaded numpy is the correctness baseline: forward results are

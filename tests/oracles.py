@@ -34,10 +34,11 @@ spawned generator and one ``_make_video`` call per video, each video's
 features and frame labels kept apart. ``wvad.synthdata`` writes a split as
 one block, and ``load_split`` must give back each video's bits.
 
-``read_scores_csv_rows`` is the score-CSV reader as it was before
-``wvad.cli``'s reader worked column by column: one row at a time, each
-check in turn. On any input the library must return the same values or
-raise the same exception class with the same message.
+``read_scores_csv_rows`` is the score-CSV reader as first written: one row
+at a time, each check in turn, with a ``_readable`` wrapper that numbers
+the row csv cannot read. ``wvad.cli``'s reader is a row loop too; on any
+input the two must return the same values or raise the same exception
+class with the same message.
 """
 
 import csv
@@ -395,19 +396,22 @@ def mine_batch_per_video(videos, cfg):
     """(HA, EA, HN, EN) as sorted (video_id, t) tuples, one video at a time."""
     ha, ea, hn, en = [], [], [], []
     for video_id, label, scores in videos:
-        if label == 1:
-            hard = _hard_abnormal(scores, cfg)
-            ha.extend((video_id, t) for t in hard)
-            ea.extend((video_id, t)
-                      for t in sorted(set(_top(scores, cfg.k_easy)) - set(hard)))
-        elif label == 0:
-            hard = _top(scores, cfg.k_hard_normal)
-            _top(scores, cfg.k_easy, False)    # the same bound on k_easy
-            easy = [t for t in _top(scores, len(scores), False) if t not in hard]
-            hn.extend((video_id, t) for t in sorted(hard))
-            en.extend((video_id, t) for t in sorted(easy[:cfg.k_easy]))
-        else:
+        if label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {label} for {video_id}")
+        try:
+            if label == 1:
+                hard = _hard_abnormal(scores, cfg)
+                ha.extend((video_id, t) for t in hard)
+                ea.extend((video_id, t)
+                          for t in sorted(set(_top(scores, cfg.k_easy)) - set(hard)))
+            else:
+                hard = _top(scores, cfg.k_hard_normal)
+                _top(scores, cfg.k_easy, False)    # the same bound on k_easy
+                easy = [t for t in _top(scores, len(scores), False) if t not in hard]
+                hn.extend((video_id, t) for t in sorted(hard))
+                en.extend((video_id, t) for t in sorted(easy[:cfg.k_easy]))
+        except ValueError as e:   # a video too short for the config
+            raise ValueError(f"video {video_id}: {e}") from None
     return tuple(sorted(ha)), tuple(sorted(ea)), tuple(sorted(hn)), tuple(sorted(en))
 
 

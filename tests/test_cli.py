@@ -206,6 +206,35 @@ def test_a_dataset_mismatch_fails_before_the_run_record(command, tmp_path, tiny_
     assert not (out / "run.json").exists()
 
 
+# the tiny dataset's videos have 8 snippets; ablate refuses even with no
+# contrastive weight in the config, because its arm d mines
+@pytest.mark.parametrize("command, mining, w_contrast, message", [
+    ("train", {"region_window": 9}, 1.0, "video train-abn-000: window 9 longer than sequence 8"),
+    ("train", {"k_easy": 9}, 1.0, "video train-nrm-000: k must be in [1, 8], got 9"),
+    ("train", {"k_hard_normal": 9}, 1.0, "video train-nrm-000: k must be in [1, 8], got 9"),
+    ("ablate", {"region_window": 9}, 0.0, "video train-abn-000: window 9 longer than sequence 8"),
+], ids=["train-window", "train-k_easy", "train-k_hard_normal", "ablate-window"])
+def test_a_mining_limit_longer_than_the_videos_fails_before_the_run_record(
+        command, mining, w_contrast, message, tmp_path, tiny_dataset, capsys):
+    cfg = tiny_config_file(tmp_path, mining=mining, loss={"w_contrast": w_contrast},
+                           ablate={"seeds": [0]})
+    out = tmp_path / "o"
+    rc = cli.main([command, "--config", cfg, "--data", str(tiny_dataset), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error: the mining config does not fit the dataset: {message}\n" == err
+    assert not (out / "run.json").exists()
+
+
+def test_train_without_the_contrastive_term_ignores_the_mining_limits(tmp_path, tiny_dataset):
+    cfg = tiny_config_file(tmp_path, mining={"region_window": 9}, loss={"w_contrast": 0.0},
+                           train={"epochs": 3, "mining_warmup_epochs": 0})
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", cfg, "--data", str(tiny_dataset),
+                     "--out", str(out)]) == 0
+    assert (out / "checkpoint.wvck").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_train_and_ablate_read_the_manifest_once(command, tmp_path, tiny_dataset,
                                                  monkeypatch, capsys):
@@ -250,6 +279,16 @@ def test_synth_writes_dataset_and_run_record(tmp_path, capsys):
     assert record["config"]["synth"]["d_in"] == 6
     assert record["config"]["train"]["epochs"] == 2
     assert "dataset written" in capsys.readouterr().out
+
+
+def test_a_runs_echoed_config_loads_back_as_the_same_config(tmp_path):
+    cfg = tiny_config_file(tmp_path, train={"lr": 1}, mining={"region_window": 4})
+    assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    record = json.loads((tmp_path / "d" / "run.json").read_text(encoding="utf-8"))
+    echoed = tmp_path / "echoed.json"
+    echoed.write_text(json.dumps(record["config"]), encoding="utf-8")
+    assert load_config(echoed) == load_config(cfg)
+    assert cli.main(["synth", "--config", str(echoed), "--out", str(tmp_path / "e")]) == 0
 
 
 def test_synth_is_deterministic(tmp_path):
@@ -402,6 +441,15 @@ def test_mine_empty_input_gives_empty_output(tmp_path, capsys):
     assert rc == 0
     lines = (out / "mined.csv").read_text(encoding="utf-8").splitlines()
     assert lines == ["set,video_id,t"]
+
+
+def test_mine_names_the_video_too_short_to_mine(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    write_scores_csv(scores, [("n0", 0, np.linspace(0, 1, 8)), ("a1", 1, np.array([0.2, 0.9]))])
+    rc = cli.main(["mine", "--scores", str(scores), "--out", str(tmp_path / "m")])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: video a1: window 5 longer than sequence 2\n"
+    assert not (tmp_path / "m").exists()
 
 
 @pytest.mark.parametrize("mutate, message", [

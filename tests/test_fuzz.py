@@ -16,7 +16,6 @@ time, for every value of another type in ``OTHER_VALUES``.
 
 import copy
 import csv
-import dataclasses
 import functools
 import json
 import operator
@@ -110,11 +109,7 @@ def fuzz_values(doc, write, parse):
 
 def full_config() -> dict:
     """Every key of the config schema, at its default, in its section."""
-    resolved = cli.load_config()
-    train = dataclasses.asdict(resolved.train)
-    sections = {key: train.pop(key) for key in ("encoder", "loss", "mining")}
-    return {"synth": dataclasses.asdict(resolved.synth), "train": train, **sections,
-            "ablate": {"seeds": resolved.ablate_seeds}}
+    return cli.load_config().as_dict()
 
 
 def test_config(tmp_path):

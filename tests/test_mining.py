@@ -463,9 +463,9 @@ def test_first_unminable_video_raises_the_oracle_error(batch):
 
 @pytest.mark.parametrize("label, length, config, message", [
     # as long as the window, too short for k_easy: the k_easy limit is named
-    (1, 5, MiningConfig(region_window=5, k_easy=6), "k must be in [1, 5], got 6"),
+    (1, 5, MiningConfig(region_window=5, k_easy=6), "video v: k must be in [1, 5], got 6"),
     # as long as k_hard_normal, too short for k_easy: likewise
-    (0, 3, MiningConfig(k_hard_normal=3, k_easy=4), "k must be in [1, 3], got 4"),
+    (0, 3, MiningConfig(k_hard_normal=3, k_easy=4), "video v: k must be in [1, 3], got 4"),
 ])
 def test_an_unminable_video_at_one_limit_names_the_other(label, length, config, message):
     batch = [("v", label, np.linspace(0.0, 1.0, length))]
