@@ -408,9 +408,9 @@ CSV_FAULTS = ("quoted_id", "nan", "inf", "-inf", "duplicate_t", "conflicting_lab
               "reorder", "short_row", "long_row", "blank")
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, rows, quoting=csv.QUOTE_MINIMAL):
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
     writer.writerow(header)
     for row in rows:
         buf.write("\n") if not row else writer.writerow(row)
@@ -431,14 +431,18 @@ def assert_same_scores(path):
     return expected
 
 
+# some exporters quote every field; a reader that split lines on commas
+# would pass most minimally quoted files, and no file quoted throughout
+@pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL],
+                         ids=["quote_minimal", "quote_all"])
 @pytest.mark.parametrize("case", range(200))
-def test_score_csv_reader_matches_the_row_loop(case, tmp_path):
+def test_score_csv_reader_matches_the_row_loop(case, quoting, tmp_path):
     rng = np.random.default_rng([SEED, 1, case])
     header, rows = score_rows(rng)
     for fault in sorted(rng.integers(len(CSV_FAULTS), size=int(rng.integers(0, 4)))):
         if rows:
             csv_fault(CSV_FAULTS[fault], header, rows, rng)
-    assert_same_scores(write_csv(tmp_path / "scores.csv", header, rows))
+    assert_same_scores(write_csv(tmp_path / "scores.csv", header, rows, quoting))
 
 
 VALID = [["v0", "0", "0.5", "0"], ["v0", "1", "0.25", "0"],
