@@ -1,9 +1,11 @@
 """Command-line entry point tying the modules into reproducible runs.
 
 Subcommands: synth, train, eval, mine, gradcheck, ablate, export-scores.
-Every run writes a ``run.json`` echoing the fully resolved configuration
-into its output directory. Exit codes: 0 ok, 2 config/usage error,
-3 I/O or file-format error, 4 numerical failure.
+Each takes ``--out`` and only the flags it reads: ``--config`` for synth,
+train, mine and ablate, ``--seed`` for synth and train. Every run writes a
+``run.json`` echoing the fully resolved configuration into its output
+directory. Exit codes: 0 ok, 2 config/usage error, 3 I/O or file-format
+error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -121,8 +123,10 @@ def _write_run_record(out_dir: Path, command: str, config: ResolvedConfig | None
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _check_dataset_compat(manifest: Manifest, config: ResolvedConfig, mines: bool):
-    """Refuse an encoder shape the dataset does not have, and when the run
+def _check_dataset_compat(manifest: Manifest, config: ResolvedConfig, splits: tuple,
+                          mines: bool):
+    """Refuse an encoder shape the dataset does not have, a video of
+    ``splits`` whose snippet count is not the encoder's, and when the run
     ``mines``, a mining limit longer than a train video."""
     ds = manifest.config
     t, d = (ds.num_snippets, ds.d_in) if ds is not None else (None, None)
@@ -131,6 +135,9 @@ def _check_dataset_compat(manifest: Manifest, config: ResolvedConfig, mines: boo
         raise ConfigError(f"dataset is T={t}, D={d} but the encoder expects "
                           f"T={enc.num_snippets}, D={enc.d_in}; fix the config")
     for v in manifest.videos:
+        if v.split in splits and v.num_snippets != enc.num_snippets:
+            raise ConfigError(f"video {v.id} has {v.num_snippets} snippets but the "
+                              f"encoder expects T={enc.num_snippets}")
         if mines and v.split == "train":
             error = length_error(v.id, v.num_snippets, v.video_label == 1, config.train.mining)
             if error is not None:
@@ -249,7 +256,8 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config, args.seed)
     manifest = load_manifest(args.data)
-    _check_dataset_compat(manifest, config, mines=config.train.loss.w_contrast > 0)
+    _check_dataset_compat(manifest, config, ("train",),
+                          mines=config.train.loss.w_contrast > 0)
     triples = _train_triples(args.data, manifest)
     out = Path(args.out)
     _write_run_record(out, "train", config, data=str(args.data),
@@ -275,12 +283,12 @@ def cmd_eval(args) -> int:
 def cmd_export_scores(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     videos = load_split(args.data, args.split, frame_labels=False)
+    scores = score_videos(model, videos)
     out = Path(args.out)
     _write_run_record(out, "export-scores", None,
                       checkpoint=str(args.checkpoint), data=str(args.data),
                       split=args.split)
-    _write_csv(out / "scores.csv", SCORE_COLUMNS,
-               _score_lines(videos, score_videos(model, videos)))
+    _write_csv(out / "scores.csv", SCORE_COLUMNS, _score_lines(videos, scores))
     print(f"wrote {out / 'scores.csv'}")
     return 0
 
@@ -346,7 +354,7 @@ def _read_scores_csv(path) -> list[tuple[str, int, np.ndarray]]:
 
 
 def cmd_mine(args) -> int:
-    config = load_config(args.config, args.seed)
+    config = load_config(args.config)
     videos = _read_scores_csv(args.scores)
     try:
         mined = mine_batch(videos, config.train.mining) if videos else None
@@ -383,9 +391,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = load_config(args.config, args.seed)
+    config = load_config(args.config)
     manifest = load_manifest(args.data)
-    _check_dataset_compat(manifest, config, mines=True)   # arm d mines
+    _check_dataset_compat(manifest, config, ("train", "test"), mines=True)   # arm d mines
     triples = _train_triples(args.data, manifest)
     test_videos = _load_test_split(args.data, manifest)
     out = Path(args.out)
@@ -422,18 +430,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weakly supervised video anomaly detection workflows")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, out_required=True):
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+    def command(name, func, summary, config=False, seed=False, out_required=True):
+        # no prefix matching: gradcheck would read --seed as --seeds
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if config:
+            p.add_argument("--config", default=None, help="JSON config file")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", required=out_required, default=None,
                        help="output directory")
         p.set_defaults(func=func)
         return p
 
-    command("synth", cmd_synth, "generate a synthetic dataset")
+    command("synth", cmd_synth, "generate a synthetic dataset", config=True, seed=True)
 
-    p = command("train", cmd_train, "train a model")
+    p = command("train", cmd_train, "train a model", config=True, seed=True)
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
 
@@ -447,14 +458,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "test"), default="test")
 
-    p = command("mine", cmd_mine, "mine hard/easy snippet sets from a score CSV")
+    p = command("mine", cmd_mine, "mine hard/easy snippet sets from a score CSV",
+                config=True)
     p.add_argument("--scores", required=True, help="input score CSV")
 
     p = command("gradcheck", cmd_gradcheck, "run the gradient verification suite",
                 out_required=False)
     p.add_argument("--seeds", type=int, default=10)
 
-    p = command("ablate", cmd_ablate, "train and score the four loss ablations")
+    p = command("ablate", cmd_ablate, "train and score the four loss ablations",
+                config=True)
     p.add_argument("--data", required=True)
 
     return parser

@@ -102,7 +102,7 @@ class GradCheckReport:
 
 def grad_check(
     f: Callable[[], Tensor],
-    params: Iterable[tuple[str, Tensor]] | dict,
+    params: Iterable[tuple[str, Tensor]],
     h: float = 1e-5,
     tol: float = 1e-4,
 ) -> GradCheckReport:
@@ -114,7 +114,7 @@ def grad_check(
     gradients are judged on absolute error. A non-finite objective at a
     perturbed point marks the parameter as failed with its location.
     """
-    named = list(params.items()) if isinstance(params, dict) else list(params)
+    named = list(params)
     for name, p in named:
         if p.data.dtype != np.float64:
             raise ValueError(f"grad_check requires float64 parameters ({name} is {p.data.dtype})")

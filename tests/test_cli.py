@@ -4,6 +4,7 @@ round trips (synth -> train -> eval/export -> mine/ablate/gradcheck)."""
 import csv
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,26 @@ def test_seed_override_applies_to_synth_and_train(tmp_path):
     assert resolved.train.seed == 42
 
 
+@pytest.mark.parametrize("command, written", [("synth", "train.wvfd"),
+                                              ("train", "checkpoint.wvck")])
+def test_the_seed_flag_sets_what_synth_and_train_write(command, written, tmp_path,
+                                                       tiny_dataset):
+    """``--seed`` at the config's own seed (synth 5, train 0) writes the
+    run without the flag; another seed writes other bytes."""
+    cfg = tiny_config_file(tmp_path)
+    data = [] if command == "synth" else ["--data", str(tiny_dataset)]
+    own = TINY_SYNTH["seed"] if command == "synth" else TINY_TRAIN["seed"]
+    outputs = {}
+    for name, seed in (("none", []), ("own", ["--seed", str(own)]), ("other", ["--seed", "7"])):
+        out = tmp_path / name
+        assert cli.main([command, "--config", cfg, *data, *seed, "--out", str(out)]) == 0
+        outputs[name] = (out / written).read_bytes()
+    assert outputs["own"] == outputs["none"]
+    assert outputs["other"] != outputs["none"]
+    config = json.loads((tmp_path / "other" / "run.json").read_text(encoding="utf-8"))["config"]
+    assert config["synth"]["seed"] == config["train"]["seed"] == 7
+
+
 # each input used to end in a traceback, or exit 0 with a run that was not
 # the one asked for: a null seed draws from OS entropy, a string is truthy,
 # a float count is used as given
@@ -195,15 +216,47 @@ def test_exit_code_2_on_dataset_encoder_mismatch(tmp_path, tiny_dataset, capsys)
     assert "encoder expects" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "ablate"])
-def test_a_dataset_mismatch_fails_before_the_run_record(command, tmp_path, tiny_dataset,
-                                                        capsys):
-    cfg = tiny_config_file(tmp_path, encoder={"num_snippets": 4})
+def uneven_dataset(tiny_dataset, root, split) -> Path:
+    """A copy of the tiny dataset whose first two ``split`` videos have 4 and
+    12 snippets instead of 8: the same feature rows, cut in other places."""
+    shutil.copytree(tiny_dataset, root)
+    manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+    first, second = [v for v in manifest["videos"] if v["split"] == split][:2]
+    first["num_snippets"], second["num_snippets"] = 4, 12
+    (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return root
+
+
+# an encoder T the dataset does not have, or uneven snippet counts in a split
+# the command feeds the model: train used to crash in np.stack after writing
+# run.json and log.csv, and ablate to exit 3 after training arm a
+@pytest.mark.parametrize("command, uneven, message", [
+    ("train", None, "dataset is T=8, D=6 but the encoder expects T=4, D=6; fix the config"),
+    ("ablate", None, "dataset is T=8, D=6 but the encoder expects T=4, D=6; fix the config"),
+    ("train", "train", "video train-nrm-000 has 4 snippets but the encoder expects T=8"),
+    ("ablate", "train", "video train-nrm-000 has 4 snippets but the encoder expects T=8"),
+    ("ablate", "test", "video test-nrm-000 has 4 snippets but the encoder expects T=8"),
+], ids=["train", "ablate", "train-uneven_train", "ablate-uneven_train",
+        "ablate-uneven_test"])
+def test_a_dataset_mismatch_fails_before_the_run_record(command, uneven, message, tmp_path,
+                                                        tiny_dataset, capsys):
+    if uneven is None:
+        data, encoder = tiny_dataset, {"num_snippets": 4}
+    else:
+        data, encoder = uneven_dataset(tiny_dataset, tmp_path / "data", uneven), {}
+    cfg = tiny_config_file(tmp_path, encoder=encoder, ablate={"seeds": [0]})
     out = tmp_path / "o"
-    rc = cli.main([command, "--config", cfg, "--data", str(tiny_dataset), "--out", str(out)])
+    rc = cli.main([command, "--config", cfg, "--data", str(data), "--out", str(out)])
     assert rc == 2
-    assert "encoder expects" in capsys.readouterr().err
-    assert not (out / "run.json").exists()
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_train_does_not_check_the_test_splits_snippet_counts(tmp_path, tiny_dataset):
+    data = uneven_dataset(tiny_dataset, tmp_path / "data", "test")
+    cfg = tiny_config_file(tmp_path, train={"epochs": 1})
+    assert cli.main(["train", "--config", cfg, "--data", str(data),
+                     "--out", str(tmp_path / "o")]) == 0
 
 
 # the tiny dataset's videos have 8 snippets; ablate refuses even with no
@@ -548,6 +601,27 @@ def test_export_scores_on_empty_split_writes_header_only(trained_run, no_test_da
         ",".join(cli.SCORE_COLUMNS) + "\n")
 
 
+@pytest.mark.parametrize("dataset, code, message", [
+    ("uneven", 3, "i/o error: videos of one split must share a feature shape, "
+                  "got [(4, 6), (8, 6), (12, 6)]"),
+    ("T4", 2, "config error: feature array is (4, 4, 6), config expects (B, *(8, 6))"),
+], ids=["uneven", "T4"])
+def test_export_scores_on_a_split_it_cannot_score_leaves_no_output(
+        dataset, code, message, trained_run, tiny_dataset, tmp_path, capsys):
+    if dataset == "uneven":
+        data = uneven_dataset(tiny_dataset, tmp_path / "data", "test")
+    else:
+        data = tmp_path / "data"
+        generate_dataset(SynthConfig(**(TINY_SYNTH | dict(num_snippets=4,
+                                                          region_len_range=(1, 3)))), data)
+    out = tmp_path / "exp"
+    rc = cli.main(["export-scores", "--checkpoint", str(trained_run / "checkpoint.wvck"),
+                   "--data", str(data), "--out", str(out)])
+    assert rc == code
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_eval_rejects_non_finite_features(trained_run, tmp_path, capsys, bad):
     data = tmp_path / "data"
@@ -723,3 +797,17 @@ def test_ablate_writes_table_and_runs(tmp_path, tiny_dataset, capsys):
     printed = capsys.readouterr().out
     for preset in ABLATION_PRESETS:
         assert f"config {preset} mean:" in printed
+
+
+def test_ablate_arm_d_mines_once_its_warm_up_is_over(tmp_path, tiny_dataset, capsys):
+    """With no warm-up, arm d mines from its first step, so its contrastive
+    term moves it away from arm c, which differs from it in nothing else."""
+    cfg = tiny_config_file(tmp_path, train={"mining_warmup_epochs": 0}, ablate={"seeds": [0]})
+    out = tmp_path / "ab"
+    assert cli.main(["ablate", "--config", cfg, "--data", str(tiny_dataset),
+                     "--out", str(out)]) == 0
+    with open(out / "run_d_seed0" / "log.csv", encoding="utf-8") as fh:
+        assert any(int(row["n_ea"]) > 0 for row in csv.DictReader(fh))
+    with open(out / "ablation.csv", encoding="utf-8") as fh:
+        rows = {row.pop("config"): row for row in csv.DictReader(fh)}
+    assert rows["d"] != rows["c"]

@@ -10,8 +10,12 @@ reads (README, "What each subcommand reads"); ``export-scores`` reads no
 frame label, so a broken ``test.labels`` leaves it at exit 0. A run that
 fails leaves no output behind, except ``train --resume`` on a broken
 checkpoint: its ``run.json`` is written before the checkpoint is read.
+
+Each subcommand takes ``--out``, the path flags broken here and its own
+flags, and no other: a flag it does not read is a usage error (exit 2).
 """
 
+import argparse
 import json
 import shutil
 import struct
@@ -60,6 +64,9 @@ READS = {
                           "test.wvfd": BINARY, "test.labels": BINARY}},
     "gradcheck": {},
 }
+# each subcommand's flags that name no path
+OWN_FLAGS = {"synth": {"--seed"}, "train": {"--seed"}, "gradcheck": {"--seeds"},
+             "export-scores": {"--split"}}
 CASES = [(command, flag, name, fault, code)
          for command, flags in READS.items() for flag, files in flags.items()
          for name, codes in files.items() for fault, code in codes.items()]
@@ -129,3 +136,39 @@ def test_a_broken_path_exits_with_its_code_and_no_traceback(command, flag, name,
     elif code:
         left = sorted(p.name for p in out.iterdir()) if out.exists() else []
         assert left == (["run.json"] if flag == "--resume" else [])
+
+
+def subcommand_options() -> dict[str, set[str]]:
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {flag for action in p._actions for flag in action.option_strings
+                   if flag not in ("-h", "--help")} for name, p in sub.choices.items()}
+
+
+def test_each_subcommand_takes_out_its_paths_and_its_own_flags():
+    """A path flag is taken only where the broken-path cases above break it,
+    so a flag that a subcommand accepts and ignores cannot come back."""
+    options = subcommand_options()
+    assert options == {command: {"--out", *READS[command], *OWN_FLAGS.get(command, ())}
+                       for command in READS}
+    assert sum(map(len, options.values())) == 23
+
+
+# the flags that these subcommands used to accept and ignore
+IGNORED = [("eval", "--config"), ("eval", "--seed"), ("export-scores", "--config"),
+           ("export-scores", "--seed"), ("mine", "--seed"), ("gradcheck", "--config"),
+           ("gradcheck", "--seed"), ("ablate", "--seed")]
+
+
+@pytest.mark.parametrize("command, flag", IGNORED, ids=[f"{c}{f}" for c, f in IGNORED])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(command, flag, tmp_path, capsys):
+    required = {"eval": ["--checkpoint", "c.wvck", "--data", "d"],
+                "export-scores": ["--checkpoint", "c.wvck", "--data", "d"],
+                "mine": ["--scores", "s.csv"], "ablate": ["--data", "d"]}
+    value = str(tmp_path / "config.json") if flag == "--config" else "5"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, *required.get(command, []), flag, value,
+                  "--out", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
