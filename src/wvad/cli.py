@@ -125,15 +125,9 @@ def _write_run_record(out_dir: Path, command: str, config: ResolvedConfig | None
 
 def _check_dataset_compat(manifest: Manifest, config: ResolvedConfig, splits: tuple,
                           mines: bool):
-    """Refuse an encoder shape the dataset does not have, a video of
-    ``splits`` whose snippet count is not the encoder's, and when the run
-    ``mines``, a mining limit longer than a train video."""
-    ds = manifest.config
-    t, d = (ds.num_snippets, ds.d_in) if ds is not None else (None, None)
+    """Refuse a video of ``splits`` whose snippet count is not the encoder's,
+    and when the run ``mines``, a mining limit longer than a train video."""
     enc = config.train.encoder
-    if (t, d) != (enc.num_snippets, enc.d_in):
-        raise ConfigError(f"dataset is T={t}, D={d} but the encoder expects "
-                          f"T={enc.num_snippets}, D={enc.d_in}; fix the config")
     for v in manifest.videos:
         if v.split in splits and v.num_snippets != enc.num_snippets:
             raise ConfigError(f"video {v.id} has {v.num_snippets} snippets but the "
@@ -142,6 +136,14 @@ def _check_dataset_compat(manifest: Manifest, config: ResolvedConfig, splits: tu
             error = length_error(v.id, v.num_snippets, v.video_label == 1, config.train.mining)
             if error is not None:
                 raise ConfigError(f"the mining config does not fit the dataset: {error}")
+
+
+def _check_width(data_dir, split: str, features: list[np.ndarray], config: ResolvedConfig):
+    """Refuse a loaded split whose feature rows are not the encoder's D wide."""
+    d_in = config.train.encoder.d_in
+    if features and features[0].shape[1] != d_in:
+        raise ConfigError(f"{Path(data_dir) / f'{split}.wvfd'}: features are "
+                          f"{features[0].shape[1]} wide but the encoder expects D={d_in}")
 
 
 def _train_triples(data_dir,
@@ -259,6 +261,7 @@ def cmd_train(args) -> int:
     _check_dataset_compat(manifest, config, ("train",),
                           mines=config.train.loss.w_contrast > 0)
     triples = _train_triples(args.data, manifest)
+    _check_width(args.data, "train", [f for _, _, f in triples], config)
     out = Path(args.out)
     _write_run_record(out, "train", config, data=str(args.data),
                       resume=str(args.resume) if args.resume else None)
@@ -396,6 +399,8 @@ def cmd_ablate(args) -> int:
     _check_dataset_compat(manifest, config, ("train", "test"), mines=True)   # arm d mines
     triples = _train_triples(args.data, manifest)
     test_videos = _load_test_split(args.data, manifest)
+    _check_width(args.data, "train", [f for _, _, f in triples], config)
+    _check_width(args.data, "test", [v.features for v in test_videos], config)
     out = Path(args.out)
     _write_run_record(out, "ablate", config, data=str(args.data))
     results = []

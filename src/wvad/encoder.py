@@ -15,10 +15,12 @@ sigmoid.
 A memoryless linear baseline (one affine map on the raw features) lives here
 too so training and evaluation can swap models behind one interface.
 
-Checkpoint layout (binary, little-endian): magic ``WVCK``, u32 version, u32
-JSON length, JSON config block, then every parameter tensor in declaration
-order as raw float32. Callers may append opaque trailing bytes; the loader
-returns them untouched.
+Each model kind declares its parameters once, in a table (``param_table``,
+``linear_param_table``) that gives every parameter's name, shape and init in
+checkpoint order. Checkpoint layout (binary, little-endian): magic ``WVCK``,
+u32 version, u32 JSON length, JSON config block, then every parameter tensor
+in table order as raw float32. Callers may append opaque trailing bytes; the
+loader returns them untouched.
 """
 
 from __future__ import annotations
@@ -105,14 +107,6 @@ class BlockParams:
     ff_w2: Tensor
     ff_b2: Tensor
 
-    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        for name in self._ORDER:
-            yield f"{prefix}.{name}", getattr(self, name)
-
-
-# a block's parameters in checkpoint order: the fields' declared order
-BlockParams._ORDER = tuple(f.name for f in fields(BlockParams))
-
 
 @dataclass
 class ModelParams:
@@ -129,17 +123,15 @@ class ModelParams:
     video_b: Tensor
 
     def named(self) -> Iterator[tuple[str, Tensor]]:
-        yield "w_in", self.w_in
-        yield "b_in", self.b_in
-        yield "cls_token", self.cls_token
-        if self.pos is not None:
-            yield "pos", self.pos
-        for i, blk in enumerate(self.blocks):
-            yield from blk.named(f"block{i}")
-        yield "score_w", self.score_w
-        yield "score_b", self.score_b
-        yield "video_w", self.video_w
-        yield "video_b", self.video_b
+        """Every tensor, named as in ``param_table``, in field order."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "blocks":
+                for i, blk in enumerate(value):
+                    for b in fields(blk):
+                        yield f"block{i}.{b.name}", getattr(blk, b.name)
+            elif value is not None:
+                yield f.name, value
 
 
 @dataclass
@@ -167,80 +159,68 @@ class ScoredBatch:
     labels: np.ndarray | None = None    # (B,) of 0 (normal) / 1 (abnormal)
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
-    bound = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
-
-
-def _zeros(shape, dtype) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-
-def param_shapes(config: EncoderConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """Every parameter's name and shape in declaration (checkpoint) order,
-    as ``ModelParams.named`` yields them, without allocating any."""
-    d = config.d_model
-    block = {"conv_depth": (d, config.conv_width), "conv_point": (d, d), "conv_bias": (d,),
-             "wq": (d, d), "bq": (d,), "wk": (d, d), "bk": (d,), "wv": (d, d), "bv": (d,),
-             "wo": (d, d), "bo": (d,), "ln_gamma": (d,), "ln_beta": (d,),
-             "ff_w1": (d, 2 * d), "ff_b1": (2 * d,), "ff_w2": (2 * d, d), "ff_b2": (d,)}
-    yield "w_in", (config.d_in, d)
-    yield "b_in", (d,)
-    yield "cls_token", (d,)
+def param_table(config: EncoderConfig) -> Iterator[tuple[str, tuple[int, ...], int | str]]:
+    """Every parameter of the transformer in checkpoint order, lazily: its
+    name, its shape and its init, "zeros", "ones" or the fan-in of a
+    symmetric uniform draw."""
+    d, w = config.d_model, config.conv_width
+    yield "w_in", (config.d_in, d), config.d_in
+    yield "b_in", (d,), "zeros"
+    yield "cls_token", (d,), d
     if config.use_positional:
-        yield "pos", (config.num_snippets + 1, d)
+        yield "pos", (config.num_snippets + 1, d), d
+    block = (("conv_depth", (d, w), w), ("conv_point", (d, d), d), ("conv_bias", (d,), "zeros"),
+             ("wq", (d, d), d), ("bq", (d,), "zeros"), ("wk", (d, d), d), ("bk", (d,), "zeros"),
+             ("wv", (d, d), d), ("bv", (d,), "zeros"), ("wo", (d, d), d), ("bo", (d,), "zeros"),
+             ("ln_gamma", (d,), "ones"), ("ln_beta", (d,), "zeros"),
+             ("ff_w1", (d, 2 * d), d), ("ff_b1", (2 * d,), "zeros"),
+             ("ff_w2", (2 * d, d), 2 * d), ("ff_b2", (d,), "zeros"))
     for i in range(config.depth):
-        for name in BlockParams._ORDER:
-            yield f"block{i}.{name}", block[name]
-    yield "score_w", (d,)
-    yield "score_b", ()
-    yield "video_w", (d,)
-    yield "video_b", ()
+        for name, shape, init in block:
+            yield f"block{i}.{name}", shape, init
+    yield "score_w", (d,), d
+    yield "score_b", (), "zeros"
+    yield "video_w", (d,), d
+    yield "video_b", (), "zeros"
+
+
+def linear_param_table(d_in: int) -> list[tuple[str, tuple[int, ...], int | str]]:
+    """The linear model's parameters, as ``param_table`` gives the transformer's."""
+    return [("w", (d_in,), d_in), ("b", (), "zeros")]
+
+
+def init_tensors(table, seed: int, dtype=np.float32) -> list[Tensor]:
+    """A table's parameters in table order, deterministic for a seed.
+
+    The uniform draws are made for every block's entries first and then for
+    the others, each in table order. That is the order the first checkpoints
+    were drawn in; it keeps every seed's parameters, and so every
+    checkpoint and log, bit for bit.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    table = list(table)
+    made = {}
+    for name, shape, init in sorted(table, key=lambda entry: not entry[0].startswith("block")):
+        if init in ("zeros", "ones"):
+            data = (np.zeros if init == "zeros" else np.ones)(shape, dtype=dtype)
+        else:
+            bound = 1.0 / math.sqrt(init)
+            data = rng.uniform(-bound, bound, size=shape).astype(dtype)
+        made[name] = Tensor(data, requires_grad=True)
+    return [made[name] for name, _, _ in table]
 
 
 def params_from_tensors(config: EncoderConfig, tensors: Iterable[Tensor]) -> ModelParams:
-    """Assemble ``ModelParams`` from tensors in ``param_shapes`` order."""
-    it = iter(tensors)
-    return ModelParams(
-        w_in=next(it), b_in=next(it), cls_token=next(it),
-        pos=next(it) if config.use_positional else None,
-        blocks=[BlockParams(**{name: next(it) for name in BlockParams._ORDER})
-                for _ in range(config.depth)],
-        score_w=next(it), score_b=next(it), video_w=next(it), video_b=next(it),
-    )
+    """Assemble ``ModelParams`` from tensors in ``param_table`` order."""
+    named = dict(zip((name for name, _, _ in param_table(config)), tensors))
+    blocks = [BlockParams(**{f.name: named.pop(f"block{i}.{f.name}") for f in fields(BlockParams)})
+              for i in range(config.depth)]
+    return ModelParams(pos=named.pop("pos", None), blocks=blocks, **named)
 
 
 def init_params(config: EncoderConfig, seed: int, dtype=np.float32) -> ModelParams:
     """Fan-in-scaled symmetric init; biases zero; deterministic for a seed."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    d = config.d_model
-    blocks = []
-    for _ in range(config.depth):
-        blocks.append(BlockParams(
-            conv_depth=_uniform(rng, (d, config.conv_width), config.conv_width, dtype),
-            conv_point=_uniform(rng, (d, d), d, dtype),
-            conv_bias=_zeros(d, dtype),
-            wq=_uniform(rng, (d, d), d, dtype), bq=_zeros(d, dtype),
-            wk=_uniform(rng, (d, d), d, dtype), bk=_zeros(d, dtype),
-            wv=_uniform(rng, (d, d), d, dtype), bv=_zeros(d, dtype),
-            wo=_uniform(rng, (d, d), d, dtype), bo=_zeros(d, dtype),
-            ln_gamma=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
-            ln_beta=_zeros(d, dtype),
-            ff_w1=_uniform(rng, (d, 2 * d), d, dtype), ff_b1=_zeros(2 * d, dtype),
-            ff_w2=_uniform(rng, (2 * d, d), 2 * d, dtype), ff_b2=_zeros(d, dtype),
-        ))
-    return ModelParams(
-        w_in=_uniform(rng, (config.d_in, d), config.d_in, dtype),
-        b_in=_zeros(d, dtype),
-        cls_token=_uniform(rng, (d,), d, dtype),
-        pos=_uniform(rng, (config.num_snippets + 1, d), d, dtype)
-            if config.use_positional else None,
-        blocks=blocks,
-        score_w=_uniform(rng, (d,), d, dtype),
-        score_b=_zeros((), dtype),
-        video_w=_uniform(rng, (d,), d, dtype),
-        video_b=_zeros((), dtype),
-    )
+    return params_from_tensors(config, init_tensors(param_table(config), seed, dtype))
 
 
 def encode(features, params: ModelParams, config: EncoderConfig,
@@ -382,8 +362,7 @@ class LinearModel:
 
     @classmethod
     def init(cls, d_in: int, seed: int, dtype=np.float32) -> "LinearModel":
-        rng = np.random.Generator(np.random.PCG64(seed))
-        return cls(d_in, _uniform(rng, (d_in,), d_in, dtype), _zeros((), dtype))
+        return cls(d_in, *init_tensors(linear_param_table(d_in), seed, dtype))
 
     def forward(self, features, rng=None) -> ScoredBatch:
         """Same shapes as ``TransformerModel.forward``: (T, D_in) or (B, T, D_in)."""
@@ -460,11 +439,11 @@ def load_checkpoint(path) -> tuple[Model, bytes]:
         cfg = json.loads(buf[12:blob_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: bad config block: {e}") from e
-    shapes, build = _layout_from_config(cfg, path)
+    table, build = _layout_from_config(cfg, path)
     # every parameter holds at least one value, so this walk ends within
     # len(buf) / 4 parameters however large a model the header declares
     layout, end = [], blob_end
-    for name, shape in shapes:
+    for name, shape, _ in table:
         size = math.prod(shape)
         if end + 4 * size > len(buf):
             raise FormatError(f"{path}: truncated at parameter {name}")
@@ -486,14 +465,14 @@ class _Header:
 
 
 def _layout_from_config(cfg, path):
-    """The parameter shapes a checkpoint header's config declares, lazily,
-    and the function that builds the model from tensors of those shapes."""
+    """The parameter table of the model a checkpoint header's config
+    declares, and the function that builds that model from its tensors."""
     header = from_json(_Header, cfg, f"{path}: header", FormatError)
     config, d_in = header.encoder, header.d_in
     if header.model == "transformer" and config is not None:
-        return param_shapes(config), \
+        return param_table(config), \
             lambda tensors: TransformerModel(config, params_from_tensors(config, tensors))
     if header.model == "linear" and d_in is not None and d_in >= 1:
-        return [("w", (d_in,)), ("b", ())], lambda tensors: LinearModel(d_in, *tensors)
+        return linear_param_table(d_in), lambda tensors: LinearModel(d_in, *tensors)
     raise FormatError(f"{path}: header of model kind {header.model!r} is neither a "
                       "transformer with an encoder config nor a linear model with d_in >= 1")

@@ -323,16 +323,17 @@ def train(videos: Sequence[VideoTriple], config: TrainConfig,
           out_dir=None, resume=None) -> TrainResult:
     """Run the full loop; ``config.epochs`` is the total epoch target.
 
-    With ``resume`` pointing at an epoch-end checkpoint, training continues
-    from the stored epoch and reproduces the uninterrupted run exactly.
+    With ``resume`` pointing at an epoch-end checkpoint of the model that
+    ``config`` describes, training continues from the stored epoch and
+    reproduces the uninterrupted run exactly.
     """
     sampler = BalancedSampler([label for _, label, _ in videos],
                               config.batch_normal, config.batch_abnormal)
     if resume is not None:
         model, extra = load_checkpoint(resume)
-        if model.kind != config.model:
-            raise ConfigError(
-                f"checkpoint is a {model.kind} model, config wants {config.model}")
+        found, wanted = model.config_dict(), _build_model(config).config_dict()
+        if found != wanted:
+            raise ConfigError(f"{resume}: checkpoint's model is {found}, config's is {wanted}")
         named = model.named_params()
         opt, step, start_epoch, rng = _parse_opt_state(extra, named, resume)
     else:

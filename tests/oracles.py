@@ -39,6 +39,12 @@ at a time, each check in turn, with a ``_readable`` wrapper that numbers
 the row csv cannot read. ``wvad.cli``'s reader is a row loop too; on any
 input the two must return the same values or raise the same exception
 class with the same message.
+
+``init_params`` and ``init_linear`` are the parameter init as it was
+written before each model kind declared its parameters in one table: every
+shape and fan-in spelled out, the uniform draws made block by block and
+then for the input projection, cls token, positions and heads. The
+table-driven init must give the same bits, parameter for parameter.
 """
 
 import csv
@@ -50,6 +56,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from wvad.cli import SCORE_COLUMNS
+from wvad.encoder import BlockParams, EncoderConfig, ModelParams
 from wvad.errors import ConfigError, FormatError, MetricError
 from wvad.metrics import _validate
 from wvad.mining import MinedSets
@@ -559,3 +566,55 @@ def read_scores_csv_rows(path) -> list[tuple[str, int, np.ndarray]]:
         videos.append((vid, entry["label"],
                        np.array([entry["scores"][t] for t in ts], dtype=np.float64)))
     return videos
+
+
+# ---------------------------------------------------------------------
+# the explicit parameter init
+
+
+def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
+    bound = 1.0 / math.sqrt(fan_in)
+    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
+
+
+def _zeros(shape, dtype) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+
+
+def init_params(config: EncoderConfig, seed: int, dtype=np.float32) -> ModelParams:
+    """Fan-in-scaled symmetric init; biases zero; deterministic for a seed."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    d = config.d_model
+    blocks = []
+    for _ in range(config.depth):
+        blocks.append(BlockParams(
+            conv_depth=_uniform(rng, (d, config.conv_width), config.conv_width, dtype),
+            conv_point=_uniform(rng, (d, d), d, dtype),
+            conv_bias=_zeros(d, dtype),
+            wq=_uniform(rng, (d, d), d, dtype), bq=_zeros(d, dtype),
+            wk=_uniform(rng, (d, d), d, dtype), bk=_zeros(d, dtype),
+            wv=_uniform(rng, (d, d), d, dtype), bv=_zeros(d, dtype),
+            wo=_uniform(rng, (d, d), d, dtype), bo=_zeros(d, dtype),
+            ln_gamma=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
+            ln_beta=_zeros(d, dtype),
+            ff_w1=_uniform(rng, (d, 2 * d), d, dtype), ff_b1=_zeros(2 * d, dtype),
+            ff_w2=_uniform(rng, (2 * d, d), 2 * d, dtype), ff_b2=_zeros(d, dtype),
+        ))
+    return ModelParams(
+        w_in=_uniform(rng, (config.d_in, d), config.d_in, dtype),
+        b_in=_zeros(d, dtype),
+        cls_token=_uniform(rng, (d,), d, dtype),
+        pos=_uniform(rng, (config.num_snippets + 1, d), d, dtype)
+            if config.use_positional else None,
+        blocks=blocks,
+        score_w=_uniform(rng, (d,), d, dtype),
+        score_b=_zeros((), dtype),
+        video_w=_uniform(rng, (d,), d, dtype),
+        video_b=_zeros((), dtype),
+    )
+
+
+def init_linear(d_in: int, seed: int, dtype=np.float32) -> tuple[Tensor, Tensor]:
+    """The linear model's (w, b) at init."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return _uniform(rng, (d_in,), d_in, dtype), _zeros((), dtype)

@@ -227,29 +227,60 @@ def uneven_dataset(tiny_dataset, root, split) -> Path:
     return root
 
 
-# an encoder T the dataset does not have, or uneven snippet counts in a split
-# the command feeds the model: train used to crash in np.stack after writing
-# run.json and log.csv, and ablate to exit 3 after training arm a
-@pytest.mark.parametrize("command, uneven, message", [
-    ("train", None, "dataset is T=8, D=6 but the encoder expects T=4, D=6; fix the config"),
-    ("ablate", None, "dataset is T=8, D=6 but the encoder expects T=4, D=6; fix the config"),
-    ("train", "train", "video train-nrm-000 has 4 snippets but the encoder expects T=8"),
-    ("ablate", "train", "video train-nrm-000 has 4 snippets but the encoder expects T=8"),
-    ("ablate", "test", "video test-nrm-000 has 4 snippets but the encoder expects T=8"),
+def narrow_dataset(tiny_dataset, root, split) -> Path:
+    """A copy of the tiny dataset whose ``split`` features are 5 wide, not 6."""
+    shutil.copytree(tiny_dataset, root)
+    path = root / f"{split}.wvfd"
+    rows = [(v.id, v.num_snippets) for v in load_manifest(root).videos if v.split == split]
+    synthdata.write_features(synthdata.load_features(path, rows)[:, :5], path)
+    return root
+
+
+# an encoder T or D the dataset does not have, or uneven snippet counts in a
+# split the command feeds the model: train used to crash in np.stack after
+# writing run.json and log.csv, and ablate to exit 3 after training arm a
+@pytest.mark.parametrize("command, copy, split, encoder, message", [
+    ("train", None, None, {"num_snippets": 4},
+     "video train-nrm-000 has 8 snippets but the encoder expects T=4"),
+    ("ablate", None, None, {"num_snippets": 4},
+     "video train-nrm-000 has 8 snippets but the encoder expects T=4"),
+    ("train", uneven_dataset, "train", {},
+     "video train-nrm-000 has 4 snippets but the encoder expects T=8"),
+    ("ablate", uneven_dataset, "train", {},
+     "video train-nrm-000 has 4 snippets but the encoder expects T=8"),
+    ("ablate", uneven_dataset, "test", {},
+     "video test-nrm-000 has 4 snippets but the encoder expects T=8"),
+    ("train", None, None, {"d_in": 5},
+     "{data}/train.wvfd: features are 6 wide but the encoder expects D=5"),
+    ("ablate", None, None, {"d_in": 5},
+     "{data}/train.wvfd: features are 6 wide but the encoder expects D=5"),
+    ("ablate", narrow_dataset, "test", {},
+     "{data}/test.wvfd: features are 5 wide but the encoder expects D=6"),
 ], ids=["train", "ablate", "train-uneven_train", "ablate-uneven_train",
-        "ablate-uneven_test"])
-def test_a_dataset_mismatch_fails_before_the_run_record(command, uneven, message, tmp_path,
-                                                        tiny_dataset, capsys):
-    if uneven is None:
-        data, encoder = tiny_dataset, {"num_snippets": 4}
-    else:
-        data, encoder = uneven_dataset(tiny_dataset, tmp_path / "data", uneven), {}
+        "ablate-uneven_test", "train-width", "ablate-width", "ablate-narrow_test"])
+def test_a_dataset_mismatch_fails_before_the_run_record(command, copy, split, encoder, message,
+                                                        tmp_path, tiny_dataset, capsys):
+    data = tiny_dataset if copy is None else copy(tiny_dataset, tmp_path / "data", split)
     cfg = tiny_config_file(tmp_path, encoder=encoder, ablate={"seeds": [0]})
     out = tmp_path / "o"
     rc = cli.main([command, "--config", cfg, "--data", str(data), "--out", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert capsys.readouterr().err == f"config error: {message.format(data=data)}\n"
     assert not out.exists()
+
+
+def test_a_dataset_without_its_generating_config_trains(tmp_path, tiny_dataset):
+    """The manifest's config is optional; the videos and the feature files
+    alone give T and D."""
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+    manifest["config"] = None
+    (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    cfg = tiny_config_file(tmp_path, train={"epochs": 1})
+    assert cli.main(["train", "--config", cfg, "--data", str(data),
+                     "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "checkpoint.wvck").exists()
 
 
 def test_train_does_not_check_the_test_splits_snippet_counts(tmp_path, tiny_dataset):

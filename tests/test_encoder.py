@@ -19,8 +19,9 @@ from wvad.encoder import (
     _embed,
     encode,
     init_params,
+    linear_param_table,
     load_checkpoint,
-    param_shapes,
+    param_table,
     save_checkpoint,
     snippet_scores,
     video_score,
@@ -78,6 +79,32 @@ def test_init_biases_zero_and_gains_one():
         assert np.all(blk.conv_bias.data == 0)
         assert np.all(blk.ln_gamma.data == 1)
         assert np.all(blk.ln_beta.data == 0)
+
+
+def _param_bits(named):
+    return [(name, p.data.dtype, p.data.shape, p.data.tobytes(), p.requires_grad)
+            for name, p in named]
+
+
+# conv_width 1 is a fan-in of 1, which must draw, not read as a gain of ones
+@pytest.mark.parametrize("kw", [{}, {"use_positional": True, "depth": 3, "conv_width": 5},
+                                {"conv_width": 1}],
+                         ids=["default", "positional-depth3-width5", "width1"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_is_the_explicit_init_bit_for_bit(kw, dtype):
+    config = EncoderConfig(**kw)
+    for seed in (0, 1, 7):
+        assert _param_bits(init_params(config, seed, dtype).named()) == \
+            _param_bits(oracles.init_params(config, seed, dtype).named())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d_in", [1, 5, 32])
+def test_linear_init_is_the_explicit_init_bit_for_bit(d_in, dtype):
+    for seed in (0, 1, 7):
+        w, b = oracles.init_linear(d_in, seed, dtype)
+        assert _param_bits(LinearModel.init(d_in, seed, dtype).named_params()) == \
+            _param_bits([("w", w), ("b", b)])
 
 
 def test_initial_scores_inside_unit_interval():
@@ -589,11 +616,28 @@ def test_checkpoint_rejects_unknown_model_kind(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("kw", [{}, {"use_positional": True, "depth": 3, "conv_width": 5}])
-def test_param_shapes_are_the_declared_parameters(kw):
-    m = make_model(**kw)
-    assert list(param_shapes(m.config)) == [(name, p.data.shape)
-                                             for name, p in m.named_params()]
+@pytest.mark.parametrize("make", [
+    lambda: make_model(),
+    lambda: make_model(use_positional=True, depth=3, conv_width=5),
+    lambda: LinearModel.init(d_in=5, seed=0),
+], ids=["transformer", "transformer-positional-depth3-width5", "linear"])
+def test_param_shapes_are_the_declared_parameters(make, tmp_path):
+    """The table names every parameter with its shape, in checkpoint order,
+    and a checkpoint's parameter block holds exactly those float32 values."""
+    import json
+    import math
+    import struct
+    m = make()
+    table = list(linear_param_table(m.d_in) if isinstance(m, LinearModel)
+                 else param_table(m.config))
+    assert [(name, shape) for name, shape, _ in table] == [(name, p.data.shape)
+                                                           for name, p in m.named_params()]
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, m)
+    raw = path.read_bytes()
+    (blob_len,) = struct.unpack_from("<I", raw, 8)
+    assert json.loads(raw[12:12 + blob_len]) == m.config_dict()
+    assert len(raw) - 12 - blob_len == 4 * sum(math.prod(shape) for _, shape, _ in table)
 
 
 def test_checkpoint_payload_size_is_checked_before_allocation(tmp_path):

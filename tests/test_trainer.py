@@ -455,12 +455,22 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
 
 
 def test_resume_requires_matching_model_kind(tmp_path):
+    """A resume refuses a checkpoint whose model config is not the run's:
+    another kind, another encoder field, or a linear model of another D."""
     videos = micro_videos()
-    out = tmp_path / "run"
-    train(videos, micro_config(epochs=1), out_dir=out)
-    with pytest.raises(ConfigError):
-        train(videos, micro_config(epochs=2, model="linear"),
-              resume=out / "checkpoint.wvck")
+    deeper = dataclasses.replace(micro_config().encoder, depth=2, heads=4)
+    narrower = dataclasses.replace(micro_config().encoder, d_in=5)
+    for i, (first, then, message) in enumerate([
+            ({}, {"model": "linear"}, r"'model': 'transformer'.*'model': 'linear'"),
+            ({}, {"encoder": deeper},
+             r"'heads': 2, 'depth': 1, .*config's is .*'heads': 4, 'depth': 2, "),
+            ({"model": "linear"}, {"model": "linear", "encoder": narrower},
+             r"is \{'model': 'linear', 'd_in': 6\}, config's is \{'model': 'linear', 'd_in': 5\}"),
+    ]):
+        out = tmp_path / f"run{i}"
+        train(videos, micro_config(epochs=1, **first), out_dir=out)
+        with pytest.raises(ConfigError, match=message):
+            train(videos, micro_config(epochs=2, **then), resume=out / "checkpoint.wvck")
 
 
 def test_resume_rejects_checkpoint_without_optimiser(tmp_path):
