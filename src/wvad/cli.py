@@ -146,6 +146,16 @@ def _check_width(data_dir, split: str, features: list[np.ndarray], config: Resol
                           f"{features[0].shape[1]} wide but the encoder expects D={d_in}")
 
 
+def _check_both_classes(data_dir, videos):
+    """Refuse a loaded test split whose frame labels are all one class, which
+    AUC cannot score."""
+    n_pos = sum(int(np.count_nonzero(v.frame_labels)) for v in videos)
+    n_neg = sum(v.frame_labels.size for v in videos) - n_pos
+    if not (n_pos and n_neg):
+        raise MetricError(f"{data_dir}: the test split's frame labels are all one class "
+                          f"({n_pos} pos / {n_neg} neg), and AUC needs both")
+
+
 def _train_triples(data_dir,
                    manifest: Manifest | None = None) -> list[tuple[str, int, np.ndarray]]:
     videos = load_split(data_dir, "train", manifest=manifest)
@@ -401,6 +411,7 @@ def cmd_ablate(args) -> int:
     test_videos = _load_test_split(args.data, manifest)
     _check_width(args.data, "train", [f for _, _, f in triples], config)
     _check_width(args.data, "test", [v.features for v in test_videos], config)
+    _check_both_classes(args.data, test_videos)
     out = Path(args.out)
     _write_run_record(out, "ablate", config, data=str(args.data))
     results = []

@@ -44,3 +44,17 @@ def test_the_benchmark_times_the_isolated_layers(workloads):
     times = workloads.isolated_layers(0)
     assert sorted(times) == ["encoder.heads_ms", "encoder.input_proj_ms"]
     assert all(ms > 0 for ms in times.values())
+
+
+def test_the_benchmark_reads_a_passing_gradcheck_report(workloads):
+    """One small gradcheck workload run: every check it makes of the
+    report (every row passed, every case at its seed count, the counts of
+    each pass alike) holds, so a report the benchmark cannot read fails here."""
+    run = workloads.Run(Namespace(workload="gradcheck", seed=0, seconds=0.0,
+                                  size="small", trace=None))
+    try:
+        workloads.gradcheck_workload(run)
+    finally:
+        run.tracer.close()
+    assert run.failed == 0
+    assert run.problems == []

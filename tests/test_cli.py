@@ -10,14 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wvad import cli, synthdata
+from wvad import cli, synthdata, verification
 from wvad.cli import ABLATION_PRESETS, load_config
 from wvad.encoder import EncoderConfig, save_checkpoint
 from wvad.errors import ConfigError
 from wvad.mining import MiningConfig, mine_batch
 from wvad.synthdata import SynthConfig, generate_dataset, load_manifest, load_split
+from wvad.tensor import Tensor, node
 from wvad.trainer import TrainConfig, _build_model
-from wvad.verification import OP_CASES
 
 TINY_SYNTH = dict(
     n_normal_train=3, n_abnormal_train=3, n_normal_test=2, n_abnormal_test=2,
@@ -793,9 +793,9 @@ def test_gradcheck_command_reports_every_op(tmp_path, capsys):
     rc = cli.main(["gradcheck", "--seeds", "2", "--out", str(out)])
     assert rc == 0
     printed = capsys.readouterr().out
-    for name, _ in OP_CASES:
+    for name, _ in verification.CASES:
         assert f"gradcheck {name}:" in printed
-    assert "full_objective" in printed
+    assert "gradcheck full_objective:" in printed
     assert "FAIL" not in printed
     assert (out / "gradcheck.txt").exists()
 
@@ -808,8 +808,44 @@ def test_gradcheck_refuses_fewer_than_one_seed(seeds, tmp_path, capsys):
     assert not (tmp_path / "g").exists()
 
 
+def test_gradcheck_fails_on_a_nan_gradient(monkeypatch, capsys):
+    def nan_clip(rng):
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        return [("x", x)], \
+            lambda: node(x.data.copy(), (x,), lambda g: (np.full(g.shape, np.nan),)).sum()
+
+    monkeypatch.setattr(verification, "CASES",
+                        [(name, nan_clip if name == "clip" else builder)
+                         for name, builder in verification.CASES])
+    rc = cli.main(["gradcheck", "--seeds", "1"])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert "gradcheck clip: max rel err nan over 1 seeds FAIL (seed 0, x[0])\n" in captured.out
+    assert captured.out.count("FAIL") == 2   # the clip row and the total
+    assert "gradcheck total: FAIL" in captured.out
+    assert "gradient verification failed" in captured.err
+
+
 # ---------------------------------------------------------------------
 # ablate
+
+
+@pytest.mark.parametrize("label", [0, 1], ids=["all_normal", "all_anomalous"])
+def test_ablate_on_a_one_class_test_split_fails_before_writing(label, tiny_dataset, tmp_path,
+                                                               capsys):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    frames = len((data / synthdata.LABELS_NAME).read_bytes())
+    (data / synthdata.LABELS_NAME).write_bytes(bytes([label]) * frames)
+    out = tmp_path / "ab"
+    rc = cli.main(["ablate", "--config", tiny_config_file(tmp_path, ablate={"seeds": [0]}),
+                   "--data", str(data), "--out", str(out)])
+    assert rc == 4
+    n_pos = frames * label
+    assert capsys.readouterr().err == (
+        f"numerical failure: {data}: the test split's frame labels are all one class "
+        f"({n_pos} pos / {frames - n_pos} neg), and AUC needs both\n")
+    assert not out.exists()
 
 
 def test_ablate_writes_table_and_runs(tmp_path, tiny_dataset, capsys):

@@ -473,7 +473,7 @@ def test_micro_end_to_end_gradcheck():
         return out.scores.sum() + out.video_scores
 
     report = grad_check(objective, m.named_params(), h=1e-5, tol=1e-4)
-    assert report.passed, report.summary()
+    assert report.passed, report.summary_lines()
 
 
 # ---------------------------------------------------------------------

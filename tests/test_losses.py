@@ -117,7 +117,7 @@ def test_video_loss_fd():
         scores = t64(rng.uniform(0.05, 0.95, size=4))
         labels = [0, 1, 1, 0]
         check = grad_check(lambda: loss_video(scores, labels), [("scores", scores)])
-        assert check.passed, check.summary()
+        assert check.passed, check.summary_lines()
 
 
 # ---------------------------------------------------------------------
@@ -180,7 +180,7 @@ def test_hinge_fd():
         for pair_mode in ("matched", "all_pairs"):
             check = grad_check(lambda: loss_snippet_topk(scores, [0, 1, 1, 0], 3, pair_mode),
                                [("scores", scores)])
-            assert check.passed, check.summary()
+            assert check.passed, check.summary_lines()
 
 
 def test_hinge_batch_sums_pairs():
@@ -231,7 +231,7 @@ def test_reg_fd():
     rng = np.random.default_rng(720)
     y = t64(rng.random((3, 12)))
     check = grad_check(lambda: loss_regularisation(y, 0.6, 0.4), [("y", y)])
-    assert check.passed, check.summary()
+    assert check.passed, check.summary_lines()
 
 
 def test_reg_batch_is_sum_of_videos():
@@ -332,7 +332,7 @@ def test_contrastive_fd():
                            hn=[("nrm", 2)], en=[("nrm", 0), ("nrm", 5)])
         check = grad_check(lambda: loss_contrastive(mined, feats, 0.5),
                            [("features", feats)])
-        assert check.passed, check.summary()
+        assert check.passed, check.summary_lines()
 
 
 # ---------------------------------------------------------------------
@@ -419,7 +419,7 @@ def test_total_fd_through_all_terms():
     params = [("scores", batch.scores), ("video_scores", batch.video_scores),
               ("features", batch.features)]
     check = grad_check(lambda: loss_total(batch, mined, cfg)[0], params)
-    assert check.passed, check.summary()
+    assert check.passed, check.summary_lines()
 
 
 def test_total_gradient_reaches_each_head_through_its_term():
@@ -680,4 +680,4 @@ def test_contrastive_fd_with_shared_rows_and_one_direction():
     one = mined_sets(IDS, 6, ea=[("abn", 3)], hn=[("nrm", 2)], en=[("nrm", 0), ("nrm", 5)])
     for mined in (shared, one):
         check = grad_check(lambda: loss_contrastive(mined, feats, 0.5), [("features", feats)])
-        assert check.passed, check.summary()
+        assert check.passed, check.summary_lines()

@@ -39,7 +39,7 @@ def t64(data, requires_grad=True):
 
 def check(f, params, tol=1e-4):
     report = grad_check(f, params, h=1e-5, tol=tol)
-    assert report.passed, report.summary()
+    assert report.passed, report.summary_lines()
     return report
 
 
@@ -1062,9 +1062,10 @@ def test_grad_check_square_at_three():
     x = t64(3.0)
     report = grad_check(lambda: x * x, [("x", x)])
     assert report.passed
-    entry = report.entries[0]
-    assert entry.analytic == pytest.approx(6.0)
-    assert entry.numeric == pytest.approx(6.0, abs=1e-6)
+    assert [row.name for row in report.rows] == ["x"]
+    assert x.grad == pytest.approx(6.0)   # the tape gradient stays on the leaf
+    # |analytic - numeric| = 6 * max_rel_err, so the difference matches 6 too
+    assert 6.0 * report.rows[0].max_rel_err < 1e-6
 
 
 def test_grad_check_rejects_float32_params():
@@ -1083,7 +1084,8 @@ def test_grad_check_catches_wrong_gradient():
 
     report = grad_check(lambda: bad_square(x), [("x", x)])
     assert not report.passed
-    assert report.failures()
+    assert not report.rows[0].passed
+    assert report.rows[0].note == "x[0]"
 
 
 def test_grad_check_reports_nonfinite_objective():
@@ -1091,7 +1093,8 @@ def test_grad_check_reports_nonfinite_objective():
     with np.errstate(divide="ignore", invalid="ignore"):
         report = grad_check(lambda: x.log(), [("x", x)])
     assert not report.passed
-    assert "non-finite" in report.entries[0].note
+    assert report.rows[0].max_rel_err == float("inf")
+    assert report.rows[0].note == "non-finite objective at x[0]"
 
 
 def test_grad_check_unused_param_has_zero_grad():
@@ -1099,4 +1102,7 @@ def test_grad_check_unused_param_has_zero_grad():
     unused = t64(4.0)
     report = grad_check(lambda: x * x, [("x", x), ("unused", unused)])
     assert report.passed
-    assert report.entries[1].analytic == pytest.approx(0.0)
+    # f does not read it, so the differences are exactly 0, and so is the
+    # tape gradient it is checked against
+    assert report.rows[1].name == "unused"
+    assert report.rows[1].max_rel_err == 0.0
