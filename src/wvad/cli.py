@@ -24,13 +24,13 @@ import numpy as np
 from . import verification
 from .encoder import EncoderConfig, load_checkpoint
 from .errors import ConfigError, FormatError, MetricError, TrainingError
-from .losses import LossConfig
+from .losses import LossConfig, length_error as loss_length_error
 from .metrics import EvalRecord, evaluate, snippet_to_frame_scores
-from .mining import MiningConfig, length_error, mine_batch
+from .mining import MiningConfig, length_error as mining_length_error, mine_batch
 from .schema import from_json
 from .synthdata import Manifest, SynthConfig, generate_dataset, load_manifest, load_split
 from .tensor import no_grad
-from .trainer import TrainConfig, keep_freed_heap, train
+from .trainer import BalancedSampler, TrainConfig, keep_freed_heap, train
 
 # loss-term weights (w_contrast, w_snippet, w_video, w_reg) and model per
 # ablation row: (a) ranking only on raw features, (b) + encoder,
@@ -124,18 +124,28 @@ def _write_run_record(out_dir: Path, command: str, config: ResolvedConfig | None
 
 
 def _check_dataset_compat(manifest: Manifest, config: ResolvedConfig, splits: tuple,
-                          mines: bool):
+                          runs: list[TrainConfig]):
     """Refuse a video of ``splits`` whose snippet count is not the encoder's,
-    and when the run ``mines``, a mining limit longer than a train video."""
+    and a train split that one of ``runs`` cannot train on: too few videos of
+    a class for a batch, or a video too short for a loss term or for mining."""
     enc = config.train.encoder
     for v in manifest.videos:
         if v.split in splits and v.num_snippets != enc.num_snippets:
             raise ConfigError(f"video {v.id} has {v.num_snippets} snippets but the "
                               f"encoder expects T={enc.num_snippets}")
-        if mines and v.split == "train":
-            error = length_error(v.id, v.num_snippets, v.video_label == 1, config.train.mining)
+    train_videos = [v for v in manifest.videos if v.split == "train"]
+    for run in runs:
+        BalancedSampler([v.video_label for v in train_videos],
+                        run.batch_normal, run.batch_abnormal)
+        for v in train_videos:
+            error = loss_length_error(v.id, v.num_snippets, run.loss)
             if error is not None:
-                raise ConfigError(f"the mining config does not fit the dataset: {error}")
+                raise ConfigError(f"the loss config does not fit the dataset: {error}")
+            if run.loss.w_contrast > 0:
+                error = mining_length_error(v.id, v.num_snippets, v.video_label == 1,
+                                            run.mining)
+                if error is not None:
+                    raise ConfigError(f"the mining config does not fit the dataset: {error}")
 
 
 def _check_width(data_dir, split: str, features: list[np.ndarray], config: ResolvedConfig):
@@ -268,8 +278,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config, args.seed)
     manifest = load_manifest(args.data)
-    _check_dataset_compat(manifest, config, ("train",),
-                          mines=config.train.loss.w_contrast > 0)
+    _check_dataset_compat(manifest, config, ("train",), [config.train])
     triples = _train_triples(args.data, manifest)
     _check_width(args.data, "train", [f for _, _, f in triples], config)
     out = Path(args.out)
@@ -406,7 +415,9 @@ def cmd_gradcheck(args) -> int:
 def cmd_ablate(args) -> int:
     config = load_config(args.config)
     manifest = load_manifest(args.data)
-    _check_dataset_compat(manifest, config, ("train", "test"), mines=True)   # arm d mines
+    _check_dataset_compat(manifest, config, ("train", "test"),
+                          [ablation_train_config(config.train, preset, config.train.seed)
+                           for preset in sorted(ABLATION_PRESETS)])
     triples = _train_triples(args.data, manifest)
     test_videos = _load_test_split(args.data, manifest)
     _check_width(args.data, "train", [f for _, _, f in triples], config)

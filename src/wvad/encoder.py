@@ -40,7 +40,6 @@ from .schema import from_json
 from .tensor import (
     Tensor,
     affine_grads,
-    dropout,
     dws_conv1d,
     gelu,
     layer_norm,
@@ -51,7 +50,7 @@ from .tensor import (
 )
 
 CHECKPOINT_MAGIC = b"WVCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -68,8 +67,6 @@ class EncoderConfig:
     heads: int = 4
     depth: int = 2
     conv_width: int = 3
-    dropout_rate: float = 0.0
-    use_positional: bool = False
 
     def __post_init__(self):
         if self.num_snippets < 1:
@@ -83,8 +80,6 @@ class EncoderConfig:
             raise ConfigError(f"depth must be >= 1, got {self.depth}")
         if self.conv_width < 1 or self.conv_width % 2 == 0:
             raise ConfigError(f"conv_width must be odd, got {self.conv_width}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
 @dataclass
@@ -115,7 +110,6 @@ class ModelParams:
     w_in: Tensor
     b_in: Tensor
     cls_token: Tensor
-    pos: Tensor | None
     blocks: list[BlockParams]
     score_w: Tensor
     score_b: Tensor
@@ -130,7 +124,7 @@ class ModelParams:
                 for i, blk in enumerate(value):
                     for b in fields(blk):
                         yield f"block{i}.{b.name}", getattr(blk, b.name)
-            elif value is not None:
+            else:
                 yield f.name, value
 
 
@@ -167,8 +161,6 @@ def param_table(config: EncoderConfig) -> Iterator[tuple[str, tuple[int, ...], i
     yield "w_in", (config.d_in, d), config.d_in
     yield "b_in", (d,), "zeros"
     yield "cls_token", (d,), d
-    if config.use_positional:
-        yield "pos", (config.num_snippets + 1, d), d
     block = (("conv_depth", (d, w), w), ("conv_point", (d, d), d), ("conv_bias", (d,), "zeros"),
              ("wq", (d, d), d), ("bq", (d,), "zeros"), ("wk", (d, d), d), ("bk", (d,), "zeros"),
              ("wv", (d, d), d), ("bv", (d,), "zeros"), ("wo", (d, d), d), ("bo", (d,), "zeros"),
@@ -215,7 +207,7 @@ def params_from_tensors(config: EncoderConfig, tensors: Iterable[Tensor]) -> Mod
     named = dict(zip((name for name, _, _ in param_table(config)), tensors))
     blocks = [BlockParams(**{f.name: named.pop(f"block{i}.{f.name}") for f in fields(BlockParams)})
               for i in range(config.depth)]
-    return ModelParams(pos=named.pop("pos", None), blocks=blocks, **named)
+    return ModelParams(blocks=blocks, **named)
 
 
 def init_params(config: EncoderConfig, seed: int, dtype=np.float32) -> ModelParams:
@@ -223,13 +215,11 @@ def init_params(config: EncoderConfig, seed: int, dtype=np.float32) -> ModelPara
     return params_from_tensors(config, init_tensors(param_table(config), seed, dtype))
 
 
-def encode(features, params: ModelParams, config: EncoderConfig,
-           rng: np.random.Generator | None = None) -> EncodedVideo:
+def encode(features, params: ModelParams, config: EncoderConfig) -> EncodedVideo:
     """Run the block stack over a batch of videos' snippet features.
 
     ``features`` is (B, T, D_in); a single (T, D_in) video is run as B=1
-    and its tokens come back as (T+1, D). Dropout fires only when a
-    generator is passed; without one the forward pass is deterministic.
+    and its tokens come back as (T+1, D).
     """
     f = features if isinstance(features, Tensor) else Tensor(features)
     single = f.data.ndim == 2
@@ -239,21 +229,14 @@ def encode(features, params: ModelParams, config: EncoderConfig,
     if f.data.ndim != 3 or f.data.shape[1:] != expected:
         raise ConfigError(f"feature array is {f.data.shape}, config expects (B, *{expected})")
     tokens = _embed(f, params.w_in, params.b_in, params.cls_token)
-    if params.pos is not None:
-        tokens = tokens + params.pos
-    drop = rng is not None and config.dropout_rate > 0.0
     for blk in params.blocks:
         # the cls row (0) skips the conv: it has no temporal position
         a = dws_conv1d(tokens, blk.conv_depth, blk.conv_point, blk.conv_bias, skip=1)
         attn = multi_head_self_attention(
             a, blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv, blk.wo, blk.bo,
             heads=config.heads)
-        if drop:
-            attn = dropout(attn, config.dropout_rate, rng)
         b = layer_norm(a + attn, blk.ln_gamma, blk.ln_beta)
         ff = linear(gelu(linear(b, blk.ff_w1, blk.ff_b1)), blk.ff_w2, blk.ff_b2)
-        if drop:
-            ff = dropout(ff, config.dropout_rate, rng)
         tokens = b + ff
     return EncodedVideo(tokens=tokens[0] if single else tokens)
 
@@ -330,9 +313,9 @@ class TransformerModel:
     def init(cls, config: EncoderConfig, seed: int, dtype=np.float32) -> "TransformerModel":
         return cls(config, init_params(config, seed, dtype))
 
-    def forward(self, features, rng: np.random.Generator | None = None) -> ScoredBatch:
+    def forward(self, features) -> ScoredBatch:
         """Scores of a (B, T, D_in) batch, or of one (T, D_in) video."""
-        enc = encode(features, self.params, self.config, rng)
+        enc = encode(features, self.params, self.config)
         return ScoredBatch(
             scores=snippet_scores(enc, self.params),
             video_scores=video_score(enc, self.params),
@@ -364,7 +347,7 @@ class LinearModel:
     def init(cls, d_in: int, seed: int, dtype=np.float32) -> "LinearModel":
         return cls(d_in, *init_tensors(linear_param_table(d_in), seed, dtype))
 
-    def forward(self, features, rng=None) -> ScoredBatch:
+    def forward(self, features) -> ScoredBatch:
         """Same shapes as ``TransformerModel.forward``: (T, D_in) or (B, T, D_in)."""
         f = features if isinstance(features, Tensor) else Tensor(features)
         if f.data.ndim not in (2, 3) or f.data.shape[-1] != self.d_in:
@@ -430,7 +413,7 @@ def load_checkpoint(path) -> tuple[Model, bytes]:
         raise FormatError(f"{path}: truncated header")
     (version,) = struct.unpack_from("<I", buf, 4)
     if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        raise FormatError(f"{path}: unsupported checkpoint version {version}; re-run `wvad train`")
     (blob_len,) = struct.unpack_from("<I", buf, 8)
     blob_end = 12 + blob_len
     if len(buf) < blob_end:

@@ -38,8 +38,6 @@ from .tensor import Tensor, array_mean, node, unit_rows, unit_rows_backward
 
 _CLAMP = 1e-7
 
-_PAIR_MODES = ("matched", "all_pairs")
-
 
 @dataclass
 class LossConfig:
@@ -51,7 +49,6 @@ class LossConfig:
     w_snippet: float = 1.0
     w_video: float = 1.0
     w_reg: float = 1.0
-    pair_mode: str = "matched"
 
     def __post_init__(self):
         if self.k < 1:
@@ -63,8 +60,15 @@ class LossConfig:
         for name in ("w_contrast", "w_snippet", "w_video", "w_reg"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        if self.pair_mode not in _PAIR_MODES:
-            raise ConfigError(f"pair_mode must be one of {_PAIR_MODES}, got {self.pair_mode!r}")
+
+
+def length_error(video_id: str, n: int, config: LossConfig) -> str | None:
+    """Why a video of ``n`` snippets is too short for a loss term that is on, or None."""
+    if config.w_snippet > 0 and n < config.k:
+        return f"video {video_id}: k must be in [1, {n}], got {config.k}"
+    if config.w_reg > 0 and n < 2:
+        return f"video {video_id}: need at least 2 snippets, got {n}"
+    return None
 
 
 @dataclass
@@ -101,48 +105,36 @@ def loss_video(video_scores: Tensor, labels) -> Tensor:
     return node(-array_mean(np.log(p)), (video_scores,), backward)
 
 
-def loss_snippet_topk(scores: Tensor, labels, k: int, pair_mode: str = "matched") -> Tensor:
+def loss_snippet_topk(scores: Tensor, labels, k: int) -> Tensor:
     """Ranking hinge summed over abnormal/normal video pairs.
 
     Rows of the (B, T) scores are videos, labelled 1 (abnormal) or 0
     (normal); each pair adds max(0, 1 - topk_mean(abnormal) +
     topk_mean(normal)), zero once the abnormal video's top-k mean exceeds
     the normal one's by the margin. Ties in the top k break toward the
-    lowest index, as in ``tensor.topk_mean``. ``matched`` pairs the i-th
-    abnormal row with the i-th normal row, in batch order, for the first
-    min(A, N) of each; ``all_pairs`` pairs every abnormal row with every
-    normal row.
+    lowest index, as in ``tensor.topk_mean``. The i-th abnormal row is
+    paired with the i-th normal row, in batch order, for the first min(A, N)
+    of each.
     """
     x, y = scores.data, np.asarray(labels)
     if x.ndim != 2:
         raise ValueError("loss_snippet_topk expects (videos, T) score arrays")
     if y.shape != x.shape[:1]:
         raise ValueError(f"scores {x.shape} vs labels {y.shape}")
-    if pair_mode not in _PAIR_MODES:
-        raise ConfigError(f"pair_mode must be one of {_PAIR_MODES}, got {pair_mode!r}")
     if not 1 <= k <= x.shape[1]:
         raise ValueError(f"k must be in [1, {x.shape[1]}], got {k}")
     abnormal, normal = (y == 1).nonzero()[0], (y == 0).nonzero()[0]
+    m = min(len(abnormal), len(normal))
+    abnormal, normal = abnormal[:m], normal[:m]
     top = (-x).argsort(axis=1, kind="stable")[:, :k]
     values = x[np.arange(x.shape[0])[:, None], top]
-    abn, nrm = array_mean(values[abnormal], 1), array_mean(values[normal], 1)
-    one = x.dtype.type(1)
-    if pair_mode == "all_pairs":
-        margin = one - abn.reshape(-1, 1) + nrm.reshape(1, -1)
-    else:
-        m = min(abn.shape[0], nrm.shape[0])
-        margin = one - abn[:m] + nrm[:m]
+    margin = x.dtype.type(1) - array_mean(values[abnormal], 1) + array_mean(values[normal], 1)
 
     def backward(g):
-        active = g * (margin > 0)
-        if pair_mode == "all_pairs":
-            g_abn, g_nrm = -active.sum(axis=1), active.sum(axis=0)
-        else:
-            g_abn, g_nrm = np.zeros_like(abn), np.zeros_like(nrm)
-            g_abn[:m], g_nrm[:m] = -active, active
+        active = (g * (margin > 0) / k)[:, None]
         z = np.zeros_like(x)
-        z[abnormal[:, None], top[abnormal]] = (g_abn / k)[:, None]
-        z[normal[:, None], top[normal]] = (g_nrm / k)[:, None]
+        z[abnormal[:, None], top[abnormal]] = -active
+        z[normal[:, None], top[normal]] = active
         return (z,)
 
     return node(np.add.reduce(np.maximum(margin, 0.0), axis=None), (scores,), backward)
@@ -270,7 +262,7 @@ def loss_total(batch: ScoredBatch, mined: MinedSets | None,
                   loss_contrastive(mined, batch.features, config.temperature)
                   if config.w_contrast > 0 and mined is not None else None),
         "l_snp": (config.w_snippet,
-                  loss_snippet_topk(batch.scores, labels, config.k, config.pair_mode)
+                  loss_snippet_topk(batch.scores, labels, config.k)
                   if config.w_snippet > 0 else None),
         "l_vid": (config.w_video,
                   loss_video(batch.video_scores, labels) if config.w_video > 0 else None),

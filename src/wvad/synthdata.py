@@ -3,9 +3,9 @@
 Each video is a T x D matrix of snippet features drawn from N(0, I). An
 abnormal video carries exactly one contiguous abnormal region whose snippets
 are shifted by delta along the first D/4 coordinates; a per-video coin
-downgrades the shift to delta/4 ("subtle" regions). When edge blending is
-on, the first and last snippet of a region only receive a U(0.3, 0.7)
-fraction of the shift, standing in for transitional content. Normal videos
+downgrades the shift to delta/4 ("subtle" regions). The first and last
+snippet of a region of two or more only receive a U(0.3, 0.7) fraction of
+the shift, standing in for transitional content. Normal videos
 may contain a distractor burst: the same delta applied to coordinates
 D/2 .. D/2+D/4, a disjoint subspace, so a scorer keyed to the anomaly
 direction is not fooled trivially while one keyed to overall energy is.
@@ -15,7 +15,7 @@ per-video generators come from spawning the config seed, so any video can
 be regenerated in isolation.
 
 Feature matrix format (little-endian): magic ``WVFD``, u32 version=1, u32
-rows, u32 D, then rows*D float32 row-major. A dataset (format 2) is
+rows, u32 D, then rows*D float32 row-major. A dataset (format 3) is
 ``manifest.json``, one ``<split>.wvfd`` per non-empty split holding its
 videos' rows one after another in manifest order, and ``test.labels``
 holding the test videos' frames in the same order, one 0x00/0x01 byte each.
@@ -36,7 +36,7 @@ from .schema import from_json
 
 FEATURE_MAGIC = b"WVFD"
 FEATURE_VERSION = 1
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _MAX_DIM = 1 << 24   # refuse absurd header dims before allocating
 
 MANIFEST_NAME = "manifest.json"
@@ -55,10 +55,8 @@ class SynthConfig:
     d_in: int = 32
     anomaly_shift: float = 4.0
     subtle_fraction: float = 0.3
-    edge_blend: bool = True
     distractor_prob: float = 0.5
     region_len_range: tuple[int, int] = (3, 8)
-    random_rotation: bool = False
     seed: int = 7
 
     def __post_init__(self):
@@ -215,8 +213,7 @@ def load_frame_labels(path, videos) -> np.ndarray:
 # generation
 
 
-def _make_video(rng: np.random.Generator, label: int, config: SynthConfig,
-                rotation: np.ndarray | None):
+def _make_video(rng: np.random.Generator, label: int, config: SynthConfig):
     """One video's features and snippet labels; rng call order is fixed."""
     t, d = config.num_snippets, config.d_in
     block = d // 4
@@ -230,7 +227,7 @@ def _make_video(rng: np.random.Generator, label: int, config: SynthConfig,
         shift = config.anomaly_shift / 4.0 if subtle else config.anomaly_shift
         snippet_labels[start:start + length] = 1
         scale = np.full(length, shift)
-        if config.edge_blend and length >= 2:
+        if length >= 2:
             scale[0] *= rng.uniform(0.3, 0.7)
             scale[-1] *= rng.uniform(0.3, 0.7)
         features[start:start + length, :block] += scale[:, None]
@@ -240,8 +237,6 @@ def _make_video(rng: np.random.Generator, label: int, config: SynthConfig,
             length = int(rng.integers(lo, hi + 1))
             start = int(rng.integers(0, t - length + 1))
             features[start:start + length, 2 * block:3 * block] += config.anomaly_shift
-    if rotation is not None:
-        features = features @ rotation
     return features.astype(np.float32), snippet_labels
 
 
@@ -261,16 +256,14 @@ def generate_dataset(config: SynthConfig, out_dir) -> dict:
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     plan = _video_plan(config)
-    seeds = np.random.SeedSequence(config.seed).spawn(len(plan) + 1)
-    rotation = np.linalg.qr(np.random.Generator(np.random.PCG64(seeds[-1])).normal(
-        size=(config.d_in, config.d_in)))[0] if config.random_rotation else None
+    seeds = np.random.SeedSequence(config.seed).spawn(len(plan))
     # the plan puts every train video before every test video
     t = config.num_snippets
     features = np.empty((len(plan) * t, config.d_in), dtype=np.float32)
     labels = np.empty((len(plan), config.num_frames), dtype=np.uint8)
     for i, ((_, _, label), seed) in enumerate(zip(plan, seeds)):
         features[i * t:(i + 1) * t], snippet_labels = _make_video(
-            np.random.Generator(np.random.PCG64(seed)), label, config, rotation)
+            np.random.Generator(np.random.PCG64(seed)), label, config)
         labels[i] = np.repeat(snippet_labels, config.frames_per_snippet)
     n_train = config.n_normal_train + config.n_abnormal_train
     for split, block in (("train", features[:n_train * t]), ("test", features[n_train * t:])):

@@ -4,8 +4,8 @@ per-step loss logging, epoch-end checkpoints with exact resume.
 Determinism contract: (videos, config) fully determine the trajectory at a
 fixed BLAS thread count. All training math runs in float32, matching the
 checkpoint precision, so save -> load -> continue is bitwise identical to an
-uninterrupted run. One generator drives sampling (and dropout, when on);
-its state is serialised into the checkpoint next to the optimiser moments.
+uninterrupted run. One generator drives sampling; its state is serialised
+into the checkpoint next to the optimiser moments.
 
 Checkpoint layout: the encoder module's parameter block, then an appended
 section ``WVOP`` with u32 step, u32 next-epoch, a JSON generator state, and
@@ -369,7 +369,7 @@ def train(videos: Sequence[VideoTriple], config: TrainConfig,
             for batch_indices in sampler.epoch_batches(rng):
                 step += 1
                 row = train_step(model, [videos[i] for i in batch_indices],
-                                 config, opt, rng, step, epoch)
+                                 config, opt, step, epoch)
                 log.append(row)
                 if writer is not None:
                     writer.writerow(row.as_csv())
@@ -388,7 +388,7 @@ def train(videos: Sequence[VideoTriple], config: TrainConfig,
 
 
 def train_step(model, batch_videos: Sequence[VideoTriple], config: TrainConfig,
-               opt: AdamState, rng: np.random.Generator, step: int, epoch: int) -> LogRow:
+               opt: AdamState, step: int, epoch: int) -> LogRow:
     """Forward, mine, loss, backward, Adam update for one batch.
 
     The batch is stacked once into a (B, T, D_in) array, so the whole step
@@ -396,7 +396,7 @@ def train_step(model, batch_videos: Sequence[VideoTriple], config: TrainConfig,
     keep_freed_heap()
     video_ids = [video_id for video_id, _, _ in batch_videos]
     labels = np.array([label for _, label, _ in batch_videos])
-    batch = model.forward(np.stack([feats for _, _, feats in batch_videos]), rng=rng)
+    batch = model.forward(np.stack([feats for _, _, feats in batch_videos]))
     batch.labels = labels
     mined = None
     if config.loss.w_contrast > 0 and epoch >= config.mining_warmup_epochs:

@@ -158,16 +158,12 @@ def loss_video(video_scores, labels):
     return -(v * sign + Tensor((1 - y).astype(v.data.dtype))).log().mean()
 
 
-def loss_snippet_topk(abn_scores, nrm_scores, k, pair_mode="matched"):
+def loss_snippet_topk(abn_scores, nrm_scores, k):
     """The hinge over separate (A, T) abnormal and (N, T) normal rows."""
     abn = topk_mean(abn_scores, k, axis=1)
     nrm = topk_mean(nrm_scores, k, axis=1)
-    if pair_mode == "all_pairs":
-        margin = 1.0 - abn.reshape(-1, 1) + nrm.reshape(1, -1)
-    else:
-        m = min(abn.data.shape[0], nrm.data.shape[0])
-        margin = 1.0 - abn[:m] + nrm[:m]
-    return margin.relu().sum()
+    m = min(abn.data.shape[0], nrm.data.shape[0])
+    return (1.0 - abn[:m] + nrm[:m]).relu().sum()
 
 
 def loss_regularisation(scores, smooth_weight, sparse_weight):
@@ -220,8 +216,7 @@ def loss_total(batch, mined, config):
         loss_contrastive(mined, batch.features, config.temperature)
         if config.w_contrast > 0 and mined is not None else None)
     add("l_snp", config.w_snippet,
-        loss_snippet_topk(batch.scores[abnormal], batch.scores[normal], config.k,
-                          config.pair_mode)
+        loss_snippet_topk(batch.scores[abnormal], batch.scores[normal], config.k)
         if config.w_snippet > 0 else None)
     add("l_vid", config.w_video,
         loss_video(batch.video_scores, labels) if config.w_video > 0 else None)
@@ -484,15 +479,11 @@ def generate_per_video(config: SynthConfig) -> list[tuple[str, str, int, np.ndar
     """Every video's (id, split, label, features, frame labels) in plan
     order; a train video's frame labels are None."""
     plan = _video_plan(config)
-    seeds = np.random.SeedSequence(config.seed).spawn(len(plan) + 1)
-    rotation = None
-    if config.random_rotation:
-        rotation, _ = np.linalg.qr(np.random.Generator(np.random.PCG64(seeds[-1])).normal(
-            size=(config.d_in, config.d_in)))
+    seeds = np.random.SeedSequence(config.seed).spawn(len(plan))
     out = []
     for (video_id, split, label), seed in zip(plan, seeds):
         features, snippet_labels = _make_video(np.random.Generator(np.random.PCG64(seed)),
-                                               label, config, rotation)
+                                               label, config)
         frame_labels = (np.repeat(snippet_labels, config.frames_per_snippet)
                         if split == "test" else None)
         out.append((video_id, split, label, features, frame_labels))
@@ -604,8 +595,6 @@ def init_params(config: EncoderConfig, seed: int, dtype=np.float32) -> ModelPara
         w_in=_uniform(rng, (config.d_in, d), config.d_in, dtype),
         b_in=_zeros(d, dtype),
         cls_token=_uniform(rng, (d,), d, dtype),
-        pos=_uniform(rng, (config.num_snippets + 1, d), d, dtype)
-            if config.use_positional else None,
         blocks=blocks,
         score_w=_uniform(rng, (d,), d, dtype),
         score_b=_zeros((), dtype),

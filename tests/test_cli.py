@@ -136,8 +136,8 @@ def test_the_seed_flag_sets_what_synth_and_train_write(command, written, tmp_pat
 
 
 # each input used to end in a traceback, or exit 0 with a run that was not
-# the one asked for: a null seed draws from OS entropy, a string is truthy,
-# a float count is used as given
+# the one asked for: a null seed draws from OS entropy, a bool reads as 1 or
+# 0, a float count is used as given
 WRONG_TYPE_CONFIGS = {
     "epochs_str": ({"train": {"epochs": "5"}}, "train.epochs"),
     "lr_str": ({"train": {"lr": "0.1"}}, "train.lr"),
@@ -146,8 +146,8 @@ WRONG_TYPE_CONFIGS = {
     "region_str": ({"synth": {"region_len_range": "ab"}}, "synth.region_len_range"),
     "train_list": ({"train": [1]}, "train"),
     "seed_null": ({"synth": {"seed": None}}, "synth.seed"),
-    "edge_blend_str": ({"synth": {"edge_blend": "no"}}, "synth.edge_blend"),
-    "positional_str": ({"encoder": {"use_positional": "false"}}, "encoder.use_positional"),
+    "shift_bool": ({"synth": {"anomaly_shift": True}}, "synth.anomaly_shift"),
+    "model_bool": ({"train": {"model": False}}, "train.model"),
     "epochs_float": ({"train": {"epochs": 5.5}}, "train.epochs"),
     "heads_float": ({"encoder": {"heads": 2.0}}, "encoder.heads"),
     "k_float": ({"loss": {"k": 2.0}}, "loss.k"),

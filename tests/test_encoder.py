@@ -12,6 +12,7 @@ import pytest
 
 import oracles
 from wvad.encoder import (
+    CHECKPOINT_VERSION,
     EncodedVideo,
     EncoderConfig,
     LinearModel,
@@ -49,8 +50,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         EncoderConfig(conv_width=4)
     with pytest.raises(ConfigError):
-        EncoderConfig(dropout_rate=1.0)
-    with pytest.raises(ConfigError):
         EncoderConfig(num_snippets=0)
 
 
@@ -87,9 +86,8 @@ def _param_bits(named):
 
 
 # conv_width 1 is a fan-in of 1, which must draw, not read as a gain of ones
-@pytest.mark.parametrize("kw", [{}, {"use_positional": True, "depth": 3, "conv_width": 5},
-                                {"conv_width": 1}],
-                         ids=["default", "positional-depth3-width5", "width1"])
+@pytest.mark.parametrize("kw", [{}, {"depth": 3, "conv_width": 5}, {"conv_width": 1}],
+                         ids=["default", "depth3-width5", "width1"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_init_is_the_explicit_init_bit_for_bit(kw, dtype):
     config = EncoderConfig(**kw)
@@ -171,23 +169,6 @@ def test_forward_bitwise_deterministic_without_dropout():
     assert a.video_scores.data.tobytes() == b.video_scores.data.tobytes()
 
 
-def test_dropout_perturbs_forward():
-    m = make_model(seed=9, dropout_rate=0.5)
-    f = np.random.default_rng(9).normal(size=(8, 4)).astype(np.float32)
-    plain = m.forward(f)
-    dropped = m.forward(f, rng=np.random.default_rng(1))
-    assert not np.allclose(plain.scores.data, dropped.scores.data)
-
-
-def test_positional_embedding_flag():
-    m = make_model(seed=11, use_positional=True)
-    assert m.params.pos is not None
-    assert m.params.pos.data.shape == (9, 8)
-    f = np.random.default_rng(2).normal(size=(8, 4)).astype(np.float32)
-    out = m.forward(f)
-    assert out.scores.shape == (8,)
-
-
 # ---------------------------------------------------------------------
 # micro-model oracle
 
@@ -267,7 +248,7 @@ def test_micro_model_batch_matches_straightline_oracle():
     np.testing.assert_allclose(got.video_scores.data, want_video, atol=1e-10)
 
 
-@pytest.mark.parametrize("kw", [{}, {"use_positional": True}])
+@pytest.mark.parametrize("kw", [{}, {"depth": 3, "conv_width": 5}])
 def test_batched_forward_equals_each_video(kw):
     """A video's scores, video score and features do not depend on the batch
     it is run in: the stacked forward equals each video's B=1 forward bit
@@ -516,7 +497,7 @@ def _params_bytes(model):
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
-    m = make_model(seed=17, use_positional=True)
+    m = make_model(seed=17, depth=3, conv_width=5)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, m)
     loaded, extra = load_checkpoint(path)
@@ -577,18 +558,18 @@ def test_checkpoint_rejects_truncation(tmp_path):
     {"model": "transformer", "encoder": {"depth": "2"}},
     {"model": "linear", "d_in": 4.0},
     ["transformer"],
-    # complete, and small enough for the payload: a truthy string used to
-    # load it as a positional model, reading every weight at a shifted offset
+    # complete, and small enough for the payload: read as an int, `true`
+    # would load it as a depth-1 model
     {"model": "transformer", "encoder": {"num_snippets": 4, "d_in": 3, "d_model": 4,
-                                         "heads": 2, "depth": 1, "conv_width": 3,
-                                         "dropout_rate": 0.0, "use_positional": "no"}},
+                                         "heads": 2, "depth": True, "conv_width": 3}},
 ])
 def test_checkpoint_rejects_header_config_of_wrong_types(tmp_path, cfg):
     import json
     import struct
     blob = json.dumps(cfg).encode()
     path = tmp_path / "typed.ckpt"
-    path.write_bytes(b"WVCK" + struct.pack("<II", 1, len(blob)) + blob + b"\x00" * 4096)
+    path.write_bytes(b"WVCK" + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob
+                     + b"\x00" * 4096)
     with pytest.raises(FormatError):
         load_checkpoint(path)
 
@@ -598,11 +579,11 @@ def test_header_error_names_the_key(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, m)
     raw = path.read_bytes()
-    good = b'"use_positional": false'
+    good = b'"depth": 2, '
     assert good in raw
-    path.write_bytes(raw.replace(good, b'"use_positional": "no!"'))   # same length
-    with pytest.raises(FormatError, match=r"model\.ckpt: header: encoder\.use_positional: "
-                                          r"expected bool, got 'no!'"):
+    path.write_bytes(raw.replace(good, b'"depth":"2",'))   # same length
+    with pytest.raises(FormatError, match=r"model\.ckpt: header: encoder\.depth: "
+                                          r"expected int, got '2'"):
         load_checkpoint(path)
 
 
@@ -611,16 +592,16 @@ def test_checkpoint_rejects_unknown_model_kind(tmp_path):
     import struct
     blob = json.dumps({"model": "mystery"}).encode()
     path = tmp_path / "weird.ckpt"
-    path.write_bytes(b"WVCK" + struct.pack("<I", 1) + struct.pack("<I", len(blob)) + blob)
+    path.write_bytes(b"WVCK" + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob)
     with pytest.raises(FormatError):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize("make", [
     lambda: make_model(),
-    lambda: make_model(use_positional=True, depth=3, conv_width=5),
+    lambda: make_model(depth=3, conv_width=5),
     lambda: LinearModel.init(d_in=5, seed=0),
-], ids=["transformer", "transformer-positional-depth3-width5", "linear"])
+], ids=["transformer", "transformer-depth3-width5", "linear"])
 def test_param_shapes_are_the_declared_parameters(make, tmp_path):
     """The table names every parameter with its shape, in checkpoint order,
     and a checkpoint's parameter block holds exactly those float32 values."""
@@ -641,18 +622,17 @@ def test_param_shapes_are_the_declared_parameters(make, tmp_path):
 
 
 def test_checkpoint_payload_size_is_checked_before_allocation(tmp_path):
-    """A file of under 200 bytes whose header asks for a four-million-snippet
-    positional table is refused from the header alone."""
+    """A file of under 200 bytes whose header asks for a four-million-wide
+    input projection is refused from the header alone."""
     import json
     import struct
     import tracemalloc
     cfg = {"model": "transformer",
-           "encoder": {"num_snippets": 4_000_000, "d_in": 32, "d_model": 32, "heads": 4,
-                       "depth": 2, "conv_width": 3, "dropout_rate": 0.0,
-                       "use_positional": True}}
+           "encoder": {"num_snippets": 32, "d_in": 4_000_000, "d_model": 32, "heads": 4,
+                       "depth": 2, "conv_width": 3}}
     blob = json.dumps(cfg, separators=(",", ":")).encode()
     path = tmp_path / "huge.ckpt"
-    path.write_bytes(b"WVCK" + struct.pack("<II", 1, len(blob)) + blob)
+    path.write_bytes(b"WVCK" + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob)
     assert path.stat().st_size < 200
     tracemalloc.start()
     try:

@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 from wvad import cli
-from wvad.synthdata import SynthConfig, generate_dataset
+from wvad.synthdata import (SynthConfig, generate_dataset, load_features, load_manifest,
+                            write_features)
 
 SEED = 20261019
 CONFIG = {
@@ -171,4 +172,124 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(command, flag, tmp
                   "--out", str(tmp_path / "out")])
     assert exit_.value.code == 2
     assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def one_snippet_dataset(root):
+    """The CONFIG dataset with each video cut to its first snippet: a
+    manifest may give T=1, which ``synth`` never writes."""
+    generate_dataset(SynthConfig(**CONFIG["synth"]), root)
+    manifest = load_manifest(root)
+    for split in ("train", "test"):
+        rows = [(v.id, v.num_snippets) for v in manifest.videos if v.split == split]
+        write_features(load_features(root / f"{split}.wvfd", rows)[::8], root / f"{split}.wvfd")
+    doc = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+    doc["config"] = None
+    for video in doc["videos"]:
+        video["num_snippets"] = 1
+    (root / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    return root
+
+
+def no_abnormal_train_dataset(root):
+    generate_dataset(SynthConfig(**CONFIG["synth"] | {"n_abnormal_train": 0}), root)
+    return root
+
+
+# each of these used to fail inside training, after run.json (and for a
+# loss term, log.csv) was written: a loss term's length as a ValueError
+# traceback (exit 1), the sampler's class counts as exit 2
+PREFLIGHT = {
+    "k_longer_than_T": ({"loss": {"k": 9}}, None,
+                        "the loss config does not fit the dataset: "
+                        "video train-nrm-000: k must be in [1, 8], got 9"),
+    "T1_with_regulariser": ({"encoder": {"num_snippets": 1}, "loss": {"k": 1, "w_contrast": 0.0}},
+                            one_snippet_dataset,
+                            "the loss config does not fit the dataset: "
+                            "video train-nrm-000: need at least 2 snippets, got 1"),
+    "batch_normal_over_the_split": ({"train": {"batch_normal": 50}}, None,
+                                    "need 50 normal / 2 abnormal videos, dataset has 3 / 3"),
+    "no_abnormal_train_video": ({}, no_abnormal_train_dataset,
+                                "need 2 normal / 2 abnormal videos, dataset has 3 / 0"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("case", sorted(PREFLIGHT))
+def test_a_config_the_dataset_cannot_train_exits_2_before_any_output(case, command, tmp_path,
+                                                                     capsys):
+    override, make, message = PREFLIGHT[case]
+    config = {section: {**values, **override.get(section, {})}
+              for section, values in CONFIG.items()}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    data = tmp_path / "data"
+    if make is None:
+        generate_dataset(SynthConfig(**CONFIG["synth"]), data)
+    else:
+        make(data)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(tmp_path / "config.json"), "--data", str(data),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_one_snippet_videos_train_without_the_regulariser(tmp_path):
+    """The T >= 2 rule holds only while ``w_reg`` is on."""
+    config = CONFIG | {"encoder": CONFIG["encoder"] | {"num_snippets": 1},
+                       "loss": {"k": 1, "w_contrast": 0.0, "w_reg": 0.0}}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["train", "--config", str(tmp_path / "config.json"),
+                     "--data", str(one_snippet_dataset(tmp_path / "data")),
+                     "--out", str(tmp_path / "out")]) == 0
+
+
+# config keys that selected a code path no run took; the value each run used
+# is now the only behaviour
+REMOVED_KEYS = [("loss", "pair_mode", "matched"), ("encoder", "use_positional", False),
+                ("encoder", "dropout_rate", 0.0), ("synth", "edge_blend", True),
+                ("synth", "random_rotation", False)]
+
+
+@pytest.mark.parametrize("section, key, value", REMOVED_KEYS,
+                         ids=[key for _, key, _ in REMOVED_KEYS])
+def test_a_config_naming_a_removed_key_exits_2(section, key, value, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+    assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: {section}: unknown keys ['{key}']\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_version_1_checkpoint_exits_3(inputs, tmp_path, capsys):
+    """A checkpoint as version 1 wrote it: its header names the encoder's
+    dropout rate and positional flag."""
+    raw = inputs["--checkpoint"].read_bytes()
+    (blob_len,) = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12:12 + blob_len])
+    header["encoder"] |= {"dropout_rate": 0.0, "use_positional": False}
+    blob = json.dumps(header, sort_keys=True).encode()
+    old = tmp_path / "old.wvck"
+    old.write_bytes(b"WVCK" + struct.pack("<II", 1, len(blob)) + blob + raw[12 + blob_len:])
+    assert cli.main(["eval", "--checkpoint", str(old), "--data", str(inputs["--data"]),
+                     "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        f"i/o error: {old}: unsupported checkpoint version 1; re-run `wvad train`\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_format_2_dataset_exits_3(inputs, tmp_path, capsys):
+    """A dataset as format 2 wrote it: its config names edge blending and
+    the rotation."""
+    data = tmp_path / "data"
+    shutil.copytree(inputs["--data"], data)
+    doc = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+    doc["format_version"] = 2
+    doc["config"] |= {"edge_blend": True, "random_rotation": False}
+    (data / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["train", "--config", str(inputs["--config"]), "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        f"i/o error: {data / 'manifest.json'}: unsupported format_version 2; "
+        "re-run `wvad synth` to write this dataset as format 3\n")
     assert not (tmp_path / "out").exists()

@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 
 from wvad import cli
-from wvad.encoder import EncoderConfig, TransformerModel, load_checkpoint, save_checkpoint
+from wvad.encoder import (EncoderConfig, LinearModel, TransformerModel, load_checkpoint,
+                          save_checkpoint)
 from wvad.errors import ConfigError, FormatError
 from wvad.synthdata import LABELS_NAME, MANIFEST_NAME, SynthConfig, generate_dataset, load_split
 from wvad.trainer import AdamState, _opt_state_bytes, _parse_opt_state
@@ -192,9 +193,8 @@ def dataset(tmp_path):
     return root
 
 
-def test_checkpoint_header_value_swaps(tmp_path):
-    model = TransformerModel.init(EncoderConfig(num_snippets=4, d_in=3, d_model=4, heads=2,
-                                                depth=1), seed=2)
+def header_swaps(model, tmp_path):
+    """``fuzz_values`` over the header of ``model``'s checkpoint."""
     good = tmp_path / "good.wvck"
     save_checkpoint(good, model)
     raw = good.read_bytes()
@@ -207,8 +207,15 @@ def test_checkpoint_header_value_swaps(tmp_path):
         path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + payload)
         return path
 
-    escaped, count = fuzz_values(header, write, load_checkpoint)
-    assert escaped == [] and count > 100
+    return fuzz_values(header, write, load_checkpoint)
+
+
+def test_checkpoint_header_value_swaps(tmp_path):
+    """Both model kinds' headers, so the swaps reach every key a header holds."""
+    escaped, count = header_swaps(TransformerModel.init(
+        EncoderConfig(num_snippets=4, d_in=3, d_model=4, heads=2, depth=1), seed=2), tmp_path)
+    linear_escaped, linear_count = header_swaps(LinearModel.init(d_in=3, seed=2), tmp_path)
+    assert escaped + linear_escaped == [] and count + linear_count > 100
 
 
 def test_manifest_value_swaps(dataset):

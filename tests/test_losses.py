@@ -20,6 +20,7 @@ from wvad.losses import (
     loss_regularisation,
     loss_snippet_topk,
     loss_total,
+    length_error,
     loss_video,
 )
 from oracles import mined_sets
@@ -38,10 +39,10 @@ def rows(*seqs):
     return t64(np.vstack(seqs))
 
 
-def hinge(abn, nrm, k, pair_mode="matched"):
+def hinge(abn, nrm, k):
     """The hinge over abnormal score rows ``abn`` and normal rows ``nrm``,
     stacked into one batch, abnormal rows first."""
-    return loss_snippet_topk(rows(*abn, *nrm), [1] * len(abn) + [0] * len(nrm), k, pair_mode)
+    return loss_snippet_topk(rows(*abn, *nrm), [1] * len(abn) + [0] * len(nrm), k)
 
 
 # ---------------------------------------------------------------------
@@ -57,8 +58,6 @@ def test_config_validation():
         LossConfig(smooth_weight=-1.0)
     with pytest.raises(ConfigError):
         LossConfig(w_video=-0.1)
-    with pytest.raises(ConfigError):
-        LossConfig(pair_mode="everything")
 
 
 # ---------------------------------------------------------------------
@@ -146,13 +145,12 @@ def test_hinge_zero_beyond_margin_positive_inside():
     assert float(hinge([[0.9, 0.8, 0.7, 0.0]], [nrm], 3).data) > 0.0
 
 
-@pytest.mark.parametrize("pair_mode", ["matched", "all_pairs"])
-def test_hinge_passes_no_gradient_at_a_non_positive_margin(pair_mode):
+def test_hinge_passes_no_gradient_at_a_non_positive_margin():
     """Abnormal top-k mean 1 against normal 0 is margin 0, and 1 against
     -0.5 is margin -0.5: neither pair back-propagates anything."""
     for nrm in (0.0, -0.5):
         scores = rows(np.ones(4), np.full(4, nrm))
-        loss_snippet_topk(scores, [1, 0], 2, pair_mode).backward()
+        loss_snippet_topk(scores, [1, 0], 2).backward()
         assert np.all(scores.grad == 0.0), scores.grad
 
 
@@ -177,10 +175,9 @@ def test_hinge_fd():
                       rng.permutation(np.linspace(0.55, 0.9, 8)),
                       rng.permutation(np.linspace(0.55, 0.9, 8)),
                       rng.permutation(np.linspace(0.1, 0.45, 8)))
-        for pair_mode in ("matched", "all_pairs"):
-            check = grad_check(lambda: loss_snippet_topk(scores, [0, 1, 1, 0], 3, pair_mode),
-                               [("scores", scores)])
-            assert check.passed, check.summary_lines()
+        check = grad_check(lambda: loss_snippet_topk(scores, [0, 1, 1, 0], 3),
+                           [("scores", scores)])
+        assert check.passed, check.summary_lines()
 
 
 def test_hinge_batch_sums_pairs():
@@ -189,9 +186,6 @@ def test_hinge_batch_sums_pairs():
     nrm = [[0.3, 0.3, 0.0], [0.2, 0.1, 0.3]]
     matched = hinge(abn, nrm, 2)
     assert float(matched.data) == pytest.approx((1 - 0.9 + 0.3) + (1 - 0.6 + 0.25), abs=1e-12)
-    allp = hinge(abn, nrm, 2, "all_pairs")
-    want = sum(1 - a + n for a in (0.9, 0.6) for n in (0.3, 0.25))
-    assert float(allp.data) == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------
@@ -354,6 +348,23 @@ def _mined_for(batch):
     return mine_batch(list(zip(ids, batch.labels, batch.scores.data)), cfg)
 
 
+@pytest.mark.parametrize("w_snippet, w_reg", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+def test_length_error_refuses_exactly_the_lengths_loss_total_cannot_take(w_snippet, w_reg):
+    """For T = 1..4 and k = 1..5, the rule names a length error if and only
+    if ``loss_total`` raises on a batch of that T, and with its message."""
+    for t_len in range(1, 5):
+        batch = _make_batch(np.random.default_rng(t_len), n_abn=1, n_nrm=1, t_len=t_len)
+        for k in range(1, 6):
+            config = LossConfig(k=k, w_snippet=w_snippet, w_reg=w_reg, w_contrast=0)
+            error = length_error("v", t_len, config)
+            if error is None:
+                loss_total(batch, None, config)
+            else:
+                with pytest.raises(ValueError) as raised:
+                    loss_total(batch, None, config)
+                assert error == f"video v: {raised.value}"
+
+
 def test_total_zero_weights_is_zero():
     rng = np.random.default_rng(40)
     batch = _make_batch(rng)
@@ -396,17 +407,14 @@ def test_total_without_mined_sets_reports_zero_contrast():
     assert b.l_snp > 0.0
 
 
-def test_total_matched_vs_all_pairs_counts():
+def test_total_pairs_only_the_first_min_a_n_videos():
     rng = np.random.default_rng(45)
     batch = _make_batch(rng, n_abn=2, n_nrm=1)
-    # matched pairs: min(2,1)=1 hinge; all pairs: 2 hinges
+    # matched pairs: min(2,1)=1 hinge, the second abnormal video unpaired
     _, matched = loss_total(batch, None, LossConfig(w_contrast=0))
-    _, allp = loss_total(batch, None, LossConfig(w_contrast=0, pair_mode="all_pairs"))
     s = batch.scores.data
     h01 = float(hinge([s[0]], [s[2]], 3).data)
-    h11 = float(hinge([s[1]], [s[2]], 3).data)
     assert matched.l_snp == pytest.approx(h01, abs=1e-12)
-    assert allp.l_snp == pytest.approx(h01 + h11, abs=1e-12)
 
 
 def test_total_fd_through_all_terms():
@@ -446,10 +454,9 @@ def _objective_cases():
                           smooth_weight=0.3, sparse_weight=0.01, temperature=0.2)
     return {
         "reference": (16, 16, 32, LossConfig(), "mined"),
-        "reference_all_pairs": (16, 16, 32, LossConfig(pair_mode="all_pairs"), "mined"),
         "b2": (1, 1, 32, LossConfig(), "mined"),
         "uneven_5_3": (5, 3, 16, LossConfig(), "mined"),
-        "uneven_2_6_all_pairs": (2, 6, 16, LossConfig(pair_mode="all_pairs"), "mined"),
+        "uneven_2_6": (2, 6, 16, LossConfig(), "mined"),
         "uneven_3_5_weighted": (3, 5, 16, weighted, "mined"),
         "warm_up": (4, 4, 16, LossConfig(), None),
         "empty_sets": (4, 4, 16, LossConfig(), "empty"),
@@ -518,9 +525,8 @@ def test_fused_terms_are_bitwise_the_composed_forms(name):
     abnormal, normal = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
     pairs = [
         (loss_video(batch.video_scores, labels), oracles.loss_video(batch.video_scores, labels)),
-        (loss_snippet_topk(batch.scores, labels, config.k, config.pair_mode),
-         oracles.loss_snippet_topk(batch.scores[abnormal], batch.scores[normal], config.k,
-                                   config.pair_mode)),
+        (loss_snippet_topk(batch.scores, labels, config.k),
+         oracles.loss_snippet_topk(batch.scores[abnormal], batch.scores[normal], config.k)),
         (loss_regularisation(batch.scores, config.smooth_weight, config.sparse_weight),
          oracles.loss_regularisation(batch.scores, config.smooth_weight,
                                      config.sparse_weight)),

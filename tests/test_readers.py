@@ -78,9 +78,8 @@ def random_config(rng) -> SynthConfig:
                                                     "n_normal_test", "n_abnormal_test")},
         num_snippets=t, frames_per_snippet=int(rng.integers(1, 4)),
         d_in=int(rng.integers(4, 9)), subtle_fraction=float(rng.random()),
-        edge_blend=bool(rng.random() < 0.5), distractor_prob=float(rng.random()),
-        region_len_range=(lo, int(rng.integers(lo, t + 1))),
-        random_rotation=bool(rng.random() < 0.3), seed=int(rng.integers(2 ** 31)))
+        anomaly_shift=float(8 * rng.random()), distractor_prob=float(rng.random()),
+        region_len_range=(lo, int(rng.integers(lo, t + 1))), seed=int(rng.integers(2 ** 31)))
 
 
 @pytest.mark.parametrize("case", range(60))
@@ -102,7 +101,7 @@ def test_a_valid_split_loads_as_before(tmp_path):
 
 
 @pytest.mark.parametrize("config", [
-    SynthConfig(**SYNTH | dict(random_rotation=True)),
+    SynthConfig(**SYNTH | dict(subtle_fraction=1.0)),
     SynthConfig(),   # the reference dataset
     SynthConfig(n_normal_train=0, n_abnormal_train=0, n_normal_test=300, n_abnormal_test=300,
                 seed=1007),   # the benchmark's score test set
@@ -205,7 +204,10 @@ MANIFEST_FAULTS = {
                     "videos[2]: num_snippets must be >= 1, got 0"),
     "version_1": (_set_video(None, "format_version", 1),
                   "unsupported format_version 1; "
-                  "re-run `wvad synth` to write this dataset as format 2"),
+                  "re-run `wvad synth` to write this dataset as format 3"),
+    "version_2": (_set_video(None, "format_version", 2),
+                  "unsupported format_version 2; "
+                  "re-run `wvad synth` to write this dataset as format 3"),
 }
 LABEL_FAULTS = {
     "missing": (Path.unlink, "no such file or directory"),

@@ -157,14 +157,14 @@ def test_a_non_finite_manifest_float_exits_3(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-def test_a_non_finite_checkpoint_header_float_exits_3(tmp_path, capsys):
+def test_a_non_finite_checkpoint_header_value_exits_3(tmp_path, capsys):
     data, ckpt = tmp_path / "d", tmp_path / "m.wvck"
     generate_dataset(TINY, data)
     save_checkpoint(ckpt, TransformerModel.init(TINY_ENCODER, 0))
     raw = ckpt.read_bytes()
-    good = b'"dropout_rate": 0.0'
+    good = b'"depth": 1, '
     assert good in raw
-    ckpt.write_bytes(raw.replace(good, b'"dropout_rate": NaN'.ljust(len(good))))   # same length
+    ckpt.write_bytes(raw.replace(good, b'"depth":NaN,'))   # same length
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 3
-    assert (f"{ckpt}: header: encoder.dropout_rate: expected a finite float, got nan"
+    assert (f"{ckpt}: header: encoder.depth: expected int, got nan"
             in capsys.readouterr().err)

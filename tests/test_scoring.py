@@ -209,9 +209,9 @@ def test_eval_runs_one_forward_per_chunk(tmp_path, monkeypatch, capsys):
     calls = []
     forward = TransformerModel.forward
 
-    def counted(self, features, rng=None):
+    def counted(self, features):
         calls.append(np.shape(features))
-        return forward(self, features, rng)
+        return forward(self, features)
 
     monkeypatch.setattr(TransformerModel, "forward", counted)
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 0

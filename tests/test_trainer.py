@@ -558,8 +558,7 @@ def test_mined_step_is_one_small_graph(monkeypatch):
 
     loss_total = trainer_mod.loss_total
     monkeypatch.setattr(trainer_mod, "loss_total", counting)
-    train_step(model, videos, cfg, AdamState.for_params(model.named_params()),
-               np.random.default_rng(0), step=1, epoch=0)
+    train_step(model, videos, cfg, AdamState.for_params(model.named_params()), step=1, epoch=0)
     assert all(seen["mined"].values()), seen["mined"]   # every term is in the graph
     assert seen["nodes"] <= 66, seen["nodes"]
 
@@ -579,8 +578,7 @@ def test_a_reference_mined_step_keeps_only_what_its_backward_reads(tmp_path, mon
     cfg = TrainConfig(mining_warmup_epochs=0)
     model = trainer_mod._build_model(cfg)
     opt = AdamState.for_params(model.named_params())
-    rng = np.random.default_rng(0)
-    train_step(model, batch, cfg, opt, rng, step=1, epoch=0)
+    train_step(model, batch, cfg, opt, step=1, epoch=0)
 
     seen = {}
     backward = Tensor.backward
@@ -594,7 +592,7 @@ def test_a_reference_mined_step_keeps_only_what_its_backward_reads(tmp_path, mon
     tracemalloc.start()
     try:
         seen["start"] = tracemalloc.get_traced_memory()[0]
-        row = train_step(model, batch, cfg, opt, rng, step=2, epoch=0)
+        row = train_step(model, batch, cfg, opt, step=2, epoch=0)
         peak = tracemalloc.get_traced_memory()[1] - seen["start"]
     finally:
         tracemalloc.stop()
@@ -629,9 +627,8 @@ def test_train_step_driven_directly_keeps_the_freed_heap(monkeypatch):
     cfg = micro_config()
     model = trainer_mod._build_model(cfg)
     opt = AdamState.for_params(model.named_params())
-    rng = np.random.default_rng(0)
     for step in (1, 2):
-        train_step(model, micro_videos()[1:5], cfg, opt, rng, step=step, epoch=0)
+        train_step(model, micro_videos()[1:5], cfg, opt, step=step, epoch=0)
     assert len(calls) == 2
 
 
