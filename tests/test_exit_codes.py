@@ -182,7 +182,8 @@ def one_snippet_dataset(root):
     manifest = load_manifest(root)
     for split in ("train", "test"):
         rows = [(v.id, v.num_snippets) for v in manifest.videos if v.split == split]
-        write_features(load_features(root / f"{split}.wvfd", rows)[::8], root / f"{split}.wvfd")
+        first_rows = load_features(root / f"{split}.wvfd", rows)[::CONFIG["synth"]["num_snippets"]]
+        write_features(first_rows, root / f"{split}.wvfd")
     doc = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
     doc["config"] = None
     for video in doc["videos"]:
