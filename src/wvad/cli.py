@@ -30,7 +30,7 @@ from .mining import MiningConfig, length_error as mining_length_error, mine_batc
 from .schema import from_json
 from .synthdata import Manifest, SynthConfig, generate_dataset, load_manifest, load_split
 from .tensor import no_grad
-from .trainer import BalancedSampler, TrainConfig, keep_freed_heap, train
+from .trainer import BalancedSampler, TrainConfig, keep_freed_heap, load_resume, train
 
 # loss-term weights (w_contrast, w_snippet, w_video, w_reg) and model per
 # ablation row: (a) ranking only on raw features, (b) + encoder,
@@ -206,17 +206,34 @@ def _frame_maps(videos, t: int) -> dict[int, np.ndarray]:
 
 def evaluate_model(model, videos) -> tuple[float, float, np.ndarray]:
     """Frame-level AUC/AP of a model over loaded test videos, and the
-    videos' (N, T) snippet scores."""
+    videos' (N, T) snippet scores.
+
+    Every frame takes its snippet's score, so each snippet enters the
+    metrics as at most two weighted entries, its positive and its negative
+    frames, and no per-frame array is built.
+    """
     for v in videos:
         if v.frame_labels is None:
             raise FormatError(f"video {v.record.id} has no frame labels; "
                               "evaluation needs the test split")
     scores = score_videos(model, videos)
-    maps = _frame_maps(videos, scores.shape[1])
+    t = scores.shape[1]
+    rows, positives, frames = [], [], []
+    for n, frame_map in _frame_maps(videos, t).items():
+        starts = np.searchsorted(frame_map, np.arange(t))   # each snippet's first frame
+        picked = [i for i, v in enumerate(videos) if v.record.num_frames == n]
+        labels = np.stack([videos[i].frame_labels for i in picked])
+        rows.append(scores[picked])
+        positives.append(np.add.reduceat(labels, starts, axis=1, dtype=np.int64))
+        frames.append(np.broadcast_to(np.diff(starts, append=n), (len(picked), t)))
+    snippet_scores = np.concatenate(rows).ravel()
+    pos = np.concatenate(positives).ravel()
+    counts = np.concatenate([pos, np.concatenate(frames).ravel() - pos])
+    keep = counts > 0
     record = EvalRecord(
-        frame_scores=np.concatenate([row[maps[v.record.num_frames]]
-                                     for v, row in zip(videos, scores)]),
-        frame_labels=np.concatenate([v.frame_labels for v in videos]))
+        frame_scores=np.concatenate([snippet_scores, snippet_scores])[keep],
+        frame_labels=np.repeat(np.array([1, 0], dtype=np.uint8), pos.size)[keep],
+        frame_counts=counts[keep])
     auc, ap = evaluate(record)
     return auc, ap, scores
 
@@ -281,10 +298,11 @@ def cmd_train(args) -> int:
     _check_dataset_compat(manifest, config, ("train",), [config.train])
     triples = _train_triples(args.data, manifest)
     _check_width(args.data, "train", [f for _, _, f in triples], config)
+    resume = load_resume(args.resume, config.train) if args.resume else None
     out = Path(args.out)
     _write_run_record(out, "train", config, data=str(args.data),
                       resume=str(args.resume) if args.resume else None)
-    result = train(triples, config.train, out_dir=out, resume=args.resume)
+    result = train(triples, config.train, out_dir=out, resume=resume)
     print(f"trained {result.steps} steps; checkpoint at {result.checkpoint_path}")
     return 0
 

@@ -403,7 +403,8 @@ def load_checkpoint(path) -> tuple[Model, bytes]:
 
     The header's config alone fixes every parameter's shape, so a file too
     short for them is refused before anything is allocated; the parameters
-    are then views of one float32 copy of the payload.
+    are then views of one float32 copy of the payload. A NaN or infinite
+    value is refused, naming its parameter, before any model is built.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -430,12 +431,17 @@ def load_checkpoint(path) -> tuple[Model, bytes]:
         size = math.prod(shape)
         if end + 4 * size > len(buf):
             raise FormatError(f"{path}: truncated at parameter {name}")
-        layout.append(((end - blob_end) // 4, size, shape))
+        layout.append((name, (end - blob_end) // 4, size, shape))
         end += 4 * size
     flat = np.frombuffer(buf, dtype="<f4", count=(end - blob_end) // 4, offset=blob_end) \
         .astype(np.float32)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        at = int(np.argmin(finite))
+        name = next(name for name, start, size, _ in layout if at < start + size)
+        raise FormatError(f"{path}: non-finite value {flat[at]} in parameter {name}")
     return build([Tensor(flat[start:start + size].reshape(shape), requires_grad=True)
-                  for start, size, shape in layout]), buf[end:]
+                  for _, start, size, shape in layout]), buf[end:]
 
 
 @dataclass

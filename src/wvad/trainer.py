@@ -22,7 +22,7 @@ import os
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -319,23 +319,40 @@ def keep_freed_heap():
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
+class Resume(NamedTuple):
+    """A checkpoint's training state, checked against the run's config:
+    the model, the optimiser, the last step, the epoch to run next and the
+    sampling generator. ``train`` continues from it and mutates it."""
+
+    model: TransformerModel | LinearModel
+    opt: AdamState
+    step: int
+    next_epoch: int
+    rng: np.random.Generator
+
+
+def load_resume(path, config: TrainConfig) -> Resume:
+    """Read an epoch-end checkpoint of the model that ``config`` describes."""
+    model, extra = load_checkpoint(path)
+    found, wanted = model.config_dict(), _build_model(config).config_dict()
+    if found != wanted:
+        raise ConfigError(f"{path}: checkpoint's model is {found}, config's is {wanted}")
+    return Resume(model, *_parse_opt_state(extra, model.named_params(), path))
+
+
 def train(videos: Sequence[VideoTriple], config: TrainConfig,
-          out_dir=None, resume=None) -> TrainResult:
+          out_dir=None, resume: Resume | None = None) -> TrainResult:
     """Run the full loop; ``config.epochs`` is the total epoch target.
 
-    With ``resume`` pointing at an epoch-end checkpoint of the model that
-    ``config`` describes, training continues from the stored epoch and
-    reproduces the uninterrupted run exactly.
+    With ``resume``, the state ``load_resume`` read from an epoch-end
+    checkpoint, training continues from the stored epoch and reproduces the
+    uninterrupted run exactly.
     """
     sampler = BalancedSampler([label for _, label, _ in videos],
                               config.batch_normal, config.batch_abnormal)
     if resume is not None:
-        model, extra = load_checkpoint(resume)
-        found, wanted = model.config_dict(), _build_model(config).config_dict()
-        if found != wanted:
-            raise ConfigError(f"{resume}: checkpoint's model is {found}, config's is {wanted}")
+        model, opt, step, start_epoch, rng = resume
         named = model.named_params()
-        opt, step, start_epoch, rng = _parse_opt_state(extra, named, resume)
     else:
         model = _build_model(config)
         named = model.named_params()

@@ -75,9 +75,9 @@ def _die_at(kill: tuple[str, int]):
 
 def train(out: Path):
     """Train into ``out``, resuming if it holds a checkpoint."""
-    ckpt = out / "checkpoint.wvck"
-    trainer_mod.train(micro_videos(), micro_config(epochs=EPOCHS), out_dir=out,
-                      resume=ckpt if ckpt.exists() else None)
+    ckpt, config = out / "checkpoint.wvck", micro_config(epochs=EPOCHS)
+    trainer_mod.train(micro_videos(), config, out_dir=out,
+                      resume=trainer_mod.load_resume(ckpt, config) if ckpt.exists() else None)
 
 
 def train_until(out: Path, kill: tuple[str, int]) -> tuple[int, int]:

@@ -438,7 +438,7 @@ def mined_sets(video_ids, t_len, ha=(), ea=(), hn=(), en=()):
 
 
 def roc_auc(scores, labels) -> float:
-    s, y = _validate(scores, labels)
+    s, y, _ = _validate(scores, labels)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -457,7 +457,7 @@ def roc_auc(scores, labels) -> float:
 
 
 def average_precision(scores, labels) -> float:
-    s, y = _validate(scores, labels)
+    s, y, _ = _validate(scores, labels)
     n_pos = int(y.sum())
     if n_pos == 0:
         raise MetricError("average_precision needs at least one positive")

@@ -8,8 +8,7 @@ an over-long field, and an ``--out`` that already exists as a file. A
 dataset's faults hit the directory itself and each file the subcommand
 reads (README, "What each subcommand reads"); ``export-scores`` reads no
 frame label, so a broken ``test.labels`` leaves it at exit 0. A run that
-fails leaves no output behind, except ``train --resume`` on a broken
-checkpoint: its ``run.json`` is written before the checkpoint is read.
+fails leaves no output behind.
 
 Each subcommand takes ``--out``, the path flags broken here and its own
 flags, and no other: a flag it does not read is a usage error (exit 2).
@@ -24,6 +23,7 @@ import numpy as np
 import pytest
 
 from wvad import cli
+from wvad.encoder import load_checkpoint
 from wvad.synthdata import (SynthConfig, generate_dataset, load_features, load_manifest,
                             write_features)
 
@@ -136,7 +136,7 @@ def test_a_broken_path_exits_with_its_code_and_no_traceback(command, flag, name,
         assert out.read_bytes() == b"x"
     elif code:
         left = sorted(p.name for p in out.iterdir()) if out.exists() else []
-        assert left == (["run.json"] if flag == "--resume" else [])
+        assert left == []
 
 
 def subcommand_options() -> dict[str, set[str]]:
@@ -294,3 +294,39 @@ def test_a_format_2_dataset_exits_3(inputs, tmp_path, capsys):
         f"i/o error: {data / 'manifest.json'}: unsupported format_version 2; "
         "re-run `wvad synth` to write this dataset as format 3\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_resuming_a_checkpoint_of_another_model_exits_2_before_any_output(inputs, tmp_path,
+                                                                         capsys):
+    """``train --resume`` checks its checkpoint before it writes ``run.json``."""
+    config = CONFIG | {"encoder": CONFIG["encoder"] | {"depth": 2}}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(tmp_path / "config.json"),
+                     "--data", str(inputs["--data"]), "--resume", str(inputs["--resume"]),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {inputs['--resume']}: checkpoint's model is ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("command", ["eval", "export-scores"])
+def test_a_non_finite_checkpoint_parameter_exits_3_before_scoring(command, bad, inputs,
+                                                                 tmp_path, capsys):
+    """A checkpoint whose last head bias is not finite used to score: NaN
+    rows in ``scores.csv`` at exit 0, or exit 4 from eval's metrics."""
+    raw = bytearray(inputs["--checkpoint"].read_bytes())
+    (blob_len,) = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12:12 + blob_len])
+    d = header["encoder"]["d_model"]
+    at = len(raw) - len(load_checkpoint(inputs["--checkpoint"])[1]) - 4 * (d + 2)
+    struct.pack_into("<f", raw, at, bad)   # score_b: score_w, score_b, video_w, video_b
+    ckpt = tmp_path / "bad.wvck"
+    ckpt.write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    assert cli.main([command, "--checkpoint", str(ckpt), "--data", str(inputs["--data"]),
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"i/o error: {ckpt}: non-finite value {np.float32(bad)} in parameter score_b\n")
+    assert not out.exists()

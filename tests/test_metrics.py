@@ -197,10 +197,13 @@ def test_ap_zero_positives_rejected():
 def test_non_finite_scores_rejected(bad):
     # unchecked, a NaN ranks as the top score for AUC (1.0) and last for AP (0.75)
     scores, labels = [0.1, bad, 0.3, 0.9], [0, 1, 0, 1]
-    with pytest.raises(MetricError, match="non-finite"):
+    with pytest.raises(MetricError, match="^1 non-finite scores$"):
         roc_auc(scores, labels)
-    with pytest.raises(MetricError, match="non-finite"):
+    with pytest.raises(MetricError, match="^1 non-finite scores$"):
         average_precision(scores, labels)
+    # a weighted entry's message counts the frames it stands for
+    with pytest.raises(MetricError, match="^7 non-finite scores$"):
+        evaluate(EvalRecord(scores, labels, frame_counts=[2, 7, 1, 3]))
 
 
 # ---------------------------------------------------------------------
@@ -296,6 +299,26 @@ def test_single_class_frames_rejected_as_before(label):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("levels", [None, 5, 40])
+@pytest.mark.parametrize("seed", range(4))
+def test_weighted_records_equal_their_per_frame_expansion(seed, levels):
+    """An entry of count c is c frames of its score and label, to the bit.
+    Tied entries of both labels stand for a snippet's positive and negative
+    frames; 5 levels put thousands of frames in a tie group."""
+    rng = np.random.default_rng([2026, seed, levels or 0])
+    n = 400
+    scores = rng.random(n)
+    if levels is not None:
+        scores = np.floor(scores * levels) / levels
+    labels = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(np.uint8)
+    labels[:2] = (0, 1)
+    counts = rng.integers(1, 40, size=n)
+    frames = np.repeat(scores, counts), np.repeat(labels, counts)
+    want = (oracles.roc_auc(*frames), oracles.average_precision(*frames))
+    assert evaluate(EvalRecord(scores, labels, frame_counts=counts)) == want
+    assert evaluate(EvalRecord(*frames)) == want
+
+
 def test_evaluate_sorts_the_frames_once(monkeypatch):
     """AUC and AP share one sort of the scores (the per-metric route made
     three: an argsort, the sort inside np.unique and a lexsort)."""
@@ -322,6 +345,10 @@ def test_eval_record_validation():
         EvalRecord(np.ones(3), np.ones(4))
     with pytest.raises(ValueError):
         EvalRecord(np.ones((2, 2)), np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        EvalRecord(np.ones(3), np.ones(3), frame_counts=[1, 1])
+    with pytest.raises(ValueError):
+        EvalRecord(np.ones(3), np.ones(3), frame_counts=[1, 0, 1])
 
 
 def test_evaluate_returns_both_metrics():

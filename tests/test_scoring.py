@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,3 +218,42 @@ def test_eval_runs_one_forward_per_chunk(tmp_path, monkeypatch, capsys):
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
     assert len(calls) == math.ceil(n / CHUNK)
     assert sum(shape[0] for shape in calls) == n
+
+
+# ---------------------------------------------------------------------
+# deterministic gates: eval builds no per-frame array
+
+
+def test_eval_hands_the_metrics_at_most_two_entries_per_snippet(ragged_dataset, monkeypatch):
+    """Each snippet enters the metrics as its positive and its negative
+    frames, weighted by their counts, whatever the videos' frame counts."""
+    model = TransformerModel.init(EncoderConfig(**ENCODER), seed=6)
+    videos = load_split(ragged_dataset, "test")
+    records = []
+    evaluate = cli.evaluate
+    monkeypatch.setattr(cli, "evaluate", lambda record: records.append(record) or evaluate(record))
+    cli.evaluate_model(model, videos)
+    (record,) = records
+    assert record.frame_scores.size <= 2 * len(videos) * ENCODER["num_snippets"]
+    assert record.frame_counts.sum() == sum(v.record.num_frames for v in videos)
+    assert record.frame_counts @ record.frame_labels == sum(int(v.frame_labels.sum())
+                                                            for v in videos)
+
+
+def test_eval_of_600_videos_peaks_within_1_mb_of_the_forward(tmp_path):
+    """The metrics add nothing to the forward's peak: at 600 videos of 512
+    frames the per-frame arrays took it from 4.7 to 11.1 MB."""
+    generate_dataset(SynthConfig(seed=1007, n_normal_train=0, n_abnormal_train=0,
+                                 n_normal_test=300, n_abnormal_test=300), tmp_path)
+    videos = load_split(tmp_path, "test")
+    model = TransformerModel.init(EncoderConfig(), seed=0)
+    cli.evaluate_model(model, videos)   # first-call allocations stay out of the peaks
+    peaks = []
+    for run in (cli.score_videos, cli.evaluate_model):
+        tracemalloc.start()
+        try:
+            run(model, videos)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 1e6, f"peaks {peaks[0] / 1e6:.2f}, {peaks[1] / 1e6:.2f} MB"

@@ -26,7 +26,8 @@ from wvad.losses import LossBreakdown, LossConfig
 from wvad.mining import MiningConfig
 from wvad.synthdata import SynthConfig, generate_dataset, load_split
 from wvad.tensor import Tensor, topological_order
-from wvad.trainer import AdamState, BalancedSampler, TrainConfig, adam_step, train, train_step
+from wvad.trainer import (AdamState, BalancedSampler, TrainConfig, adam_step, load_resume,
+                          train, train_step)
 
 
 def micro_videos(n_normal=3, n_abnormal=3, t=8, d=6, seed=11):
@@ -370,7 +371,7 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     train(videos, micro_config(epochs=2), out_dir=half_dir)
     rest_dir = tmp_path / "rest"
     res_rest = train(videos, micro_config(epochs=4), out_dir=rest_dir,
-                     resume=half_dir / "checkpoint.wvck")
+                     resume=load_resume(half_dir / "checkpoint.wvck", micro_config(epochs=4)))
 
     assert (full_dir / "checkpoint.wvck").read_bytes() == \
         (rest_dir / "checkpoint.wvck").read_bytes()
@@ -383,7 +384,7 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     train(videos, micro_config(epochs=3), out_dir=crash_dir)
     (crash_dir / "checkpoint.wvck").write_bytes((half_dir / "checkpoint.wvck").read_bytes())
     train(videos, micro_config(epochs=4), out_dir=crash_dir,
-          resume=crash_dir / "checkpoint.wvck")
+          resume=load_resume(crash_dir / "checkpoint.wvck", micro_config(epochs=4)))
     for name in ("checkpoint.wvck", "log.csv"):
         assert (crash_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
 
@@ -420,7 +421,8 @@ def test_resume_rejects_log_with_other_columns(tmp_path):
     train(videos, micro_config(epochs=1), out_dir=out)
     (out / "log.csv").write_text("step,epoch,l_total\n1,0,0.5\n", encoding="utf-8")
     with pytest.raises(FormatError, match="log.csv"):
-        train(videos, micro_config(epochs=2), out_dir=out, resume=out / "checkpoint.wvck")
+        train(videos, micro_config(epochs=2), out_dir=out,
+              resume=load_resume(out / "checkpoint.wvck", micro_config(epochs=2)))
 
 
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
@@ -470,17 +472,16 @@ def test_resume_requires_matching_model_kind(tmp_path):
         out = tmp_path / f"run{i}"
         train(videos, micro_config(epochs=1, **first), out_dir=out)
         with pytest.raises(ConfigError, match=message):
-            train(videos, micro_config(epochs=2, **then), resume=out / "checkpoint.wvck")
+            load_resume(out / "checkpoint.wvck", micro_config(epochs=2, **then))
 
 
 def test_resume_rejects_checkpoint_without_optimiser(tmp_path):
-    videos = micro_videos()
     cfg = micro_config(epochs=1)
     model = trainer_mod._build_model(cfg)
     path = tmp_path / "bare.wvck"
     save_checkpoint(path, model)
     with pytest.raises(FormatError):
-        train(videos, cfg, resume=path)
+        load_resume(path, cfg)
 
 
 def test_resume_rejects_truncated_optimiser(tmp_path):
@@ -491,7 +492,7 @@ def test_resume_rejects_truncated_optimiser(tmp_path):
     blob = (out / "checkpoint.wvck").read_bytes()
     (tmp_path / "cut.wvck").write_bytes(blob[:-8])
     with pytest.raises(FormatError):
-        train(videos, micro_config(epochs=2), resume=tmp_path / "cut.wvck")
+        load_resume(tmp_path / "cut.wvck", micro_config(epochs=2))
 
 
 def _with_generator_state(src, dst, edit):
@@ -517,7 +518,7 @@ def test_resume_rejects_corrupt_generator_state(tmp_path, edit):
     bad = tmp_path / "bad.wvck"
     _with_generator_state(out / "checkpoint.wvck", bad, edit)
     with pytest.raises(FormatError, match="generator state"):
-        train(videos, micro_config(epochs=2), resume=bad)
+        load_resume(bad, micro_config(epochs=2))
 
 
 def test_nonfinite_loss_aborts_with_step(monkeypatch):
