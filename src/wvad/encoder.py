@@ -144,13 +144,12 @@ class EncodedVideo:
 @dataclass
 class ScoredBatch:
     """A batch's forward results, stacked along B, as the losses and mining
-    read them; the trainer adds the weak labels. A single (T, D_in) video's
-    forward drops the B axis from each."""
+    read them; the weak labels are passed beside it. A single (T, D_in)
+    video's forward drops the B axis from each."""
 
-    scores: Tensor                      # (B, T), each in (0,1)
-    video_scores: Tensor                # (B,), each in (0,1)
-    features: Tensor                    # (B, T, D) rows of the contrastive objective
-    labels: np.ndarray | None = None    # (B,) of 0 (normal) / 1 (abnormal)
+    scores: Tensor          # (B, T), each in (0,1)
+    video_scores: Tensor    # (B,), each in (0,1)
+    features: Tensor        # (B, T, D) rows of the contrastive objective
 
 
 def param_table(config: EncoderConfig) -> Iterator[tuple[str, tuple[int, ...], int | str]]:

@@ -244,15 +244,16 @@ def _weighted_sum(terms: list[tuple[Tensor, float]]) -> Tensor:
     return node(value, [t for t, _ in terms], lambda g: [g * w for w in weights])
 
 
-def loss_total(batch: ScoredBatch, mined: MinedSets | None,
+def loss_total(batch: ScoredBatch, labels, mined: MinedSets | None,
                config: LossConfig) -> tuple[Tensor, LossBreakdown]:
-    """Weighted sum of the four terms over one batch.
+    """Weighted sum of the four terms over one batch whose (B,) weak labels
+    are 0 (normal) or 1 (abnormal).
 
     Requires at least one video of each label. A zero-weighted term is not
     evaluated; the contrastive term additionally needs mined sets (pass None
     while mining is warming up and the term is reported as 0).
     """
-    labels = np.asarray(batch.labels)
+    labels = np.asarray(labels)
     n_abnormal, n_normal = np.count_nonzero(labels == 1), np.count_nonzero(labels == 0)
     if not n_abnormal or not n_normal:
         raise TrainingError(

@@ -61,22 +61,11 @@ class Tensor:
         return self.data.shape
 
     @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
     def T(self) -> "Tensor":
         return self.transpose()
 
     def zero_grad(self):
         self.grad = None
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
     # -- autodiff ------------------------------------------------------
 
@@ -196,8 +185,6 @@ class Tensor:
         return node(self.data[idx], (self,), backward)
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return node(self.data.reshape(shape), (self,),
                     lambda g: (g.reshape(self.data.shape),))
 

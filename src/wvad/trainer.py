@@ -117,16 +117,15 @@ class AdamState:
         return cls(m=np.zeros(size, dtype=np.float32), v=np.zeros(size, dtype=np.float32))
 
 
-def _first_non_finite(flat: np.ndarray, params: Sequence[Tensor]) -> int | None:
-    """Index of the parameter holding ``flat``'s first non-finite entry,
-    ``flat`` being per-parameter blocks in declaration order; None if all
-    are finite."""
+def _refuse_non_finite(flat: np.ndarray, params: Sequence[tuple[str, Tensor]], what: str,
+                       t: int):
+    """Raise naming the parameter that holds ``flat``'s first non-finite
+    entry, ``flat`` being per-parameter blocks in declaration order."""
     finite = np.isfinite(flat)
-    if finite.all():
-        return None
-    offset = np.argmin(finite)
-    ends = np.cumsum([p.data.size for p in params])
-    return int(np.searchsorted(ends, offset, side="right"))
+    if not finite.all():
+        ends = np.cumsum([p.data.size for _, p in params])
+        name = params[int(np.searchsorted(ends, np.argmin(finite), side="right"))][0]
+        raise TrainingError(f"non-finite {what} parameter {name} at adam step {t}")
 
 
 def _norm(x: np.ndarray) -> float:
@@ -135,44 +134,39 @@ def _norm(x: np.ndarray) -> float:
     return float(np.sqrt(np.square(x, dtype=np.float64).sum()))
 
 
-@dataclass
-class AdamUpdate:
-    """One Adam step, read off its flat vectors."""
-
-    params: np.ndarray      # the parameters after the step, each Tensor's data a view of it
-    grad_norm: float
-    update_norm: float
-
-
-def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: AdamState,
-              lr: float, betas: tuple[float, float] = (0.9, 0.999),
-              eps: float = 1e-8, weight_decay: float = 0.0) -> AdamUpdate:
+def adam_step(params: Sequence[tuple[str, Tensor]], grads: Sequence[np.ndarray],
+              state: AdamState, lr: float, betas: tuple[float, float] = (0.9, 0.999),
+              eps: float = 1e-8, weight_decay: float = 0.0) -> tuple[float, float]:
     """One Adam update with bias correction; weight decay applied to the
-    parameter directly (decoupled), not mixed into the gradient.
+    parameter directly (decoupled), not mixed into the gradient. Returns
+    the Euclidean norms of the gradient and of the change to the parameters.
 
     The gradients and parameters are concatenated into one vector each and
     updated together; each element sees the same expressions as a
     per-parameter update, so the result is bitwise the same. Afterwards
     each parameter's data is a view of the new flat vector.
+
+    A step is applied whole or not at all: a non-finite gradient or updated
+    value raises ``TrainingError`` naming its parameter, and leaves every
+    parameter and ``state`` as they were.
     """
     b1, b2 = betas
-    state.t += 1
-    t = state.t
+    t = state.t + 1
     g = np.concatenate([np.ravel(x) for x in grads])
-    bad = _first_non_finite(g, params)
-    if bad is not None:
-        raise TrainingError(f"non-finite gradient in parameter {bad} at adam step {t}")
-    p = np.concatenate([x.data.ravel() for x in params])
-    state.m = b1 * state.m + (1.0 - b1) * g
-    state.v = b2 * state.v + (1.0 - b2) * (g * g)
-    m_hat = state.m / (1.0 - b1 ** t)
-    v_hat = state.v / (1.0 - b2 ** t)
+    _refuse_non_finite(g, params, "gradient in", t)
+    p = np.concatenate([x.data.ravel() for _, x in params])
+    m = b1 * state.m + (1.0 - b1) * g
+    v = b2 * state.v + (1.0 - b2) * (g * g)
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
     new = p - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * weight_decay * p
+    _refuse_non_finite(new, params, "update of", t)
+    state.m, state.v, state.t = m, v, t
     offset = 0
-    for x in params:
+    for _, x in params:
         x.data = new[offset:offset + x.data.size].reshape(x.data.shape)
         offset += x.data.size
-    return AdamUpdate(params=new, grad_norm=_norm(g), update_norm=_norm(new - p))
+    return _norm(g), _norm(new - p)
 
 
 # ---------------------------------------------------------------------
@@ -340,6 +334,13 @@ def load_resume(path, config: TrainConfig) -> Resume:
     return Resume(model, *_parse_opt_state(extra, model.named_params(), path))
 
 
+def _fresh(config: TrainConfig) -> Resume:
+    """The state a run that resumes nothing starts from."""
+    model = _build_model(config)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 1])))
+    return Resume(model, AdamState.for_params(model.named_params()), 0, 0, rng)
+
+
 def train(videos: Sequence[VideoTriple], config: TrainConfig,
           out_dir=None, resume: Resume | None = None) -> TrainResult:
     """Run the full loop; ``config.epochs`` is the total epoch target.
@@ -350,18 +351,7 @@ def train(videos: Sequence[VideoTriple], config: TrainConfig,
     """
     sampler = BalancedSampler([label for _, label, _ in videos],
                               config.batch_normal, config.batch_abnormal)
-    if resume is not None:
-        model, opt, step, start_epoch, rng = resume
-        named = model.named_params()
-    else:
-        model = _build_model(config)
-        named = model.named_params()
-        opt = AdamState.for_params(named)
-        step = 0
-        start_epoch = 0
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 1])))
-
-    params = [p for _, p in named]
+    model, opt, step, start_epoch, rng = resume if resume is not None else _fresh(config)
     out_path = Path(out_dir) if out_dir is not None else None
     ckpt_path = None
     log_fh = None
@@ -414,31 +404,28 @@ def train_step(model, batch_videos: Sequence[VideoTriple], config: TrainConfig,
     video_ids = [video_id for video_id, _, _ in batch_videos]
     labels = np.array([label for _, label, _ in batch_videos])
     batch = model.forward(np.stack([feats for _, _, feats in batch_videos]))
-    batch.labels = labels
     mined = None
     if config.loss.w_contrast > 0 and epoch >= config.mining_warmup_epochs:
         mined = mine_batch(list(zip(video_ids, labels.tolist(), batch.scores.data)),
                            config.mining)
-    total, breakdown = loss_total(batch, mined, config.loss)
+    total, breakdown = loss_total(batch, labels, mined, config.loss)
     if not np.isfinite(breakdown.l_total):
         raise TrainingError(
             f"non-finite loss at step {step} (epoch {epoch}): {breakdown}")
-    params = [p for _, p in model.named_params()]
-    for p in params:
+    named = model.named_params()
+    for _, p in named:
         p.zero_grad()
     total.backward()
-    grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+    grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for _, p in named]
     try:
-        update = adam_step(params, grads, opt, lr=config.lr, weight_decay=config.weight_decay)
+        grad_norm, update_norm = adam_step(named, grads, opt, lr=config.lr,
+                                           weight_decay=config.weight_decay)
     except TrainingError as e:
         raise TrainingError(f"step {step} (epoch {epoch}): {e}") from e
-    bad = _first_non_finite(update.params, params)
-    if bad is not None:
-        raise TrainingError(f"non-finite parameter {bad} after step {step} (epoch {epoch})")
     counts = mined.counts() if mined is not None else {"HA": 0, "EA": 0, "HN": 0, "EN": 0}
     return LogRow(step=step, epoch=epoch, l_total=breakdown.l_total,
                   l_snp=breakdown.l_snp, l_vid=breakdown.l_vid,
                   l_reg=breakdown.l_reg, l_cnt=breakdown.l_cnt,
                   n_ha=counts["HA"], n_hn=counts["HN"],
                   n_ea=counts["EA"], n_en=counts["EN"],
-                  grad_norm=update.grad_norm, update_norm=update.update_norm)
+                  grad_norm=grad_norm, update_norm=update_norm)

@@ -335,9 +335,7 @@ def _case_full_objective(rng):
     labels = np.array([0, 1])
 
     def f():
-        batch = model.forward(videos)
-        batch.labels = labels
-        total, _ = loss_total(batch, mined, loss_cfg)
+        total, _ = loss_total(model.forward(videos), labels, mined, loss_cfg)
         return total
 
     return model.named_params(), f

@@ -193,11 +193,11 @@ def loss_contrastive(mined, features, temperature):
     return Tensor(np.zeros((), dtype=features.data.dtype))
 
 
-def loss_total(batch, mined, config):
+def loss_total(batch, labels, mined, config):
     """The terms on sliced abnormal and normal rows, each times its weight
     and added with one tape op each; returns the total and the terms'
     values (0.0 for a term not evaluated)."""
-    labels = np.asarray(batch.labels)
+    labels = np.asarray(labels)
     abnormal = np.flatnonzero(labels == 1)
     normal = np.flatnonzero(labels == 0)
     total = None

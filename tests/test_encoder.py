@@ -294,13 +294,13 @@ def test_encode_reaches_each_layer_through_the_module(monkeypatch, depth):
 
 
 def test_forward_result_is_the_scored_batch_the_losses_read():
-    """``forward`` returns the losses' ``ScoredBatch`` without labels; the
-    trainer sets them on the same object."""
+    """``forward`` returns the losses' ``ScoredBatch``, which holds no
+    labels: the trainer passes them to ``loss_total`` beside it."""
     from wvad.losses import ScoredBatch as LossBatch
     m = make_model(seed=26)
     f = np.random.default_rng(26).normal(size=(2, 8, 4)).astype(np.float32)
     for out in (m.forward(f), LinearModel.init(4, 26).forward(f)):
-        assert isinstance(out, LossBatch) and out.labels is None
+        assert isinstance(out, LossBatch) and not hasattr(out, "labels")
         assert out.scores.shape == (2, 8) and out.video_scores.shape == (2,)
 
 

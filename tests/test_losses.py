@@ -334,18 +334,19 @@ def test_contrastive_fd():
 
 
 def _make_batch(rng, n_abn=2, n_nrm=2, t_len=8, d=4):
-    """Abnormal videos first, then normal ones, all leaves float64."""
-    return ScoredBatch(
-        labels=np.array([1] * n_abn + [0] * n_nrm),
+    """Abnormal videos first, then normal ones, all leaves float64; the
+    batch and its labels."""
+    batch = ScoredBatch(
         scores=t64(rng.uniform(0.05, 0.95, size=(n_abn + n_nrm, t_len))),
         video_scores=t64(rng.uniform(0.1, 0.9, size=n_abn + n_nrm)),
         features=t64(rng.normal(size=(n_abn + n_nrm, t_len, d))))
+    return batch, np.array([1] * n_abn + [0] * n_nrm)
 
 
-def _mined_for(batch):
+def _mined_for(batch, labels):
     cfg = MiningConfig(region_window=5, region_min_count=4, k_hard_normal=2, k_easy=2)
-    ids = [f"v{i}" for i in range(len(batch.labels))]
-    return mine_batch(list(zip(ids, batch.labels, batch.scores.data)), cfg)
+    ids = [f"v{i}" for i in range(len(labels))]
+    return mine_batch(list(zip(ids, labels, batch.scores.data)), cfg)
 
 
 @pytest.mark.parametrize("w_snippet, w_reg", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
@@ -353,47 +354,48 @@ def test_length_error_refuses_exactly_the_lengths_loss_total_cannot_take(w_snipp
     """For T = 1..4 and k = 1..5, the rule names a length error if and only
     if ``loss_total`` raises on a batch of that T, and with its message."""
     for t_len in range(1, 5):
-        batch = _make_batch(np.random.default_rng(t_len), n_abn=1, n_nrm=1, t_len=t_len)
+        batch, labels = _make_batch(np.random.default_rng(t_len), n_abn=1, n_nrm=1,
+                                    t_len=t_len)
         for k in range(1, 6):
             config = LossConfig(k=k, w_snippet=w_snippet, w_reg=w_reg, w_contrast=0)
             error = length_error("v", t_len, config)
             if error is None:
-                loss_total(batch, None, config)
+                loss_total(batch, labels, None, config)
             else:
                 with pytest.raises(ValueError) as raised:
-                    loss_total(batch, None, config)
+                    loss_total(batch, labels, None, config)
                 assert error == f"video v: {raised.value}"
 
 
 def test_total_zero_weights_is_zero():
     rng = np.random.default_rng(40)
-    batch = _make_batch(rng)
+    batch, labels = _make_batch(rng)
     cfg = LossConfig(w_contrast=0, w_snippet=0, w_video=0, w_reg=0)
-    total, breakdown = loss_total(batch, None, cfg)
+    total, breakdown = loss_total(batch, labels, None, cfg)
     assert float(total.data) == 0.0
     assert breakdown.l_total == 0.0
 
 
 def test_total_unit_weights_additivity_exact():
     rng = np.random.default_rng(41)
-    batch = _make_batch(rng)
-    total, b = loss_total(batch, _mined_for(batch), LossConfig())
+    batch, labels = _make_batch(rng)
+    total, b = loss_total(batch, labels, _mined_for(batch, labels), LossConfig())
     assert b.l_total == ((b.l_cnt + b.l_snp) + b.l_vid) + b.l_reg
     assert float(total.data) == b.l_total
 
 
 def test_total_single_class_batch_rejected():
     rng = np.random.default_rng(42)
-    batch = _make_batch(rng, n_nrm=0)
+    batch, labels = _make_batch(rng, n_nrm=0)
     with pytest.raises(TrainingError):
-        loss_total(batch, None, LossConfig())
+        loss_total(batch, labels, None, LossConfig())
 
 
 def test_total_zero_weight_term_gets_no_gradient():
     rng = np.random.default_rng(43)
-    batch = _make_batch(rng)
+    batch, labels = _make_batch(rng)
     cfg = LossConfig(w_contrast=0, w_snippet=1, w_video=0, w_reg=0)
-    total, _ = loss_total(batch, _mined_for(batch), cfg)
+    total, _ = loss_total(batch, labels, _mined_for(batch, labels), cfg)
     total.backward()
     assert batch.video_scores.grad is None
     assert batch.features.grad is None
@@ -401,17 +403,17 @@ def test_total_zero_weight_term_gets_no_gradient():
 
 def test_total_without_mined_sets_reports_zero_contrast():
     rng = np.random.default_rng(44)
-    batch = _make_batch(rng)
-    _, b = loss_total(batch, None, LossConfig())
+    batch, labels = _make_batch(rng)
+    _, b = loss_total(batch, labels, None, LossConfig())
     assert b.l_cnt == 0.0
     assert b.l_snp > 0.0
 
 
 def test_total_pairs_only_the_first_min_a_n_videos():
     rng = np.random.default_rng(45)
-    batch = _make_batch(rng, n_abn=2, n_nrm=1)
+    batch, labels = _make_batch(rng, n_abn=2, n_nrm=1)
     # matched pairs: min(2,1)=1 hinge, the second abnormal video unpaired
-    _, matched = loss_total(batch, None, LossConfig(w_contrast=0))
+    _, matched = loss_total(batch, labels, None, LossConfig(w_contrast=0))
     s = batch.scores.data
     h01 = float(hinge([s[0]], [s[2]], 3).data)
     assert matched.l_snp == pytest.approx(h01, abs=1e-12)
@@ -420,24 +422,24 @@ def test_total_pairs_only_the_first_min_a_n_videos():
 def test_total_fd_through_all_terms():
     """Full-objective gradient check on leaf scores and features."""
     rng = np.random.default_rng(46)
-    batch = _make_batch(rng, n_abn=1, n_nrm=1, t_len=6, d=3)
-    mined = _mined_for(batch)
+    batch, labels = _make_batch(rng, n_abn=1, n_nrm=1, t_len=6, d=3)
+    mined = _mined_for(batch, labels)
     cfg = LossConfig(smooth_weight=0.3, sparse_weight=0.2, temperature=0.5)
 
     params = [("scores", batch.scores), ("video_scores", batch.video_scores),
               ("features", batch.features)]
-    check = grad_check(lambda: loss_total(batch, mined, cfg)[0], params)
+    check = grad_check(lambda: loss_total(batch, labels, mined, cfg)[0], params)
     assert check.passed, check.summary_lines()
 
 
 def test_total_gradient_reaches_each_head_through_its_term():
     rng = np.random.default_rng(47)
-    batch = _make_batch(rng)
+    batch, labels = _make_batch(rng)
     # plateau pattern leaves snippet 2 easy (top-2 minus edges {1,3})
     batch.scores.data[0] = [0.1, 0.8, 0.9, 0.8, 0.1, 0.1, 0.1, 0.2]
-    mined = _mined_for(batch)
+    mined = _mined_for(batch, labels)
     assert mined.easy_abnormal
-    total, _ = loss_total(batch, mined, LossConfig())
+    total, _ = loss_total(batch, labels, mined, LossConfig())
     total.backward()
     assert batch.scores.grad is not None and np.any(batch.scores.grad != 0)
     assert batch.video_scores.grad is not None and np.all(batch.video_scores.grad != 0)
@@ -499,15 +501,14 @@ def _objective_batch(name, dtype):
         n0, n1 = (ids[i] for i in np.flatnonzero(labels == 0)[:2])
         mined = mined_sets(ids, t_len, ha=[(a0, 3), (a1, 0)], ea=[(a0, 3), (a1, 5)],
                            hn=[(n0, 1), (n1, 4)], en=[(n0, 1), (n1, 2), (n1, 4)])
-    batch = ScoredBatch(labels=labels,
-                        scores=Tensor(scores.astype(dtype), requires_grad=True),
+    batch = ScoredBatch(scores=Tensor(scores.astype(dtype), requires_grad=True),
                         video_scores=Tensor(video_scores.astype(dtype), requires_grad=True),
                         features=Tensor(features.astype(dtype), requires_grad=True))
-    return batch, mined, config
+    return batch, labels, mined, config
 
 
 def test_the_objective_cases_reach_every_set_kind():
-    counts = {name: _objective_batch(name, np.float32)[1] for name in OBJECTIVE_CASES}
+    counts = {name: _objective_batch(name, np.float32)[2] for name in OBJECTIVE_CASES}
     assert all(counts["reference"].counts().values())
     assert not any(counts["empty_sets"].counts().values())
     one = counts["hard_normal_direction_only"]
@@ -520,8 +521,7 @@ def test_the_objective_cases_reach_every_set_kind():
 
 @pytest.mark.parametrize("name", OBJECTIVE_CASES)
 def test_fused_terms_are_bitwise_the_composed_forms(name):
-    batch, mined, config = _objective_batch(name, np.float32)
-    labels = batch.labels
+    batch, labels, mined, config = _objective_batch(name, np.float32)
     abnormal, normal = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
     pairs = [
         (loss_video(batch.video_scores, labels), oracles.loss_video(batch.video_scores, labels)),
@@ -534,8 +534,8 @@ def test_fused_terms_are_bitwise_the_composed_forms(name):
     if mined is not None:
         pairs.append((loss_contrastive(mined, batch.features, config.temperature),
                       oracles.loss_contrastive(mined, batch.features, config.temperature)))
-    total, breakdown = loss_total(batch, mined, config)
-    want_total, parts = oracles.loss_total(batch, mined, config)
+    total, breakdown = loss_total(batch, labels, mined, config)
+    want_total, parts = oracles.loss_total(batch, labels, mined, config)
     pairs.append((total, want_total))
     for got, want in pairs:
         assert got.data.dtype == want.data.dtype == np.float32
@@ -544,8 +544,8 @@ def test_fused_terms_are_bitwise_the_composed_forms(name):
 
 
 def _objective_grads(loss, name):
-    batch, mined, config = _objective_batch(name, np.float64)
-    total = loss(batch, mined, config)[0]
+    batch, labels, mined, config = _objective_batch(name, np.float64)
+    total = loss(batch, labels, mined, config)[0]
     leaves = (batch.scores, batch.video_scores, batch.features)
     if total.requires_grad:
         total.backward()
@@ -566,9 +566,9 @@ def test_fused_objective_gradient_matches_the_composed_form(name):
 def test_a_term_alone_reaches_only_its_inputs(term):
     """Each term's weight alone: the other terms are not evaluated, so the
     leaves only they read get no gradient at all."""
-    batch, mined, _ = _objective_batch("reference", np.float64)
+    batch, labels, mined, _ = _objective_batch("reference", np.float64)
     weights = dict.fromkeys(("w_contrast", "w_snippet", "w_video", "w_reg"), 0.0)
-    total, _ = loss_total(batch, mined, LossConfig(**{**weights, term: 1.5}))
+    total, _ = loss_total(batch, labels, mined, LossConfig(**{**weights, term: 1.5}))
     total.backward()
     reached = {"w_contrast": "features", "w_snippet": "scores", "w_video": "video_scores",
                "w_reg": "scores"}[term]
@@ -579,21 +579,21 @@ def test_a_term_alone_reaches_only_its_inputs(term):
 
 
 def test_all_zero_weights_leave_no_graph():
-    batch, mined, _ = _objective_batch("zero_weights", np.float64)
-    total, _ = loss_total(batch, mined, _objective_cases()["zero_weights"][3])
+    batch, labels, mined, _ = _objective_batch("zero_weights", np.float64)
+    total, _ = loss_total(batch, labels, mined, _objective_cases()["zero_weights"][3])
     assert not total.requires_grad and not total._parents
 
 
 def _objective_bits(name, mined):
     """loss_total's and loss_contrastive's value and leaf-gradient bytes on
     the case's batch, with ``mined`` in place of the case's own sets."""
-    objectives = [lambda b, c: loss_total(b, mined, c)[0]]
+    objectives = [lambda b, y, c: loss_total(b, y, mined, c)[0]]
     if mined is not None:
-        objectives.append(lambda b, c: loss_contrastive(mined, b.features, c.temperature))
+        objectives.append(lambda b, y, c: loss_contrastive(mined, b.features, c.temperature))
     bits = []
     for objective in objectives:
-        batch, _, config = _objective_batch(name, np.float64)
-        value = objective(batch, config)
+        batch, labels, _, config = _objective_batch(name, np.float64)
+        value = objective(batch, labels, config)
         if value.requires_grad:
             value.backward()
         bits.append(value.data.tobytes())
@@ -607,7 +607,7 @@ def test_a_mined_batch_reused_gives_the_bits_of_a_fresh_one(name):
     """The gather plan is worked out on the first call and kept: later
     calls on the same ``MinedSets`` give the value and the gradients of a
     fresh one, bit for bit."""
-    _, mined, _ = _objective_batch(name, np.float64)
+    mined = _objective_batch(name, np.float64)[2]
     fresh = None if mined is None else MinedSets(mined.video_ids,
                                                  *(m.copy() for m in mined.masks()))
     want = _objective_bits(name, fresh)
@@ -622,7 +622,7 @@ def test_fused_terms_are_bitwise_the_composed_forms_at_gradcheck_shapes(seed):
     config = EncoderConfig(num_snippets=4, d_in=3, d_model=4, heads=2, depth=1)
     model = TransformerModel.init(config, seed=seed, dtype=np.float64)
     batch = model.forward(np.random.default_rng([54, seed]).normal(size=(2, 4, 3)))
-    batch.labels = labels = np.array([0, 1])
+    labels = np.array([0, 1])
     mined = mined_sets(("nrm", "abn"), 4, ha=[("abn", 1)], ea=[("abn", 3)], hn=[("nrm", 0)],
                        en=[("nrm", 2)])
     cfg = LossConfig(k=2)
@@ -634,7 +634,8 @@ def test_fused_terms_are_bitwise_the_composed_forms_at_gradcheck_shapes(seed):
          oracles.loss_regularisation(batch.scores, cfg.smooth_weight, cfg.sparse_weight)),
         (loss_contrastive(mined, batch.features, cfg.temperature),
          oracles.loss_contrastive(mined, batch.features, cfg.temperature)),
-        (loss_total(batch, mined, cfg)[0], oracles.loss_total(batch, mined, cfg)[0]),
+        (loss_total(batch, labels, mined, cfg)[0],
+         oracles.loss_total(batch, labels, mined, cfg)[0]),
     ]
     for got, want in pairs:
         assert got.data.dtype == want.data.dtype == np.float64

@@ -21,6 +21,7 @@ import pytest
 import oracles
 from wvad import cli
 from wvad.encoder import EncoderConfig, LinearModel, TransformerModel, save_checkpoint
+from wvad.errors import FormatError
 from wvad.metrics import snippet_to_frame_scores
 from wvad.mining import MiningConfig, mine_batch
 from wvad.synthdata import LABELS_NAME, LoadedVideo, SynthConfig, VideoRecord, generate_dataset, \
@@ -194,6 +195,10 @@ def test_eval_of_a_ragged_split_matches_the_per_row_oracle(ragged_dataset, tmp_p
     auc, ap = oracles.roc_auc(scores, labels), oracles.average_precision(scores, labels)
     assert capsys.readouterr().out == f"AUC={auc:.6f} AP={ap:.6f}\n"
     assert cli.evaluate_model(model, videos)[:2] == (auc, ap)
+    # the same split loaded without its frame labels cannot be evaluated
+    with pytest.raises(FormatError, match=r"^video [^ ]+ has no frame labels; evaluation "
+                                          r"needs the test split$"):
+        cli.evaluate_model(model, load_split(ragged_dataset, "test", frame_labels=False))
 
 
 # ---------------------------------------------------------------------

@@ -84,7 +84,7 @@ def test_adam_zero_grad_zero_decay_is_noop():
     before = p.data.tobytes()
     st = AdamState.for_params([("p", p)])
     for _ in range(5):
-        adam_step([p], [np.zeros(3, dtype=np.float32)], st, lr=0.1)
+        adam_step([("p", p)], [np.zeros(3, dtype=np.float32)], st, lr=0.1)
     assert p.data.tobytes() == before
 
 
@@ -92,7 +92,7 @@ def test_adam_first_step_unit_gradient():
     # m_hat = v_hat = 1 after one step, so p moves by lr/(1+eps)
     p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
     st = AdamState.for_params([("p", p)])
-    adam_step([p], [np.array([1.0], dtype=np.float32)], st, lr=0.1)
+    adam_step([("p", p)], [np.array([1.0], dtype=np.float32)], st, lr=0.1)
     assert abs(float(p.data[0]) - 0.9) < 1e-6
 
 
@@ -100,7 +100,7 @@ def test_adam_decay_only_geometric():
     p = Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)
     st = AdamState.for_params([("p", p)])
     for _ in range(5):
-        adam_step([p], [np.zeros(1, dtype=np.float32)], st, lr=0.1, weight_decay=0.1)
+        adam_step([("p", p)], [np.zeros(1, dtype=np.float32)], st, lr=0.1, weight_decay=0.1)
     expected = 2.0 * (1.0 - 0.1 * 0.1) ** 5
     assert abs(float(p.data[0]) - expected) < 1e-6
 
@@ -123,54 +123,49 @@ def test_adam_matches_scalar_reference(seed):
     p = Tensor(np.array([0.7], dtype=np.float32), requires_grad=True)
     st = AdamState.for_params([("p", p)])
     for g in grads:
-        adam_step([p], [np.array([g], dtype=np.float32)], st, lr=0.02, weight_decay=0.01)
+        adam_step([("p", p)], [np.array([g], dtype=np.float32)], st, lr=0.02,
+                  weight_decay=0.01)
     expect = reference_adam(0.7, [float(np.float32(g)) for g in grads], lr=0.02, wd=0.01)
     assert abs(float(p.data[0]) - expect) < 1e-5
-
-
-def test_adam_rejects_nonfinite_gradient():
-    p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
-    st = AdamState.for_params([("p", p)])
-    with pytest.raises(TrainingError):
-        adam_step([p], [np.array([np.nan], dtype=np.float32)], st, lr=0.1)
 
 
 def test_adam_moments_stay_float32():
     p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
     st = AdamState.for_params([("p", p)])
-    adam_step([p], [np.array([0.5], dtype=np.float32)], st, lr=0.1)
+    adam_step([("p", p)], [np.array([0.5], dtype=np.float32)], st, lr=0.1)
     assert st.m.dtype == np.float32
     assert st.v.dtype == np.float32
     assert p.data.dtype == np.float32
 
 
 def _adam_params(seed):
+    """Five named float32 parameters, one of them a scalar."""
     rng = np.random.default_rng(seed)
-    shapes = [(3, 4), (4,), (), (2, 3), (5,)]
-    return [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in shapes]
+    shapes = {"w0": (3, 4), "b0": (4,), "scale": (), "block0.wq": (2, 3), "b1": (5,)}
+    return [(name, Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True))
+            for name, s in shapes.items()]
 
 
 def test_adam_state_is_one_flat_vector_per_moment():
-    params = _adam_params(0)
-    st = AdamState.for_params([(str(i), p) for i, p in enumerate(params)])
+    st = AdamState.for_params(_adam_params(0))
     assert st.m.shape == st.v.shape == (12 + 4 + 1 + 6 + 5,)
 
 
 def test_flat_adam_is_bitwise_the_per_parameter_update():
     """20 steps with weight decay; parameter 2 never gets a gradient (the
     zeros ``train_step`` passes for it)."""
-    params, ref = _adam_params(1), _adam_params(1)
+    params, ref = _adam_params(1), [p for _, p in _adam_params(1)]
     rng = np.random.default_rng(2)
-    st = AdamState.for_params([(str(i), p) for i, p in enumerate(params)])
+    st = AdamState.for_params(params)
     m = [np.zeros_like(p.data) for p in ref]
     v = [np.zeros_like(p.data) for p in ref]
     for t in range(1, 21):
         grads = [(rng.normal(size=p.data.shape) * 10.0 ** rng.integers(-4, 3))
-                 .astype(np.float32) for p in params]
-        grads[2] = np.zeros_like(params[2].data)
+                 .astype(np.float32) for _, p in params]
+        grads[2] = np.zeros_like(params[2][1].data)
         adam_step(params, grads, st, lr=3e-3, weight_decay=5e-4)
         oracles.adam_step(ref, grads, m, v, t, lr=3e-3, weight_decay=5e-4)
-        for p, r in zip(params, ref):
+        for (_, p), r in zip(params, ref):
             assert p.data.shape == r.data.shape
             assert p.data.tobytes() == r.data.tobytes()
         assert st.m.tobytes() == b"".join(x.tobytes() for x in m)
@@ -178,26 +173,81 @@ def test_flat_adam_is_bitwise_the_per_parameter_update():
     assert st.t == 20
 
 
-def test_adam_names_the_parameter_of_a_non_finite_gradient():
+def _optimiser_bytes(params, state):
+    return [p.data.tobytes() for _, p in params], state.m.tobytes(), state.v.tobytes(), state.t
+
+
+@pytest.mark.parametrize("fault", ["nan gradient", "inf gradient", "update overflow"])
+def test_a_refused_adam_step_changes_nothing(fault):
+    """A step with a non-finite gradient, or with a finite gradient whose
+    update overflows float32, raises naming the parameter, and leaves every
+    parameter's bytes and the moments and step count as they were. The
+    fault sits in block0.wq, at the first value of its block."""
     params = _adam_params(3)
-    st = AdamState.for_params([(str(i), p) for i, p in enumerate(params)])
-    before = [p.data.tobytes() for p in params]
-    grads = [np.zeros_like(p.data) for p in params]
-    grads[3][0, 0] = np.inf      # the first value of its block, on the boundary
-    grads[4][0] = np.nan
-    with pytest.raises(TrainingError, match="parameter 3 "):
-        adam_step(params, grads, st, lr=0.1)
-    assert [p.data.tobytes() for p in params] == before
+    st = AdamState.for_params(params)
+    grads = [np.zeros_like(p.data) for _, p in params]
+    if fault == "update overflow":
+        # from fresh moments only block0.wq[0, 0] moves by lr: 2 - 3e38 - 3e37 * 2
+        # is past float32's -3.4e38, while decay alone keeps the rest finite
+        params[3][1].data[0, 0] = 2.0
+        grads[3][0, 0] = 1.0
+        lr, step, what = 3e38, 1, "update of"
+    else:
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            adam_step(params, [rng.normal(size=p.data.shape).astype(np.float32)
+                               for _, p in params], st, lr=1e-3)
+        grads[3][0, 0] = np.nan if fault == "nan gradient" else np.inf
+        grads[4][0] = np.nan
+        lr, step, what = 0.1, 4, "gradient in"
+    before = _optimiser_bytes(params, st)
+    with np.errstate(over="ignore"):
+        with pytest.raises(TrainingError,
+                           match=f"^non-finite {what} parameter block0.wq at adam step {step}$"):
+            adam_step(params, grads, st, lr=lr, weight_decay=0.1)
+    assert _optimiser_bytes(params, st) == before
+
+
+@pytest.mark.parametrize("fault", ["gradient", "update"])
+def test_a_refused_training_step_names_its_step_and_changes_nothing(fault, monkeypatch):
+    """Through ``train_step`` the refusal also names the step and epoch, and
+    the model and the optimiser stay as the step before left them."""
+    cfg = micro_config()
+    model = trainer_mod._build_model(cfg)
+    named = model.named_params()
+    opt = AdamState.for_params(named)
+    batch = micro_videos()[1:5]
+    train_step(model, batch, cfg, opt, step=1, epoch=0)
+    names = [name for name, _ in named]
+    if fault == "gradient":
+        backward = Tensor.backward
+
+        def poisoned(self):
+            backward(self)
+            named[names.index("block0.wq")][1].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(Tensor, "backward", poisoned)
+    else:
+        # a first moment at float32's largest value overflows m_hat = m / (1 - b1^t)
+        opt.m[sum(p.data.size for _, p in named[:names.index("block0.wq")])] = \
+            np.finfo(np.float32).max
+    before = _optimiser_bytes(named, opt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingError, match=f"^step 2 \\(epoch 0\\): non-finite "
+                           f"{'gradient in' if fault == 'gradient' else 'update of'} "
+                           f"parameter block0.wq at adam step 2$"):
+            train_step(model, batch, cfg, opt, step=2, epoch=0)
+    assert _optimiser_bytes(model.named_params(), opt) == before
 
 
 def test_adam_reports_gradient_and_update_norms():
     p = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
     st = AdamState.for_params([("p", p)])
-    update = adam_step([p], [np.array([3.0, -4.0], dtype=np.float32)], st, lr=0.1)
-    assert update.grad_norm == 5.0
+    grad_norm, update_norm = adam_step([("p", p)], [np.array([3.0, -4.0], dtype=np.float32)],
+                                       st, lr=0.1)
+    assert grad_norm == 5.0
     # a first step moves every element by lr * g / (|g| + eps)
-    assert update.update_norm == pytest.approx(0.1 * math.sqrt(2.0), rel=1e-6)
-    assert update.params.tobytes() == p.data.tobytes()
+    assert update_norm == pytest.approx(0.1 * math.sqrt(2.0), rel=1e-6)
 
 
 # ---------------------------------------------------------------------
@@ -301,12 +351,12 @@ def test_logged_norms_are_those_of_the_applied_step(monkeypatch):
     step = trainer_mod.adam_step
 
     def recording(params, grads, state, **kw):
-        before = np.concatenate([p.data.ravel() for p in params]).astype(np.float64)
+        before = np.concatenate([p.data.ravel() for _, p in params]).astype(np.float64)
         g = np.concatenate([np.ravel(x) for x in grads]).astype(np.float64)
-        update = step(params, grads, state, **kw)
-        after = np.concatenate([p.data.ravel() for p in params]).astype(np.float64)
+        norms = step(params, grads, state, **kw)
+        after = np.concatenate([p.data.ravel() for _, p in params]).astype(np.float64)
         seen.append((np.linalg.norm(g), np.linalg.norm(after - before)))
-        return update
+        return norms
 
     monkeypatch.setattr(trainer_mod, "adam_step", recording)
     res = train(videos, micro_config(epochs=2))
@@ -388,6 +438,31 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     for name in ("checkpoint.wvck", "log.csv"):
         assert (crash_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
 
+    # resumed into a directory whose log.csv is empty: the log starts afresh
+    empty_dir = tmp_path / "empty"
+    empty_dir.mkdir()
+    (empty_dir / "log.csv").write_bytes(b"")
+    train(videos, micro_config(epochs=4), out_dir=empty_dir,
+          resume=load_resume(half_dir / "checkpoint.wvck", micro_config(epochs=4)))
+    for name in ("checkpoint.wvck", "log.csv"):
+        assert (empty_dir / name).read_bytes() == (rest_dir / name).read_bytes(), name
+
+    # resumed at or past its epoch target into a new directory: no step runs,
+    # and the checkpoint written there reads back to the state it started from
+    for epochs in (4, 3):
+        past_dir = tmp_path / f"past{epochs}"
+        start = load_resume(full_dir / "checkpoint.wvck", micro_config(epochs=epochs))
+        res = train(videos, micro_config(epochs=epochs), out_dir=past_dir, resume=start)
+        assert res.log == [] and res.steps == start.step == 4
+        back = load_resume(past_dir / "checkpoint.wvck", micro_config(epochs=epochs))
+        assert (back.step, back.next_epoch, back.opt.t) == (4, 4, 4)
+        assert [p.data.tobytes() for _, p in back.model.named_params()] == \
+            [p.data.tobytes() for _, p in res_full.model.named_params()]
+        full = load_resume(full_dir / "checkpoint.wvck", micro_config(epochs=epochs))
+        assert (back.opt.m.tobytes(), back.opt.v.tobytes()) == \
+            (full.opt.m.tobytes(), full.opt.v.tobytes())
+        assert back.rng.bit_generator.state == full.rng.bit_generator.state
+
 
 def test_a_run_killed_anywhere_twice_resumes_to_the_same_bytes(tmp_path):
     """``tests/kill_resume.py``: a fresh run killed before any step or just
@@ -415,12 +490,16 @@ def test_a_run_killed_anywhere_twice_resumes_to_the_same_bytes(tmp_path):
     assert counts == {"chains": 90, "second kills": 78, "stale temporaries": 60}
 
 
-def test_resume_rejects_log_with_other_columns(tmp_path):
+@pytest.mark.parametrize("text, message", [
+    ("step,epoch,l_total\n1,0,0.5\n", r"log.csv: columns 'step,epoch,l_total' are not step,"),
+    (",".join(trainer_mod.LOG_COLUMNS) + "\none" + ",0" * 12 + "\n", r"log.csv:2: bad step 'one'"),
+], ids=["columns", "step"])
+def test_resume_rejects_a_log_it_cannot_keep_rows_of(tmp_path, text, message):
     videos = micro_videos()
     out = tmp_path / "run"
     train(videos, micro_config(epochs=1), out_dir=out)
-    (out / "log.csv").write_text("step,epoch,l_total\n1,0,0.5\n", encoding="utf-8")
-    with pytest.raises(FormatError, match="log.csv"):
+    (out / "log.csv").write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError, match=message):
         train(videos, micro_config(epochs=2), out_dir=out,
               resume=load_resume(out / "checkpoint.wvck", micro_config(epochs=2)))
 
@@ -485,14 +564,18 @@ def test_resume_rejects_checkpoint_without_optimiser(tmp_path):
 
 
 def test_resume_rejects_truncated_optimiser(tmp_path):
+    """Cut in the moments, or inside the optimiser section's 16-byte header."""
     videos = micro_videos()
     cfg = micro_config(epochs=1)
     out = tmp_path / "run"
     train(videos, cfg, out_dir=out)
     blob = (out / "checkpoint.wvck").read_bytes()
-    (tmp_path / "cut.wvck").write_bytes(blob[:-8])
-    with pytest.raises(FormatError):
-        load_resume(tmp_path / "cut.wvck", micro_config(epochs=2))
+    header_at = len(blob) - len(encoder_mod.load_checkpoint(out / "checkpoint.wvck")[1])
+    for end, message in ((len(blob) - 8, "truncated moments"),
+                         (header_at + 10, "truncated optimiser header")):
+        (tmp_path / "cut.wvck").write_bytes(blob[:end])
+        with pytest.raises(FormatError, match=message):
+            load_resume(tmp_path / "cut.wvck", micro_config(epochs=2))
 
 
 def _with_generator_state(src, dst, edit):
@@ -524,7 +607,7 @@ def test_resume_rejects_corrupt_generator_state(tmp_path, edit):
 def test_nonfinite_loss_aborts_with_step(monkeypatch):
     videos = micro_videos()
 
-    def poisoned(batch, mined, config):
+    def poisoned(batch, labels, mined, config):
         bd = LossBreakdown(l_total=float("nan"), l_cnt=0.0, l_snp=0.0,
                            l_vid=0.0, l_reg=0.0)
         return Tensor(np.float32(np.nan)), bd
@@ -551,8 +634,8 @@ def test_mined_step_is_one_small_graph(monkeypatch):
     model = trainer_mod._build_model(cfg)
     seen = {}
 
-    def counting(batch, mined, config):
-        total, breakdown = loss_total(batch, mined, config)
+    def counting(batch, labels, mined, config):
+        total, breakdown = loss_total(batch, labels, mined, config)
         seen["nodes"] = len(topological_order(total))
         seen["mined"] = mined.counts()
         return total, breakdown
