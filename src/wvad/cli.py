@@ -156,7 +156,7 @@ def _check_width(data_dir, split: str, features: list[np.ndarray], config: Resol
                           f"{features[0].shape[1]} wide but the encoder expects D={d_in}")
 
 
-def _check_both_classes(data_dir, videos):
+def _check_two_classes(data_dir, videos):
     """Refuse a loaded test split whose frame labels are all one class, which
     AUC cannot score."""
     n_pos = sum(int(np.count_nonzero(v.frame_labels)) for v in videos)
@@ -440,7 +440,7 @@ def cmd_ablate(args) -> int:
     test_videos = _load_test_split(args.data, manifest)
     _check_width(args.data, "train", [f for _, _, f in triples], config)
     _check_width(args.data, "test", [v.features for v in test_videos], config)
-    _check_both_classes(args.data, test_videos)
+    _check_two_classes(args.data, test_videos)
     out = Path(args.out)
     _write_run_record(out, "ablate", config, data=str(args.data))
     results = []

@@ -1,20 +1,20 @@
 """Frame-level evaluation: score expansion, ROC-AUC, average precision.
 
-Both metrics come from one sort of the scores into tie groups (each
-group's start, size and positive count) and return the correctly rounded
-float64 value of an exact rational. Only those integer counts enter either
-metric, so an entry may stand for several frames that share its score and
-label (``EvalRecord.frame_counts``): every frame of a snippet takes the
-snippet's score, and ``wvad eval`` passes each snippet as at most two
-weighted entries, its positive and its negative frames, with the same
-result to the bit as the per-frame arrays.
+``evaluate`` computes both metrics from one sort of the scores into tie
+groups (each group's start, size and positive count) and returns the
+correctly rounded float64 value of each exact rational. Only those integer
+counts enter either metric, so an entry may stand for several frames that
+share its score and label (``EvalRecord.frame_counts``): every frame of a
+snippet takes the snippet's score, and ``wvad eval`` passes each snippet as
+at most two weighted entries, its positive and its negative frames, with the
+same result to the bit as the per-frame arrays.
 
-* ``roc_auc`` uses the average-rank form of the Mann-Whitney statistic.
-  Twice the positives' rank sum is an integer, so the statistic is exact
-  and the single final division is the only rounding step.
-* ``average_precision`` computes each precision term with one float division
-  and combines them with ``math.fsum`` (exact summation, rounded once), so
-  the result does not depend on accumulation order.
+* AUC uses the average-rank form of the Mann-Whitney statistic. Twice the
+  positives' rank sum is an integer, so the statistic is exact and the
+  single final division is the only rounding step.
+* AP computes each precision term with one float division and combines
+  them with ``math.fsum`` (exact summation, rounded once), so the result
+  does not depend on accumulation order.
 
 Score ties: AUC grants half credit per tied positive/negative pair; AP ranks
 negatives above positives at equal score, making the reported value a
@@ -52,13 +52,21 @@ class EvalRecord:
                 f"scores {self.frame_scores.shape} vs labels {self.frame_labels.shape}")
         if self.frame_scores.ndim != 1:
             raise ValueError("EvalRecord holds flat per-frame arrays")
-        if self.frame_counts is not None:
-            self.frame_counts = np.asarray(self.frame_counts, dtype=np.int64)
-            if self.frame_counts.shape != self.frame_scores.shape:
-                raise ValueError(f"counts {self.frame_counts.shape} vs "
-                                 f"scores {self.frame_scores.shape}")
-            if np.any(self.frame_counts < 1):
-                raise ValueError("every entry stands for at least one frame")
+        if self.frame_counts is None:
+            self.frame_counts = np.ones(self.frame_scores.size, dtype=np.int64)
+        self.frame_counts = np.asarray(self.frame_counts, dtype=np.int64)
+        if self.frame_counts.shape != self.frame_scores.shape:
+            raise ValueError(f"counts {self.frame_counts.shape} vs "
+                             f"scores {self.frame_scores.shape}")
+        if np.any(self.frame_counts < 1):
+            raise ValueError("every entry stands for at least one frame")
+        if self.frame_scores.size == 0:
+            raise MetricError("empty input")
+        finite = np.isfinite(self.frame_scores)
+        if not finite.all():
+            raise MetricError(f"{int(self.frame_counts[~finite].sum())} non-finite scores")
+        if not np.all((self.frame_labels == 0) | (self.frame_labels == 1)):
+            raise MetricError("labels must be 0/1")
 
 
 def snippet_to_frame_scores(scores: np.ndarray, num_frames: int) -> np.ndarray:
@@ -75,26 +83,8 @@ def snippet_to_frame_scores(scores: np.ndarray, num_frames: int) -> np.ndarray:
     return scores[idx]
 
 
-def _validate(scores, labels, counts=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Checked float64 scores, labels and per-entry frame counts (one
-    frame per entry when ``counts`` is None)."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    if s.shape != y.shape or s.ndim != 1:
-        raise ValueError(f"scores {s.shape} vs labels {y.shape}")
-    if s.size == 0:
-        raise MetricError("empty input")
-    c = np.ones(s.size, dtype=np.int64) if counts is None else counts
-    finite = np.isfinite(s)
-    if not finite.all():
-        raise MetricError(f"{int(c[~finite].sum())} non-finite scores")
-    if not np.all((y == 0) | (y == 1)):
-        raise MetricError("labels must be 0/1")
-    return s, y, c
-
-
 def _tie_groups(s: np.ndarray, y: np.ndarray, c: np.ndarray):
-    """The tie groups of validated scores in ascending order, from one sort:
+    """The tie groups of a record's scores in ascending order, from one sort:
     each group's start in the sorted order of the frames, its size and its
     positive count, all summed over the entries' frame counts ``c``.
 
@@ -137,33 +127,12 @@ def _ap(groups, n_pos: int) -> float:
     return math.fsum((hits / ranks).tolist()) / n_pos
 
 
-def _both_classes(y: np.ndarray, c: np.ndarray) -> tuple[int, int]:
+def evaluate(record: EvalRecord) -> tuple[float, float]:
+    """AUC and AP of one evaluation record, from one sort of its scores."""
+    s, y, c = record.frame_scores, record.frame_labels, record.frame_counts
     n_pos = int(c[y == 1].sum())
     n_neg = int(c.sum()) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise MetricError(f"roc_auc needs both classes, got {n_pos} pos / {n_neg} neg")
-    return n_pos, n_neg
-
-
-def roc_auc(scores, labels) -> float:
-    """Exact pairwise ranking probability with half credit for ties."""
-    s, y, c = _validate(scores, labels)
-    n_pos, n_neg = _both_classes(y, c)
-    return _auc(_tie_groups(s, y, c), n_pos, n_neg)
-
-
-def average_precision(scores, labels) -> float:
-    """Ranked-retrieval AP, step-wise (not interpolated), pessimistic ties."""
-    s, y, c = _validate(scores, labels)
-    n_pos = int(y.sum())
-    if n_pos == 0:
-        raise MetricError("average_precision needs at least one positive")
-    return _ap(_tie_groups(s, y, c), n_pos)
-
-
-def evaluate(record: EvalRecord) -> tuple[float, float]:
-    """AUC and AP of one evaluation record, from one sort of its scores."""
-    s, y, c = _validate(record.frame_scores, record.frame_labels, record.frame_counts)
-    n_pos, n_neg = _both_classes(y, c)
+        raise MetricError(f"AUC and AP need both classes, got {n_pos} pos / {n_neg} neg")
     groups = _tie_groups(s, y, c)
     return _auc(groups, n_pos, n_neg), _ap(groups, n_pos)

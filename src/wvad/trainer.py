@@ -34,6 +34,10 @@ from .tensor import Tensor
 
 OPT_MAGIC = b"WVOP"
 
+# Adam's moment decay rates and denominator guard
+BETA1, BETA2 = 0.9, 0.999
+ADAM_EPS = 1e-8
+
 # one video as the trainer sees it
 VideoTriple = tuple[str, int, np.ndarray]
 
@@ -117,15 +121,21 @@ class AdamState:
         return cls(m=np.zeros(size, dtype=np.float32), v=np.zeros(size, dtype=np.float32))
 
 
+def _param_at(params: Sequence[tuple[str, Tensor]], index) -> str:
+    """The name of the parameter that holds entry ``index`` of a flat vector
+    of per-parameter blocks in declaration order."""
+    ends = np.cumsum([p.data.size for _, p in params])
+    return params[int(np.searchsorted(ends, index, side="right"))][0]
+
+
 def _refuse_non_finite(flat: np.ndarray, params: Sequence[tuple[str, Tensor]], what: str,
                        t: int):
     """Raise naming the parameter that holds ``flat``'s first non-finite
-    entry, ``flat`` being per-parameter blocks in declaration order."""
+    entry."""
     finite = np.isfinite(flat)
     if not finite.all():
-        ends = np.cumsum([p.data.size for _, p in params])
-        name = params[int(np.searchsorted(ends, np.argmin(finite), side="right"))][0]
-        raise TrainingError(f"non-finite {what} parameter {name} at adam step {t}")
+        raise TrainingError(f"non-finite {what} parameter "
+                            f"{_param_at(params, np.argmin(finite))} at adam step {t}")
 
 
 def _norm(x: np.ndarray) -> float:
@@ -135,8 +145,7 @@ def _norm(x: np.ndarray) -> float:
 
 
 def adam_step(params: Sequence[tuple[str, Tensor]], grads: Sequence[np.ndarray],
-              state: AdamState, lr: float, betas: tuple[float, float] = (0.9, 0.999),
-              eps: float = 1e-8, weight_decay: float = 0.0) -> tuple[float, float]:
+              state: AdamState, lr: float, weight_decay: float = 0.0) -> tuple[float, float]:
     """One Adam update with bias correction; weight decay applied to the
     parameter directly (decoupled), not mixed into the gradient. Returns
     the Euclidean norms of the gradient and of the change to the parameters.
@@ -146,20 +155,23 @@ def adam_step(params: Sequence[tuple[str, Tensor]], grads: Sequence[np.ndarray],
     per-parameter update, so the result is bitwise the same. Afterwards
     each parameter's data is a view of the new flat vector.
 
-    A step is applied whole or not at all: a non-finite gradient or updated
-    value raises ``TrainingError`` naming its parameter, and leaves every
-    parameter and ``state`` as they were.
+    A step is applied whole or not at all: a non-finite gradient, moment or
+    updated value raises ``TrainingError`` naming its parameter, and leaves
+    every parameter and ``state`` as they were. A float32 second moment
+    overflows once |g| passes about 5.8e20; kept, its inf would freeze that
+    element for good.
     """
-    b1, b2 = betas
     t = state.t + 1
     g = np.concatenate([np.ravel(x) for x in grads])
     _refuse_non_finite(g, params, "gradient in", t)
     p = np.concatenate([x.data.ravel() for _, x in params])
-    m = b1 * state.m + (1.0 - b1) * g
-    v = b2 * state.v + (1.0 - b2) * (g * g)
-    m_hat = m / (1.0 - b1 ** t)
-    v_hat = v / (1.0 - b2 ** t)
-    new = p - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * weight_decay * p
+    m = BETA1 * state.m + (1.0 - BETA1) * g
+    v = BETA2 * state.v + (1.0 - BETA2) * (g * g)
+    _refuse_non_finite(m, params, "first moment of", t)
+    _refuse_non_finite(v, params, "second moment of", t)
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    new = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) - lr * weight_decay * p
     _refuse_non_finite(new, params, "update of", t)
     state.m, state.v, state.t = m, v, t
     offset = 0
@@ -235,8 +247,14 @@ def _parse_opt_state(extra: bytes, params: Sequence[tuple[str, Tensor]], path):
     if len(extra) < offset + 8 * size:
         raise FormatError(f"{path}: truncated moments: {len(extra) - offset} bytes "
                           f"for 2 x {size} float32 values")
-    m, v = np.frombuffer(extra, dtype="<f4", count=2 * size, offset=offset) \
+    moments = np.frombuffer(extra, dtype="<f4", count=2 * size, offset=offset) \
         .astype(np.float32).reshape(2, size)
+    finite = np.isfinite(moments)
+    if not finite.all():
+        which, at = divmod(int(np.argmin(finite)), size)
+        raise FormatError(f"{path}: non-finite {('first', 'second')[which]} moment of "
+                          f"parameter {_param_at(params, at)}")
+    m, v = moments
     return AdamState(m=m, v=v, t=step), step, next_epoch, np.random.Generator(bit_gen)
 
 
@@ -372,22 +390,24 @@ def train(videos: Sequence[VideoTriple], config: TrainConfig,
 
     log: list[LogRow] = []
     try:
-        for epoch in range(start_epoch, config.epochs):
-            for batch_indices in sampler.epoch_batches(rng):
-                step += 1
-                row = train_step(model, [videos[i] for i in batch_indices],
-                                 config, opt, step, epoch)
-                log.append(row)
-                if writer is not None:
-                    writer.writerow(row.as_csv())
-            if ckpt_path is not None:
-                log_fh.flush()   # every row up to the checkpoint's step is on disk
+        # each non-finite value is refused by name; numpy's warnings would bury that
+        with np.errstate(all="ignore"):
+            for epoch in range(start_epoch, config.epochs):
+                for batch_indices in sampler.epoch_batches(rng):
+                    step += 1
+                    row = train_step(model, [videos[i] for i in batch_indices],
+                                     config, opt, step, epoch)
+                    log.append(row)
+                    if writer is not None:
+                        writer.writerow(row.as_csv())
+                if ckpt_path is not None:
+                    log_fh.flush()   # every row up to the checkpoint's step is on disk
+                    save_checkpoint(ckpt_path, model,
+                                    extra=_opt_state_bytes(opt, step, epoch + 1, rng))
+            if ckpt_path is not None and start_epoch >= config.epochs:
+                # resumed past the target: persist state so the path is valid
                 save_checkpoint(ckpt_path, model,
-                                extra=_opt_state_bytes(opt, step, epoch + 1, rng))
-        if ckpt_path is not None and start_epoch >= config.epochs:
-            # resumed past the target: persist state so the path is valid
-            save_checkpoint(ckpt_path, model,
-                            extra=_opt_state_bytes(opt, step, start_epoch, rng))
+                                extra=_opt_state_bytes(opt, step, start_epoch, rng))
     finally:
         if log_fh is not None:
             log_fh.close()

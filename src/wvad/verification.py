@@ -2,14 +2,14 @@
 training objective end to end, each checked across several seeds.
 
 ``grad_check`` compares one scalar closure's tape gradient with central
-differences; every perturbed evaluation runs untaped. Each case builds
-float64 leaf parameters and a scalar closure; the closure is rebuilt per
-evaluation so central differences see a fresh graph. Inputs are kept away
-from kinks (relu at 0, clip boundaries, top-k ties) so the two-sided
-difference is a valid derivative estimate at tolerance 1e-4.
+differences of step ``H``; every perturbed evaluation runs untaped. Each
+case builds float64 leaf parameters and a scalar closure; the closure is
+rebuilt per evaluation so central differences see a fresh graph. Inputs are
+kept away from kinks (relu at 0, clip boundaries, top-k ties) so the
+two-sided difference is a valid derivative estimate at tolerance ``TOL``.
 
 Pass rule: a row (one parameter, or one case over all its seeds) passes
-when its worst relative error is <= tol. A NaN error (a NaN or inf tape
+when its worst relative error is <= ``TOL``. A NaN error (a NaN or inf tape
 gradient) fails, and so does a non-finite objective, whose error is inf.
 """
 
@@ -29,6 +29,9 @@ from .tensor import (Tensor, broadcast_to, concat, dropout, dws_conv1d, gather_r
                      gelu, l2_normalize, layer_norm, multi_head_self_attention, no_grad,
                      softmax, topk_mean)
 
+H = 1e-5     # central-difference step
+TOL = 1e-4   # the largest relative error a row passes with
+
 
 @dataclass
 class CheckRow:
@@ -37,19 +40,16 @@ class CheckRow:
     name: str
     seeds: int
     max_rel_err: float
-    tol: float
     note: str = ""
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_err <= self.tol   # False for NaN
+        return self.max_rel_err <= TOL   # False for NaN
 
 
 @dataclass
 class VerificationReport:
     rows: list[CheckRow] = field(default_factory=list)
-    h: float = 1e-5
-    tol: float = 1e-4
     elapsed_s: float = 0.0
 
     @property
@@ -64,16 +64,12 @@ class VerificationReport:
             lines.append(f"gradcheck {r.name}: max rel err {r.max_rel_err:.3e} "
                          f"over {r.seeds} seeds {status}{extra}")
         lines.append(f"gradcheck total: {'PASS' if self.passed else 'FAIL'} "
-                     f"in {self.elapsed_s:.1f}s (h={self.h:g}, tol={self.tol:g})")
+                     f"in {self.elapsed_s:.1f}s (h={H:g}, tol={TOL:g})")
         return lines
 
 
-def grad_check(
-    f: Callable[[], Tensor],
-    params: Iterable[tuple[str, Tensor]],
-    h: float = 1e-5,
-    tol: float = 1e-4,
-) -> VerificationReport:
+def grad_check(f: Callable[[], Tensor],
+               params: Iterable[tuple[str, Tensor]]) -> VerificationReport:
     """Compare the tape gradient of ``f()`` against central finite differences.
 
     ``f`` must rebuild the graph on every call and return a scalar; ``params``
@@ -95,7 +91,7 @@ def grad_check(
     if loss.data.size != 1:
         raise ValueError("grad_check objective must be scalar")
     loss.backward()
-    report = VerificationReport(h=h, tol=tol)
+    report = VerificationReport()
     for name, p in named:
         # untaped evaluations leave .grad alone
         ana = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -105,23 +101,22 @@ def grad_check(
         with no_grad():
             for flat_i, index in enumerate(np.ndindex(p.data.shape)):
                 orig = p.data[index]
-                p.data[index] = orig + h
+                p.data[index] = orig + H
                 f_plus = float(f().data)
-                p.data[index] = orig - h
+                p.data[index] = orig - H
                 f_minus = float(f().data)
                 p.data[index] = orig
                 if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                    row = CheckRow(name, 1, math.inf, tol,
+                    row = CheckRow(name, 1, math.inf,
                                    f"non-finite objective at {name}[{flat_i}]")
                     break
-                numeric[index] = (f_plus - f_minus) / (2.0 * h)
+                numeric[index] = (f_plus - f_minus) / (2.0 * H)
             else:
                 with np.errstate(invalid="ignore"):   # inf tape gradients give NaN
                     rel = np.abs(ana - numeric) / np.maximum(
                         1.0, np.maximum(np.abs(ana), np.abs(numeric)))
                 err = float(rel.max(initial=0.0))   # NaN wins the max, and argmax finds it
-                row = CheckRow(name, 1, err, tol,
-                               "" if err <= tol else f"{name}[{np.argmax(rel)}]")
+                row = CheckRow(name, 1, err, "" if err <= TOL else f"{name}[{np.argmax(rel)}]")
         report.rows.append(row)
     report.elapsed_s = time.perf_counter() - start
     return report
@@ -252,7 +247,7 @@ def _case_softmax(rng):
 
 
 def _case_topk_mean(rng):
-    # distinct values with gaps far above h so the top-k set is stable
+    # distinct values with gaps far above H so the top-k set is stable
     base = rng.permutation(7).astype(np.float64) * 0.3
     x = Tensor(base + rng.normal(size=7) * 0.01, requires_grad=True)
     grid = np.stack([rng.permutation(6) for _ in range(3)]).astype(np.float64) * 0.3
@@ -365,25 +360,25 @@ CASES = [
 ]
 
 
-def check_case(name, builder, seeds: int, h: float, tol: float) -> CheckRow:
+def check_case(name, builder, seeds: int) -> CheckRow:
     """Run one case across seeds. The row keeps the worst relative error, so
     it fails when any seed's row fails; its note names the first failing
     seed and that seed's worst element."""
     errs, note = [], ""
     for seed in range(seeds):
         params, f = builder(np.random.default_rng(10_000 + seed))
-        rows = grad_check(f, params, h=h, tol=tol).rows
+        rows = grad_check(f, params).rows
         worst = rows[np.argmax([r.max_rel_err for r in rows])]   # the first NaN, else the worst
         errs.append(worst.max_rel_err)
         if not (worst.passed or note):
             note = f"seed {seed}, {worst.note}"
-    return CheckRow(name, seeds, float(np.max(errs, initial=0.0)), tol, note)   # NaN wins
+    return CheckRow(name, seeds, float(np.max(errs, initial=0.0)), note)   # NaN wins
 
 
-def run_all(seeds: int = 10, h: float = 1e-5, tol: float = 1e-4) -> VerificationReport:
+def run_all(seeds: int = 10) -> VerificationReport:
     start = time.perf_counter()
-    report = VerificationReport(h=h, tol=tol)
+    report = VerificationReport()
     for name, builder in CASES:
-        report.rows.append(check_case(name, builder, seeds, h, tol))
+        report.rows.append(check_case(name, builder, seeds))
     report.elapsed_s = time.perf_counter() - start
     return report

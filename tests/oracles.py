@@ -58,7 +58,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from wvad.cli import SCORE_COLUMNS
 from wvad.encoder import BlockParams, EncoderConfig, ModelParams
 from wvad.errors import ConfigError, FormatError, MetricError
-from wvad.metrics import _validate
 from wvad.mining import MinedSets
 from wvad.synthdata import SynthConfig, _make_video, _video_plan
 from wvad.tensor import (Tensor, _unbroadcast, broadcast_to, concat, gather_rows, node,
@@ -437,12 +436,28 @@ def mined_sets(video_ids, t_len, ha=(), ea=(), hn=(), en=()):
 # metrics with a sort per metric
 
 
+def _checked(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """float64 scores and labels, refused as ``wvad.metrics.EvalRecord``
+    refuses them."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    if s.shape != y.shape or s.ndim != 1:
+        raise ValueError(f"scores {s.shape} vs labels {y.shape}")
+    if s.size == 0:
+        raise MetricError("empty input")
+    if not np.isfinite(s).all():
+        raise MetricError(f"{int(np.sum(~np.isfinite(s)))} non-finite scores")
+    if not np.all((y == 0) | (y == 1)):
+        raise MetricError("labels must be 0/1")
+    return s, y
+
+
 def roc_auc(scores, labels) -> float:
-    s, y, _ = _validate(scores, labels)
+    s, y = _checked(scores, labels)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise MetricError(f"roc_auc needs both classes, got {n_pos} pos / {n_neg} neg")
+        raise MetricError(f"AUC and AP need both classes, got {n_pos} pos / {n_neg} neg")
     order = np.argsort(s, kind="stable")
     sorted_s = s[order]
     # average 1-based rank per tie group
@@ -457,7 +472,7 @@ def roc_auc(scores, labels) -> float:
 
 
 def average_precision(scores, labels) -> float:
-    s, y, _ = _validate(scores, labels)
+    s, y = _checked(scores, labels)
     n_pos = int(y.sum())
     if n_pos == 0:
         raise MetricError("average_precision needs at least one positive")

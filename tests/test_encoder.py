@@ -453,7 +453,7 @@ def test_micro_end_to_end_gradcheck():
         out = m.forward(f)
         return out.scores.sum() + out.video_scores
 
-    report = grad_check(objective, m.named_params(), h=1e-5, tol=1e-4)
+    report = grad_check(objective, m.named_params())
     assert report.passed, report.summary_lines()
 
 

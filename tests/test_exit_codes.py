@@ -16,12 +16,17 @@ flags, and no other: a flag it does not read is a usage error (exit 2).
 
 import argparse
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wvad
 from wvad import cli
 from wvad.encoder import load_checkpoint
 from wvad.synthdata import (SynthConfig, generate_dataset, load_features, load_manifest,
@@ -330,3 +335,42 @@ def test_a_non_finite_checkpoint_parameter_exits_3_before_scoring(command, bad, 
     assert capsys.readouterr().err == (
         f"i/o error: {ckpt}: non-finite value {np.float32(bad)} in parameter score_b\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("moment", ["first", "second"])
+def test_a_non_finite_checkpoint_moment_exits_3_before_any_output(moment, inputs, tmp_path,
+                                                                  capsys):
+    """``train --resume`` refuses an optimiser moment that is not finite, as
+    it refuses such a parameter. An inf second moment used to load, and the
+    element it belongs to never moved again. The first moment's fault sits
+    in its last value, the second's in its first."""
+    raw = bytearray(inputs["--resume"].read_bytes())
+    named = load_checkpoint(inputs["--resume"])[0].named_params()
+    size = sum(p.data.size for _, p in named)
+    at = len(raw) - 4 * size - 4 if moment == "first" else len(raw) - 4 * size
+    struct.pack_into("<f", raw, at, np.inf)
+    ckpt = tmp_path / "bad.wvck"
+    ckpt.write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(inputs["--config"]), "--data",
+                     str(inputs["--data"]), "--resume", str(ckpt), "--out", str(out)]) == 3
+    name = named[-1][0] if moment == "first" else named[0][0]
+    assert capsys.readouterr().err == (
+        f"i/o error: {ckpt}: non-finite {moment} moment of parameter {name}\n")
+    assert not out.exists()
+
+
+def test_a_diverging_run_prints_only_its_failure_line(inputs, tmp_path):
+    """At an ``lr`` of 1e38 the second step's loss is NaN. Numpy's overflow
+    and invalid-value warnings on the way there used to come first, eight of
+    them with source lines; the run's own line is all that stderr holds."""
+    config = CONFIG | {"train": CONFIG["train"] | {"epochs": 2, "lr": 1e38}}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(wvad.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "wvad.cli", "train", "--config",
+                           str(tmp_path / "config.json"), "--data", str(inputs["--data"]),
+                           "--out", str(tmp_path / "out")], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("numerical failure: non-finite loss at step 2 (epoch 1): ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")

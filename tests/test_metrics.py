@@ -4,7 +4,8 @@ The oracles below never sort: AUC counts every positive/negative pair with
 Fraction arithmetic, and AP derives each positive's rank by pairwise
 comparison under the same tie order the implementation documents. For
 inputs too large for them, ``oracles.roc_auc``/``average_precision`` (one
-sort per metric, each ranking every frame) are the reference. Equality
+sort per metric, each ranking every frame) are the reference. ``auc`` and
+``ap`` below read one metric from ``evaluate``, the library's one entry. Equality
 assertions are exact (==): every route computes the same rational and
 rounds it once, so any difference is a real bug, not noise.
 """
@@ -18,13 +19,16 @@ import pytest
 
 import oracles
 from wvad.errors import MetricError
-from wvad.metrics import (
-    EvalRecord,
-    average_precision,
-    evaluate,
-    roc_auc,
-    snippet_to_frame_scores,
-)
+from wvad.metrics import EvalRecord, evaluate, snippet_to_frame_scores
+
+
+def auc(scores, labels):
+    return evaluate(EvalRecord(scores, labels))[0]
+
+
+def ap(scores, labels):
+    return evaluate(EvalRecord(scores, labels))[1]
+
 
 # ---------------------------------------------------------------------
 # pairwise oracles (independent code path, no sorting)
@@ -110,23 +114,23 @@ def test_expansion_rejects_fewer_frames_than_snippets():
 
 
 def test_auc_perfect_separation():
-    assert roc_auc([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0]) == 1.0
+    assert auc([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0]) == 1.0
 
 
 def test_auc_half_for_mixed_ranking():
     # pairs: (0.8 vs 0.4) win, (0.8 vs 0.6) win, (0.2 vs 0.4) loss, (0.2 vs 0.6) loss
-    assert roc_auc([0.8, 0.4, 0.6, 0.2], [1, 0, 0, 1]) == 0.5
+    assert auc([0.8, 0.4, 0.6, 0.2], [1, 0, 0, 1]) == 0.5
 
 
 def test_auc_all_ties_is_half():
-    assert roc_auc([0.5, 0.5], [1, 0]) == 0.5
+    assert auc([0.5, 0.5], [1, 0]) == 0.5
 
 
 def test_auc_single_class_rejected():
     with pytest.raises(MetricError):
-        roc_auc([0.1, 0.2], [1, 1])
+        auc([0.1, 0.2], [1, 1])
     with pytest.raises(MetricError):
-        roc_auc([0.1, 0.2], [0, 0])
+        auc([0.1, 0.2], [0, 0])
 
 
 def test_auc_invariant_under_increasing_transform():
@@ -134,9 +138,9 @@ def test_auc_invariant_under_increasing_transform():
     scores = rng.random(40)
     labels = (rng.random(40) > 0.5).astype(int)
     labels[0], labels[1] = 0, 1
-    base = roc_auc(scores, labels)
-    assert roc_auc(3.0 * scores + 2.0, labels) == base
-    assert roc_auc(np.exp(scores), labels) == base
+    base = auc(scores, labels)
+    assert auc(3.0 * scores + 2.0, labels) == base
+    assert auc(np.exp(scores), labels) == base
 
 
 def test_auc_complement_without_ties():
@@ -144,16 +148,16 @@ def test_auc_complement_without_ties():
     scores = rng.permutation(np.linspace(0.0, 1.0, 20))
     labels = (rng.random(20) > 0.5).astype(int)
     labels[0], labels[1] = 0, 1
-    assert roc_auc(scores, labels) + roc_auc(-scores, labels) == pytest.approx(1.0, abs=1e-15)
+    assert auc(scores, labels) + auc(-scores, labels) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_auc_validation():
     with pytest.raises(ValueError):
-        roc_auc([0.1], [1, 0])
+        auc([0.1], [1, 0])
     with pytest.raises(MetricError):
-        roc_auc([0.1, 0.2], [1, 2])
+        auc([0.1, 0.2], [1, 2])
     with pytest.raises(MetricError):
-        roc_auc([], [])
+        auc([], [])
 
 
 # ---------------------------------------------------------------------
@@ -161,36 +165,32 @@ def test_auc_validation():
 
 
 def test_ap_perfect_ranking():
-    assert average_precision([0.9, 0.8, 0.1], [1, 1, 0]) == 1.0
+    assert ap([0.9, 0.8, 0.1], [1, 1, 0]) == 1.0
 
 
 def test_ap_positive_at_rank_two():
-    assert average_precision([0.2, 0.8], [1, 0]) == 0.5
+    assert ap([0.2, 0.8], [1, 0]) == 0.5
 
 
 def test_ap_hand_value_three_items():
     # ranked: 0.9(pos), 0.5(neg), 0.3(pos) -> (1/1 + 2/3)/2 = 5/6
-    got = average_precision([0.9, 0.3, 0.5], [1, 1, 0])
+    got = ap([0.9, 0.3, 0.5], [1, 1, 0])
     assert got == pytest.approx(5.0 / 6.0, abs=1e-15)
 
 
 def test_ap_tie_resolved_pessimistically():
     # optimistic ordering would give 1.0; the negative outranks at a tie
-    assert average_precision([0.5, 0.5], [1, 0]) == 0.5
+    assert ap([0.5, 0.5], [1, 0]) == 0.5
 
 
 def test_ap_one_iff_every_positive_outranks_every_negative():
-    assert average_precision([0.9, 0.7, 0.3, 0.1], [1, 1, 0, 0]) == 1.0
-    assert average_precision([0.9, 0.3, 0.7, 0.1], [1, 1, 0, 0]) < 1.0
-
-
-def test_ap_no_negatives_is_one():
-    assert average_precision([0.2, 0.9], [1, 1]) == 1.0
+    assert ap([0.9, 0.7, 0.3, 0.1], [1, 1, 0, 0]) == 1.0
+    assert ap([0.9, 0.3, 0.7, 0.1], [1, 1, 0, 0]) < 1.0
 
 
 def test_ap_zero_positives_rejected():
     with pytest.raises(MetricError):
-        average_precision([0.1, 0.2], [0, 0])
+        ap([0.1, 0.2], [0, 0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -198,12 +198,10 @@ def test_non_finite_scores_rejected(bad):
     # unchecked, a NaN ranks as the top score for AUC (1.0) and last for AP (0.75)
     scores, labels = [0.1, bad, 0.3, 0.9], [0, 1, 0, 1]
     with pytest.raises(MetricError, match="^1 non-finite scores$"):
-        roc_auc(scores, labels)
-    with pytest.raises(MetricError, match="^1 non-finite scores$"):
-        average_precision(scores, labels)
+        EvalRecord(scores, labels)
     # a weighted entry's message counts the frames it stands for
     with pytest.raises(MetricError, match="^7 non-finite scores$"):
-        evaluate(EvalRecord(scores, labels, frame_counts=[2, 7, 1, 3]))
+        EvalRecord(scores, labels, frame_counts=[2, 7, 1, 3])
 
 
 # ---------------------------------------------------------------------
@@ -222,9 +220,8 @@ def test_exhaustive_small_cases_match_oracles_exactly():
                 scores = (rng.random(n) if draw < 2
                           else grid[rng.integers(0, 3, size=n)]).tolist()
                 if 0 < n_pos < n:
-                    assert roc_auc(scores, labels) == bf_auc(scores, labels)
-                if n_pos > 0:
-                    assert average_precision(scores, labels) == bf_ap(scores, labels)
+                    assert evaluate(EvalRecord(scores, labels)) == \
+                        (bf_auc(scores, labels), bf_ap(scores, labels))
 
 
 def test_random_medium_cases_match_oracles_exactly():
@@ -235,8 +232,8 @@ def test_random_medium_cases_match_oracles_exactly():
         labels[0], labels[1] = 0, 1
         scores = (rng.random(n) if i % 2 == 0
                   else np.round(rng.random(n), 1))   # rounded -> many ties
-        assert roc_auc(scores, labels) == bf_auc(scores.tolist(), labels.tolist())
-        assert average_precision(scores, labels) == bf_ap(scores.tolist(), labels.tolist())
+        assert evaluate(EvalRecord(scores, labels)) == \
+            (bf_auc(scores.tolist(), labels.tolist()), bf_ap(scores.tolist(), labels.tolist()))
 
 
 def frame_like(rng, n_snippets, frames, pos_rate, levels=None):
@@ -254,8 +251,6 @@ def frame_like(rng, n_snippets, frames, pos_rate, levels=None):
 
 def assert_matches_per_metric_sorts(scores, labels):
     want = (oracles.roc_auc(scores, labels), oracles.average_precision(scores, labels))
-    assert roc_auc(scores, labels) == want[0]
-    assert average_precision(scores, labels) == want[1]
     assert evaluate(EvalRecord(scores, labels)) == want
 
 
@@ -280,9 +275,9 @@ def test_all_tied_input():
     labels = np.array([1, 0, 0, 1, 1, 0, 1], dtype=np.uint8)
     scores = np.full(labels.size, 0.25, dtype=np.float32).astype(np.float64)
     assert_matches_per_metric_sorts(scores, labels)
-    assert roc_auc(scores, labels) == 0.5
     # every negative ranks first: the positives sit at ranks 4..7
-    assert average_precision(scores, labels) == math.fsum([1 / 4, 2 / 5, 3 / 6, 4 / 7]) / 4
+    assert evaluate(EvalRecord(scores, labels)) == \
+        (0.5, math.fsum([1 / 4, 2 / 5, 3 / 6, 4 / 7]) / 4)
 
 
 @pytest.mark.parametrize("label", [0, 1])
@@ -293,9 +288,6 @@ def test_single_class_frames_rejected_as_before(label):
         oracles.roc_auc(scores, labels)
     with pytest.raises(MetricError) as got:
         evaluate(EvalRecord(scores, labels))
-    assert str(got.value) == str(want.value)
-    with pytest.raises(MetricError) as got:
-        roc_auc(scores, labels)
     assert str(got.value) == str(want.value)
 
 

@@ -245,12 +245,19 @@ def test_eval_hands_the_metrics_at_most_two_entries_per_snippet(ragged_dataset, 
                                                             for v in videos)
 
 
-def test_eval_of_600_videos_peaks_within_1_mb_of_the_forward(tmp_path):
+@pytest.fixture(scope="module")
+def test_set_600(tmp_path_factory):
+    """600 test videos of 512 frames, the bench's ``score`` size."""
+    data = tmp_path_factory.mktemp("test600")
+    generate_dataset(SynthConfig(seed=1007, n_normal_train=0, n_abnormal_train=0,
+                                 n_normal_test=300, n_abnormal_test=300), data)
+    return data
+
+
+def test_eval_of_600_videos_peaks_within_1_mb_of_the_forward(test_set_600):
     """The metrics add nothing to the forward's peak: at 600 videos of 512
     frames the per-frame arrays took it from 4.7 to 11.1 MB."""
-    generate_dataset(SynthConfig(seed=1007, n_normal_train=0, n_abnormal_train=0,
-                                 n_normal_test=300, n_abnormal_test=300), tmp_path)
-    videos = load_split(tmp_path, "test")
+    videos = load_split(test_set_600, "test")
     model = TransformerModel.init(EncoderConfig(), seed=0)
     cli.evaluate_model(model, videos)   # first-call allocations stay out of the peaks
     peaks = []
@@ -262,3 +269,33 @@ def test_eval_of_600_videos_peaks_within_1_mb_of_the_forward(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 1e6, f"peaks {peaks[0] / 1e6:.2f}, {peaks[1] / 1e6:.2f} MB"
+
+
+# measured 7.98 MB with CPython 3.11.7 and numpy 2.4; about 5% slack
+SCORE_PASS_PEAK = 8.4e6
+
+
+def test_a_600_video_score_pass_peaks_below_its_bound(test_set_600, tmp_path):
+    """``eval``, ``export-scores`` and ``mine`` through ``cli.main`` on 600
+    videos, after one warm-up pass keeps first-call allocations out of the
+    peak: its ``tracemalloc`` peak stays within the bound."""
+    ckpt = tmp_path / "model.wvck"
+    save_checkpoint(ckpt, TransformerModel.init(EncoderConfig(), seed=0))
+
+    def score_pass(out):
+        scores = out / "scores" / "scores.csv"
+        for argv in (["eval", "--checkpoint", str(ckpt), "--data", str(test_set_600),
+                      "--out", str(out / "eval")],
+                     ["export-scores", "--checkpoint", str(ckpt), "--data", str(test_set_600),
+                      "--out", str(out / "scores")],
+                     ["mine", "--scores", str(scores), "--out", str(out / "mined")]):
+            assert cli.main(argv) == 0
+
+    score_pass(tmp_path / "warm-up")
+    tracemalloc.start()
+    try:
+        score_pass(tmp_path / "measured")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SCORE_PASS_PEAK, f"peak {peak / 1e6:.2f} MB"

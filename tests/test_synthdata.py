@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wvad.errors import ConfigError, FormatError
-from wvad.metrics import roc_auc
+from wvad.metrics import EvalRecord, evaluate
 from wvad.synthdata import (
     FORMAT_VERSION,
     LABELS_NAME,
@@ -408,4 +408,5 @@ def test_linear_probe_separates_snippets_at_easy_shift(tmp_path):
             cfg.num_snippets, cfg.frames_per_snippet).max(axis=1)
         scores += v.features[:, :block].mean(axis=1).tolist()
         labels += snippet_labels.tolist()
-    assert roc_auc(scores, labels) > 0.99
+    auc, _ = evaluate(EvalRecord(scores, labels))
+    assert auc > 0.99

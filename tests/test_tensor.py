@@ -37,8 +37,8 @@ def t64(data, requires_grad=True):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
 
 
-def check(f, params, tol=1e-4):
-    report = grad_check(f, params, h=1e-5, tol=tol)
+def check(f, params):
+    report = grad_check(f, params)
     assert report.passed, report.summary_lines()
     return report
 
