@@ -445,8 +445,9 @@ def _checked(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"scores {s.shape} vs labels {y.shape}")
     if s.size == 0:
         raise MetricError("empty input")
-    if not np.isfinite(s).all():
-        raise MetricError(f"{int(np.sum(~np.isfinite(s)))} non-finite scores")
+    finite = np.isfinite(s)
+    if not finite.all():
+        raise MetricError(f"{int((~finite).sum())} non-finite scores")
     if not np.all((y == 0) | (y == 1)):
         raise MetricError("labels must be 0/1")
     return s, y

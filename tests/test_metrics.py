@@ -5,9 +5,9 @@ Fraction arithmetic, and AP derives each positive's rank by pairwise
 comparison under the same tie order the implementation documents. For
 inputs too large for them, ``oracles.roc_auc``/``average_precision`` (one
 sort per metric, each ranking every frame) are the reference. ``auc`` and
-``ap`` below read one metric from ``evaluate``, the library's one entry. Equality
-assertions are exact (==): every route computes the same rational and
-rounds it once, so any difference is a real bug, not noise.
+``ap`` below read one metric from ``evaluate``, the library's one entry.
+Equality assertions are exact (==): every route computes the same rational
+and rounds it once, so any difference is a real bug, not noise.
 """
 
 import itertools
